@@ -23,8 +23,6 @@ __all__ = [
     "concat",
     "stack_rows",
     "l2_norm",
-    "cosine_similarity",
-    "softmax",
     "logsumexp",
     "dropout",
     "embedding_lookup",
@@ -309,28 +307,6 @@ def l2_norm(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return Tensor._from_op(np.asarray(out), (t,), vjp)
 
 
-def cosine_similarity(u: Tensor, v: Tensor) -> Tensor:
-    """Cosine of two 1-d tensors."""
-    if u.shape != v.shape or u.data.ndim != 1:
-        raise ShapeError(f"cosine_similarity: expected equal vectors, got {u.shape} and {v.shape}")
-    dot = (u * v).sum()
-    return dot / (l2_norm(u) * l2_norm(v))
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Softmax over one axis, computed with the log-sum-exp shift."""
-    x = t.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def vjp(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - inner),)
-
-    return Tensor._from_op(out, (t,), vjp)
-
-
 def logsumexp(t: Tensor, axis: int = -1) -> Tensor:
     """log(sum(exp(t))) over one axis via the max shift; exact gradient."""
     shift = t.data.max(axis=axis, keepdims=True)
@@ -554,9 +530,6 @@ class GradientMap:
 
     def __contains__(self, t: Tensor) -> bool:
         return t.node_id in self._grads
-
-    def __len__(self) -> int:
-        return len(self._grads)
 
 
 def _topo_order(root: Tensor) -> list[Tensor]:

@@ -14,8 +14,9 @@ Layout, all integers little-endian:
 
 from __future__ import annotations
 
-import json
 import hashlib
+import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,7 +27,7 @@ import numpy as np
 from .autodiff import Tensor
 from .corpus import FrequencyTable, Vocab
 from .embeddings import EmbeddingTable
-from .model import KERNEL_SIZES, ModelParams
+from .model import ModelParams, build_params
 
 MAGIC = b"SARC"
 VERSION = 1
@@ -58,7 +59,7 @@ class ChecksumMismatchError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    """Everything needed to resume training or run inference."""
+    """A trained model with its vocabulary, token frequencies, and optimizer state."""
 
     config: dict
     vocab: Vocab
@@ -105,7 +106,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     blob += struct.pack("<I", len(dir_bytes)) + dir_bytes
     blob += payload
     blob += hashlib.blake2b(bytes(blob), digest_size=8).digest()
-    Path(path).write_bytes(bytes(blob))
+    # Write a sibling file, then rename it over `path`: a failed save leaves
+    # any previous checkpoint at `path` intact.
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(bytes(blob))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -184,30 +193,25 @@ def pack_model(table: EmbeddingTable, params: ModelParams) -> dict[str, np.ndarr
     return tensors
 
 
-def unpack_model(
-    ckpt: Checkpoint,
-    requires_grad: bool = False,
-) -> tuple[EmbeddingTable, ModelParams]:
-    """Rebuild the embedding table and conv parameters from stored tensors."""
+def unpack_model(ckpt: Checkpoint) -> tuple[EmbeddingTable, ModelParams]:
+    """Rebuild the embedding table and conv parameters from stored tensors,
+    each of the shape the header config and vocabulary imply."""
     cfg = ckpt.config
+    embed_dim = int(cfg["embed_dim"])
 
-    def tensor(name: str) -> Tensor:
+    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
         if name not in ckpt.tensors:
             raise CheckpointError(f"checkpoint missing tensor {name}")
-        return Tensor(ckpt.tensors[name].copy(), requires_grad=requires_grad)
+        arr = ckpt.tensors[name]
+        if arr.shape != shape:
+            raise CheckpointError(
+                f"checkpoint tensor {name} has shape {arr.shape}, but the header implies {shape}"
+            )
+        return Tensor(arr.copy())
 
-    table = EmbeddingTable(tensor("embedding.weights"), trainable=not cfg.get("freeze_table", False))
-    params = ModelParams(
-        embed_dim=int(cfg["embed_dim"]),
-        enc_channels=int(cfg["enc_channels"]),
-        mix_channels=int(cfg["mix_channels"]),
-        enc_kernels={ks: tensor(f"enc.k{ks}.kernels") for ks in KERNEL_SIZES},
-        enc_bias={ks: tensor(f"enc.k{ks}.bias") for ks in KERNEL_SIZES},
-        mix_kernels=tensor("mix.kernels"),
-        mix_bias=tensor("mix.bias"),
-        demix_kernels=tensor("demix.kernels"),
-        demix_bias=tensor("demix.bias"),
-        dec_kernels={ks: tensor(f"dec.k{ks}.kernels") for ks in KERNEL_SIZES},
-        dec_bias={ks: tensor(f"dec.k{ks}.bias") for ks in KERNEL_SIZES},
+    table = EmbeddingTable(
+        tensor("embedding.weights", (len(ckpt.vocab), embed_dim)),
+        trainable=not cfg.get("freeze_table", False),
     )
+    params = build_params(embed_dim, int(cfg["enc_channels"]), int(cfg["mix_channels"]), tensor)
     return table, params

@@ -16,6 +16,7 @@ from . import checkpoint as ckpt_io
 from . import corpus as corpus_io
 from .evaluation import (
     encode_tokens,
+    evaluate_checkpoint,
     evaluate_pairs,
     token_report,
     write_density_csv,
@@ -158,8 +159,7 @@ def _train_once(cfg: dict, corpus_path: str, dev_path: str):
     sentences = corpus_io.load_corpus(corpus_path)
     dev_pairs = corpus_io.load_sts_pairs(dev_path)
     tc = TrainConfig.from_flat({k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
-    result = train(tc, sentences, dev_pairs, vocab, freq)
-    return result
+    return train(tc, sentences, dev_pairs, vocab, freq)
 
 
 def _write_train_outputs(result, out_dir: Path) -> None:
@@ -222,66 +222,44 @@ def cmd_embed(args) -> int:
     return EXIT_OK
 
 
-def _test_spearman(result, test_path: str) -> tuple[Optional[float], Optional[float]]:
-    """(dev-best, test) Spearman of a finished run's best checkpoint."""
-    table, params = ckpt_io.unpack_model(result.best)
-    pairs = corpus_io.load_sts_pairs(test_path)
-    report = evaluate_pairs(pairs, result.best.vocab, table, params)
-    return result.best_dev, report.spearman_rho
-
-
 def _fmt_rho(value: Optional[float]) -> str:
     return "undefined" if value is None else repr(value)
 
 
-def cmd_ablate(args) -> int:
+def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, table_name: str) -> int:
+    """Train once per value of config `key` under the shared seed, into
+    `<out>/<subdir_prefix><value>`, and tabulate each value (formatted with
+    `fmt`) with its best dev and that checkpoint's test Spearman."""
     cfg = resolve_config(args.config, args.set, args.seed)
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     rows = []
-    for mode in ABLATIONS:
-        run_cfg = dict(cfg)
-        run_cfg["ablation"] = mode
-        result = _train_once(run_cfg, args.corpus, args.dev)
-        sub = out_dir / mode
+    for value in values:
+        result = _train_once({**cfg, key: value}, args.corpus, args.dev)
+        sub = out_dir / f"{subdir_prefix}{value:{fmt}}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)
-        dev, test = _test_spearman(result, args.test)
-        rows.append((mode, dev, test))
-    with open(out_dir / "ablation.csv", "w", encoding="utf-8") as fh:
+        test = evaluate_checkpoint(result.best, args.test).spearman_rho
+        rows.append(f"{value:{fmt}},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
+    with open(out_dir / table_name, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg['seed']}\n")
-        fh.write("ablation,dev_spearman,test_spearman\n")
-        for mode, dev, test in rows:
-            fh.write(f"{mode},{_fmt_rho(dev)},{_fmt_rho(test)}\n")
-    print(f"ablation table ({len(rows)} rows) -> {out_dir / 'ablation.csv'}")
+        fh.write(f"{key},dev_spearman,test_spearman\n")
+        fh.writelines(rows)
+    print(f"{key} grid ({len(rows)} rows) -> {out_dir / table_name}")
     return EXIT_OK
 
 
+def cmd_ablate(args) -> int:
+    return _run_grid(args, "ablation", ABLATIONS, "", "", "ablation.csv")
+
+
 def cmd_sweep_theta(args) -> int:
-    cfg = resolve_config(args.config, args.set, args.seed)
-    out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigError(f"--values: expected comma-separated numbers, got {args.values!r}") from exc
     if not values:
         raise ConfigError("--values: no theta values given")
-    rows = []
-    for theta in values:
-        run_cfg = dict(cfg)
-        run_cfg["theta"] = theta
-        result = _train_once(run_cfg, args.corpus, args.dev)
-        sub = out_dir / f"theta_{theta:g}"
-        sub.mkdir(exist_ok=True)
-        _write_train_outputs(result, sub)
-        dev, test = _test_spearman(result, args.test)
-        rows.append((theta, dev, test))
-    with open(out_dir / "theta_sweep.csv", "w", encoding="utf-8") as fh:
-        fh.write(f"# seed={cfg['seed']}\n")
-        fh.write("theta,dev_spearman,test_spearman\n")
-        for theta, dev, test in rows:
-            fh.write(f"{theta:g},{_fmt_rho(dev)},{_fmt_rho(test)}\n")
-    print(f"theta sweep ({len(rows)} rows) -> {out_dir / 'theta_sweep.csv'}")
-    return EXIT_OK
+    return _run_grid(args, "theta", values, "g", "theta_", "theta_sweep.csv")
 
 
 # -- argument parsing ----------------------------------------------------------

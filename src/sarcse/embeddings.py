@@ -18,10 +18,6 @@ class EmbeddingTable:
     weights: Tensor
     trainable: bool = True
 
-    @property
-    def dim(self) -> int:
-        return self.weights.shape[1]
-
     def frozen_view(self) -> "EmbeddingTable":
         """Same weights outside the differentiation graph (inference)."""
         return EmbeddingTable(Tensor(self.weights.data), trainable=False)

@@ -5,14 +5,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .corpus import MIN_SENTENCE_LEN, ScoredPair, Vocab, make_batch_tokens
+from .autodiff import Tensor
+from .corpus import ScoredPair, Vocab, make_batch_tokens
 from .embeddings import EmbeddingTable, embed
-from .losses import LossConfig, token_weights
-from .model import ModelParams, decode, encode
+from .losses import LossConfig, ZeroNormError, token_weights
+from .model import ModelParams, decode, encode, sentence_inputs
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
 
@@ -58,7 +59,7 @@ def spearman(x: Sequence[float], y: Sequence[float]) -> float:
 def _normalize(v: np.ndarray, what: str) -> np.ndarray:
     n = np.linalg.norm(v)
     if n == 0.0:
-        raise ValueError(f"{what}: zero-norm embedding")
+        raise ZeroNormError(f"{what}: zero-norm embedding")
     return v / n
 
 
@@ -118,13 +119,36 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     na = np.linalg.norm(a)
     nb = np.linalg.norm(b)
     if na == 0.0 or nb == 0.0:
-        raise ValueError("cosine: zero-norm embedding")
+        raise ZeroNormError("cosine: zero-norm embedding")
     if a.shape == b.shape and np.array_equal(a, b):
         return 1.0
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 # -- model-driven evaluation -------------------------------------------------
+
+
+def _encode_unique(
+    token_lists: Sequence[list[str]],
+    vocab: Vocab,
+    table: EmbeddingTable,
+    params: ModelParams,
+    batch_size: int,
+    with_recon: bool,
+) -> Iterator[tuple[tuple[str, ...], Tensor, Tensor, Optional[Tensor]]]:
+    """Yield (tokens, x, z, recon) once per distinct sentence, dropout off,
+    embedding `batch_size` sentences at a time; each is encoded (and decoded
+    if `with_recon`, else recon is None) in its own graph."""
+    frozen = table.frozen_view()
+    unique = list(dict.fromkeys(tuple(t) for t in token_lists))
+    rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
+    for start in range(0, len(unique), batch_size):
+        chunk = unique[start:start + batch_size]
+        batch = make_batch_tokens(chunk, vocab)
+        x_full = embed(batch, frozen, 0.0, rng)
+        for toks, x in zip(chunk, sentence_inputs(x_full, batch.lengths)):
+            z, state = encode(x, params)
+            yield toks, x, z, (decode(z, state, params) if with_recon else None)
 
 
 def encode_tokens(
@@ -138,19 +162,10 @@ def encode_tokens(
 
     Repeated sentences are computed once, so duplicates are bitwise equal.
     """
-    frozen = table.frozen_view()
-    cache: dict[tuple[str, ...], np.ndarray] = {}
-    unique = [list(k) for k in dict.fromkeys(tuple(t) for t in token_lists)]
-    rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
-    for start in range(0, len(unique), batch_size):
-        chunk = unique[start:start + batch_size]
-        batch = make_batch_tokens(chunk, vocab)
-        x_full = embed(batch, frozen, 0.0, rng)
-        for i, toks in enumerate(chunk):
-            n_eff = max(int(batch.lengths[i]), MIN_SENTENCE_LEN)
-            x = x_full.index0(i).head_rows(n_eff)
-            z, _ = encode(x, params)
-            cache[tuple(toks)] = z.data
+    cache = {
+        toks: z.data
+        for toks, _, z, _ in _encode_unique(token_lists, vocab, table, params, batch_size, False)
+    }
     return np.stack([cache[tuple(t)] for t in token_lists])
 
 
@@ -233,25 +248,21 @@ def token_report(
 ) -> list[tuple[int, str, int, str, float, float]]:
     """Per-token reconstruction MSE rows: (pair, side, position, token, mse, weight).
 
-    Lower loss marks the tokens the embedding preserves best.
+    Lower loss marks the tokens the embedding preserves best. Sentences are
+    decoded one chunk at a time and only their MSE vectors are kept.
     """
-    frozen = table.frozen_view()
-    rng = np.random.default_rng(0)
+    sides = [toks for pair in pairs for toks in (pair.sentence_a, pair.sentence_b)]
+    mse: dict[tuple[str, ...], np.ndarray] = {}
+    for toks, x, _, recon in _encode_unique(sides, vocab, table, params, 64, True):
+        diff = x.data - recon.data
+        mse[toks] = (diff * diff).mean(axis=1)
     rows = []
     for pi, pair in enumerate(pairs):
         for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
-            batch = make_batch_tokens([toks], vocab)
-            x_full = embed(batch, frozen, 0.0, rng)
-            n_eff = max(int(batch.lengths[0]), MIN_SENTENCE_LEN)
-            x = x_full.index0(0).head_rows(n_eff)
-            z, state = encode(x, params)
-            recon = decode(z, state, params)
-            diff = x.data - recon.data
-            mse = (diff * diff).mean(axis=1)
-            ids = batch.ids[0, : len(toks)]
-            weights = token_weights(ids, freq, loss_cfg.theta, loss_cfg.lam)
+            weights = token_weights(np.asarray(vocab.encode(toks)), freq, loss_cfg.theta, loss_cfg.lam)
+            token_mse = mse[tuple(toks)]
             for pos, tok in enumerate(toks):
-                rows.append((pi, side, pos, tok, float(mse[pos]), float(weights[pos])))
+                rows.append((pi, side, pos, tok, float(token_mse[pos]), float(weights[pos])))
     return rows
 
 

@@ -11,6 +11,10 @@ from .autodiff import Tensor, l2_norm, logsumexp
 from .corpus import FrequencyTable
 
 
+class ZeroNormError(FloatingPointError, ValueError):
+    """An embedding has norm zero, so its direction (and cosine) is undefined."""
+
+
 @dataclass
 class LossConfig:
     """Objective hyperparameters.
@@ -93,7 +97,7 @@ def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
         norms = np.sqrt((t.data * t.data).sum(axis=1))
         bad = np.nonzero(norms == 0.0)[0]
         if bad.size:
-            raise ValueError(f"info_nce: zero-norm embedding at sentence index {int(bad[0])} ({name})")
+            raise ZeroNormError(f"info_nce: zero-norm embedding at sentence index {int(bad[0])} ({name})")
     b = z.shape[0]
     zn = z / l2_norm(z, axis=1, keepdims=True)
     zan = z_aug / l2_norm(z_aug, axis=1, keepdims=True)

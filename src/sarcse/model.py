@@ -12,7 +12,7 @@ positions, transposed 1-d convolutions, and an elementwise mean over scales.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -67,6 +67,32 @@ class ModelParams:
             yield f"dec.k{ks}.bias", self.dec_bias[ks]
 
 
+def build_params(
+    embed_dim: int,
+    enc_channels: int,
+    mix_channels: int,
+    tensor: Callable[[str, tuple[int, ...]], Tensor],
+) -> ModelParams:
+    """ModelParams holding `tensor(name, shape)` for every parameter, by its
+    `named` name. Kernels are requested in the order enc, dec, mix, demix,
+    which is the draw order of `init_params`."""
+    conv = {ks: (enc_channels, ks, embed_dim) for ks in KERNEL_SIZES}
+    mix = (mix_channels, *MIX_KERNEL)
+    return ModelParams(
+        embed_dim=embed_dim,
+        enc_channels=enc_channels,
+        mix_channels=mix_channels,
+        enc_kernels={ks: tensor(f"enc.k{ks}.kernels", conv[ks]) for ks in KERNEL_SIZES},
+        enc_bias={ks: tensor(f"enc.k{ks}.bias", (enc_channels,)) for ks in KERNEL_SIZES},
+        dec_kernels={ks: tensor(f"dec.k{ks}.kernels", conv[ks]) for ks in KERNEL_SIZES},
+        dec_bias={ks: tensor(f"dec.k{ks}.bias", (embed_dim,)) for ks in KERNEL_SIZES},
+        mix_kernels=tensor("mix.kernels", mix),
+        mix_bias=tensor("mix.bias", (mix_channels,)),
+        demix_kernels=tensor("demix.kernels", mix),
+        demix_bias=tensor("demix.bias", (1,)),
+    )
+
+
 def init_params(
     embed_dim: int,
     enc_channels: int,
@@ -74,37 +100,22 @@ def init_params(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> ModelParams:
-    """Uniform fan-in-scaled kernels, zero biases."""
+    """Uniform fan-in-scaled kernels, zero biases. The fan-in of encoder
+    kernels (enc, mix) is one output's window, of decoder kernels (dec, demix)
+    their input channels."""
     if enc_channels < 2:
         raise ValueError(f"init_params: enc_channels must be >= 2, got {enc_channels}")
     if mix_channels < 1:
         raise ValueError(f"init_params: mix_channels must be >= 1, got {mix_channels}")
 
-    def uniform(shape, fan_in):
+    def draw(name: str, shape: tuple[int, ...]) -> Tensor:
+        if name.endswith(".bias"):
+            return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
+        fan_in = shape[0] if name.startswith(("dec.", "demix.")) else int(np.prod(shape[1:]))
         s = 1.0 / np.sqrt(fan_in)
         return Tensor(rng.uniform(-s, s, size=shape).astype(dtype), requires_grad=True)
 
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    kh, kw = MIX_KERNEL
-    enc_kernels = {ks: uniform((enc_channels, ks, embed_dim), ks * embed_dim) for ks in KERNEL_SIZES}
-    enc_bias = {ks: zeros((enc_channels,)) for ks in KERNEL_SIZES}
-    dec_kernels = {ks: uniform((enc_channels, ks, embed_dim), enc_channels) for ks in KERNEL_SIZES}
-    dec_bias = {ks: zeros((embed_dim,)) for ks in KERNEL_SIZES}
-    return ModelParams(
-        embed_dim=embed_dim,
-        enc_channels=enc_channels,
-        mix_channels=mix_channels,
-        enc_kernels=enc_kernels,
-        enc_bias=enc_bias,
-        mix_kernels=uniform((mix_channels, kh, kw), kh * kw),
-        mix_bias=zeros((mix_channels,)),
-        demix_kernels=uniform((mix_channels, kh, kw), mix_channels),
-        demix_bias=zeros((1,)),
-        dec_kernels=dec_kernels,
-        dec_bias=dec_bias,
-    )
+    return build_params(embed_dim, enc_channels, mix_channels, draw)
 
 
 @dataclass
@@ -160,7 +171,6 @@ class SentenceViews:
 
     inputs: list[Tensor]                    # effective-length x d slices of X
     embeddings: Tensor                      # B x embedding_size
-    states: list[EncodeState]
     recons: Optional[list[Tensor]]          # None when the decoder is disabled
 
 
@@ -174,27 +184,30 @@ class PairForward:
     eff_masks: list[np.ndarray]
 
 
+def sentence_inputs(x_full: Tensor, lengths: np.ndarray) -> list[Tensor]:
+    """Per-sentence slices of a B x L x d batch, each of its first
+    max(n, MIN_SENTENCE_LEN) rows: sentences shorter than the largest kernel
+    keep zero-pad rows up to 5. Each slice is encoded in its own graph."""
+    return [x_full.index0(i).head_rows(max(int(n), MIN_SENTENCE_LEN)) for i, n in enumerate(lengths)]
+
+
 def _run_view(
     batch: SentenceBatch,
     table: EmbeddingTable,
     params: ModelParams,
     dropout_rate: float,
     rng: np.random.Generator,
-    eff_lengths: list[int],
     run_decoder: bool,
 ) -> SentenceViews:
-    x_full = embed(batch, table, dropout_rate, rng)
-    inputs, states, zs = [], [], []
+    inputs = sentence_inputs(embed(batch, table, dropout_rate, rng), batch.lengths)
+    zs = []
     recons: Optional[list[Tensor]] = [] if run_decoder else None
-    for i in range(batch.batch_size):
-        x = x_full.index0(i).head_rows(eff_lengths[i])
+    for x in inputs:
         z, st = encode(x, params)
-        inputs.append(x)
-        states.append(st)
         zs.append(z)
         if recons is not None:
             recons.append(decode(z, st, params))
-    return SentenceViews(inputs=inputs, embeddings=stack_rows(zs), states=states, recons=recons)
+    return SentenceViews(inputs=inputs, embeddings=stack_rows(zs), recons=recons)
 
 
 def forward_pair(
@@ -208,10 +221,11 @@ def forward_pair(
     """Run the autoencoder over a batch under two independent dropout draws.
 
     Sentences shorter than the largest kernel keep their first zero-pad rows
-    up to length 5; the per-sentence masks exclude those rows downstream.
+    up to length 5 (`sentence_inputs`); the per-sentence masks exclude those
+    rows downstream.
     """
-    eff_lengths = [max(int(n), MIN_SENTENCE_LEN) for n in batch.lengths]
+    view = _run_view(batch, table, params, dropout_rate, rng, run_decoder)
+    view_aug = _run_view(batch, table, params, dropout_rate, rng, run_decoder)
+    eff_lengths = [x.shape[0] for x in view.inputs]
     eff_masks = [batch.mask[i, :n] for i, n in enumerate(eff_lengths)]
-    view = _run_view(batch, table, params, dropout_rate, rng, eff_lengths, run_decoder)
-    view_aug = _run_view(batch, table, params, dropout_rate, rng, eff_lengths, run_decoder)
     return PairForward(view=view, view_aug=view_aug, eff_lengths=eff_lengths, eff_masks=eff_masks)

@@ -10,8 +10,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .autodiff import GradientMap, Tensor, backward
-from .checkpoint import Checkpoint, pack_model, unpack_model
-from .corpus import PAD_ID, FrequencyTable, ScoredPair, Vocab, make_batch
+from .checkpoint import Checkpoint, pack_model
+from .corpus import PAD_ID, FrequencyTable, ScoredPair, SentenceBatch, Vocab, make_batch
 from .embeddings import EmbeddingTable, init_table
 from .evaluation import UndefinedCorrelationError, cosine, encode_tokens, spearman
 from .losses import LossConfig, info_nce, reconstruction_loss, token_weights, total_loss
@@ -179,16 +179,68 @@ def _snapshot(
     )
 
 
+def objective(
+    cfg: TrainConfig,
+    batch: SentenceBatch,
+    table: EmbeddingTable,
+    params: ModelParams,
+    freq: FrequencyTable,
+    rng: np.random.Generator,
+) -> tuple[Tensor, LogRow]:
+    """Loss of one batch and its log row (step 0): InfoNCE over two dropout
+    views plus each view's SAL-weighted reconstruction loss, summed over
+    sentences left to right and averaged; exact zeros without the decoder."""
+    run_decoder = cfg.ablation != "no_sal_no_decoder"
+    pf = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
+    l_info = info_nce(pf.view.embeddings, pf.view_aug.embeddings, cfg.loss.tau)
+    weight_sum, weight_n = 0.0, 0
+    if run_decoder:
+        l_recon_acc = None
+        l_recon_aug_acc = None
+        for i in range(batch.batch_size):
+            n_eff = pf.eff_lengths[i]
+            mask = pf.eff_masks[i]
+            if cfg.ablation == "no_sal":
+                w = np.ones(n_eff)
+            else:
+                w = token_weights(batch.ids[i, :n_eff], freq, cfg.loss.theta, cfg.loss.lam)
+            weight_sum += float(w[mask].sum())
+            weight_n += int(mask.sum())
+            li = reconstruction_loss(
+                pf.view.inputs[i], pf.view.recons[i], w, mask, cfg.loss.detach_targets
+            )
+            lai = reconstruction_loss(
+                pf.view_aug.inputs[i], pf.view_aug.recons[i], w, mask, cfg.loss.detach_targets
+            )
+            l_recon_acc = li if l_recon_acc is None else l_recon_acc + li
+            l_recon_aug_acc = lai if l_recon_aug_acc is None else l_recon_aug_acc + lai
+        l_recon = l_recon_acc * (1.0 / batch.batch_size)
+        l_recon_aug = l_recon_aug_acc * (1.0 / batch.batch_size)
+    else:
+        l_recon = Tensor(np.zeros(()))
+        l_recon_aug = Tensor(np.zeros(()))
+
+    loss = total_loss(l_info, l_recon, l_recon_aug, cfg.loss)
+    row = LogRow(
+        step=0,
+        infonce=float(l_info.data),
+        recon=float(l_recon.data),
+        recon_aug=float(l_recon_aug.data),
+        total=float(loss.data),
+        token_weight_mean=weight_sum / weight_n if weight_n else 1.0,
+    )
+    return loss, row
+
+
 def train(
     cfg: TrainConfig,
     sentences: Sequence[str],
     dev_pairs: Sequence[ScoredPair],
     vocab: Vocab,
     freq: FrequencyTable,
-    resume: Optional[Checkpoint] = None,
     on_log: Optional[Callable[[LogRow], None]] = None,
 ) -> TrainResult:
-    """Optimize the combined objective over shuffled batches.
+    """Optimize `objective` over shuffled batches.
 
     Every `eval_every` steps (and at the end of the run) the dev Spearman is
     computed with dropout off, and the best-scoring parameters are retained.
@@ -200,36 +252,19 @@ def train(
         raise ValueError("train: dev set needs >= 2 pairs with non-constant gold scores (Spearman undefined)")
 
     rng = np.random.default_rng(cfg.seed)
-    if resume is not None:
-        table, params = unpack_model(resume, requires_grad=True)
-    else:
-        table = init_table(
-            vocab, cfg.embed_dim, cfg.init_scale, rng,
-            pretrained_path=cfg.pretrained_path or None,
-        )
-        params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+    table = init_table(
+        vocab, cfg.embed_dim, cfg.init_scale, rng,
+        pretrained_path=cfg.pretrained_path or None,
+    )
+    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
     opt = AdamW(
         lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
         eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
     )
-    if resume is not None:
-        opt.m = {k: v.copy() for k, v in resume.opt_m.items()}
-        opt.v = {k: v.copy() for k, v in resume.opt_v.items()}
-        opt.step_count = resume.step
 
     named = list(params.named())
     if table.trainable and not cfg.freeze_table:
         named = [("embedding.weights", table.weights)] + named
-
-    run_decoder = cfg.ablation != "no_sal_no_decoder"
-    force_unit_weights = cfg.ablation in ("no_sal", "no_sal_no_decoder")
-    loss_cfg = cfg.loss
-    if not run_decoder:
-        loss_cfg = LossConfig(
-            theta=cfg.loss.theta, lam=cfg.loss.lam, tau=cfg.loss.tau,
-            alpha=cfg.loss.alpha, beta=0.0, gamma=0.0,
-            detach_targets=cfg.loss.detach_targets,
-        )
 
     steps_per_epoch = math.ceil(len(sentences) / cfg.batch_size)
     budget = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
@@ -255,50 +290,12 @@ def train(
             if step >= budget:
                 break
             chosen = [sentences[i] for i in order[start:start + cfg.batch_size]]
-            batch = make_batch(chosen, vocab)
-            pf = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
-
-            l_info = info_nce(pf.view.embeddings, pf.view_aug.embeddings, loss_cfg.tau)
-            weight_sum, weight_n = 0.0, 0
-            if run_decoder:
-                l_recon_acc = None
-                l_recon_aug_acc = None
-                for i in range(batch.batch_size):
-                    n_eff = pf.eff_lengths[i]
-                    mask = pf.eff_masks[i]
-                    if force_unit_weights:
-                        w = np.ones(n_eff)
-                    else:
-                        w = token_weights(batch.ids[i, :n_eff], freq, loss_cfg.theta, loss_cfg.lam)
-                    weight_sum += float(w[mask].sum())
-                    weight_n += int(mask.sum())
-                    li = reconstruction_loss(
-                        pf.view.inputs[i], pf.view.recons[i], w, mask, loss_cfg.detach_targets
-                    )
-                    lai = reconstruction_loss(
-                        pf.view_aug.inputs[i], pf.view_aug.recons[i], w, mask, loss_cfg.detach_targets
-                    )
-                    l_recon_acc = li if l_recon_acc is None else l_recon_acc + li
-                    l_recon_aug_acc = lai if l_recon_aug_acc is None else l_recon_aug_acc + lai
-                l_recon = l_recon_acc * (1.0 / batch.batch_size)
-                l_recon_aug = l_recon_aug_acc * (1.0 / batch.batch_size)
-            else:
-                l_recon = Tensor(np.zeros(()))
-                l_recon_aug = Tensor(np.zeros(()))
-
-            loss = total_loss(l_info, l_recon, l_recon_aug, loss_cfg)
+            loss, row = objective(cfg, make_batch(chosen, vocab), table, params, freq, rng)
             grads = backward(loss)
             opt.step(named, grads)
             step += 1
 
-            row = LogRow(
-                step=step,
-                infonce=float(l_info.data),
-                recon=float(l_recon.data),
-                recon_aug=float(l_recon_aug.data),
-                total=float(loss.data),
-                token_weight_mean=weight_sum / weight_n if weight_n else 1.0,
-            )
+            row.step = step
             if cfg.eval_every > 0 and step % cfg.eval_every == 0:
                 row.dev_spearman = maybe_eval()
             log_rows.append(row)

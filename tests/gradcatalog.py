@@ -11,14 +11,12 @@ from sarcse.autodiff import (
     concat,
     conv1d_valid,
     conv2d_valid,
-    cosine_similarity,
     dropout,
     embedding_lookup,
     l2_norm,
     logsumexp,
     max_pool_time,
     max_unpool_time,
-    softmax,
     transposed_conv1d,
     transposed_conv2d,
 )
@@ -63,9 +61,6 @@ def primitive_cases():
     case("max_with_constant", lambda a: a.maximum(0.0).sum(), a23 + np.sign(a23) * 0.2)
     case("l2_norm", lambda a: l2_norm(a), _n(5) + 2.0)
     case("l2_norm_rows", lambda a: (l2_norm(a, axis=1) * np.array([1.0, 2.0])).sum(), a23 + 2.0)
-    case("cosine_similarity", lambda a, b: cosine_similarity(a, b), _n(4) + 2.0, _n(4) + 2.0)
-    softmax_w = _n(2, 3)
-    case("softmax", lambda a: (softmax(a, axis=1) * softmax_w).sum(), a23)
     case("logsumexp", lambda a: logsumexp(a, axis=1).sum(), a23)
     case("index0", lambda a: (a.index0(1) * np.arange(1.0, 4.0)).sum(), a23)
     case("head_rows", lambda a: (a.head_rows(2) * 1.5).sum(), _n(4, 3))

@@ -19,8 +19,9 @@ from sarcse.cli import main
 from sarcse.corpus import FrequencyTable, Vocab, make_batch
 from sarcse.embeddings import init_table
 from sarcse.evaluation import alignment, spearman, uniformity
-from sarcse.losses import info_nce, reconstruction_loss, token_weight, token_weights, total_loss
+from sarcse.losses import info_nce, reconstruction_loss, token_weight, token_weights
 from sarcse.model import KERNEL_SIZES, encode, forward_pair, init_params
+from sarcse.trainer import TrainConfig, objective
 
 TOY_TRAIN_ARGS = [
     "--set", "max_steps=200", "--set", "batch_size=16", "--set", "embed_dim=32",
@@ -48,14 +49,15 @@ def _objective_point():
     pooling ties under both dropout views."""
     from test_model import _params_from_arrays  # shared layout helper
 
-    embed_dim, enc_channels, mix_channels, b = 4, 6, 2, 3
+    embed_dim, enc_channels, mix_channels = 4, 6, 2
+    cfg = TrainConfig(embed_dim=embed_dim, enc_channels=enc_channels, mix_channels=mix_channels, dropout=0.1)
     vocab = Vocab([f"w{i}" for i in range(10)])
     sentences = ["w0 w1 w2 w3 w4 w5", "w2 w3 w4 w5 w6 w7", "w9 w8 w0 w3 w6 w1"]
     batch = make_batch(sentences, vocab)
     freq_raw = np.random.default_rng(3).uniform(0.0, 1.0, size=len(vocab))
     freq_raw[0] = 0.0
     freq = FrequencyTable(freq_raw / freq_raw.sum())
-    dropout_rate, dropout_seed = 0.1, 1234
+    dropout_seed = 1234
 
     def build(table_arr, param_arrays):
         from sarcse.embeddings import EmbeddingTable
@@ -64,34 +66,23 @@ def _objective_point():
         params = _params_from_arrays(list(param_arrays), embed_dim, enc_channels, mix_channels)
         return table, params
 
-    def objective(table_t, *param_tensors):
+    def loss_of(table_t, *param_tensors):
+        """The trainer's own objective at this point."""
         table, params = build(table_t, param_tensors)
-        pf = forward_pair(batch, table, params, dropout_rate, np.random.default_rng(dropout_seed))
-        l_info = info_nce(pf.view.embeddings, pf.view_aug.embeddings, tau=0.05)
-        l_recon = None
-        l_recon_aug = None
-        for i in range(b):
-            w = token_weights(batch.ids[i], freq, 0.1, 50.0)
-            mask = pf.eff_masks[i]
-            li = reconstruction_loss(pf.view.inputs[i], pf.view.recons[i], w, mask)
-            lai = reconstruction_loss(pf.view_aug.inputs[i], pf.view_aug.recons[i], w, mask)
-            l_recon = li if l_recon is None else l_recon + li
-            l_recon_aug = lai if l_recon_aug is None else l_recon_aug + lai
-        from sarcse.losses import LossConfig
-
-        return total_loss(l_info * 1.0, l_recon * (1.0 / b), l_recon_aug * (1.0 / b), LossConfig())
+        loss, _ = objective(cfg, batch, table, params, freq, np.random.default_rng(dropout_seed))
+        return loss
 
     # pick an init whose pooled maxima have a solid margin under both views
     for seed in range(50):
         rng = np.random.default_rng(seed)
         table = init_table(vocab, embed_dim, 0.6, rng, dtype=np.float64)
         params = init_params(embed_dim, enc_channels, mix_channels, rng, dtype=np.float64)
-        pf = forward_pair(batch, table, params, dropout_rate, np.random.default_rng(dropout_seed))
+        pf = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
         views = pf.view.inputs + pf.view_aug.inputs
         gap = min(_feature_map_gap(x.data, params) for x in views)
         if gap > 1e-3:
             arrays = [table.weights.data] + [t.data for _, t in params.named()]
-            return objective, arrays
+            return loss_of, arrays
     raise RuntimeError("no tie-free initialization found")
 
 
@@ -99,8 +90,8 @@ def test_criterion_01_gradient_fidelity():
     for name, f, arrays in primitive_cases():
         err = grad_check(f, arrays)
         assert err <= 1e-4, f"primitive {name}: relative error {err}"
-    objective, arrays = _objective_point()
-    err = grad_check(objective, arrays)
+    loss_of, arrays = _objective_point()
+    err = grad_check(loss_of, arrays)
     assert err <= 1e-4, f"full objective: relative error {err}"
 
 

@@ -11,14 +11,12 @@ from sarcse.autodiff import (
     concat,
     conv1d_valid,
     conv2d_valid,
-    cosine_similarity,
     dropout,
     grad_check,
     l2_norm,
     logsumexp,
     max_pool_time,
     max_unpool_time,
-    softmax,
     stack_rows,
     transposed_conv1d,
     transposed_conv2d,
@@ -32,17 +30,6 @@ def t(x, grad=False):
 class TestElementwise:
     def test_add(self):
         np.testing.assert_array_equal((t([1, 2]) + t([3, 4])).data, [4, 6])
-
-    def test_cosine_identical_unit_vectors(self):
-        assert cosine_similarity(t([1, 0]), t([1, 0])).item() == pytest.approx(1.0)
-
-    def test_softmax_symmetry(self):
-        np.testing.assert_allclose(softmax(t([0.0, 0.0]), axis=0).data, [0.5, 0.5])
-
-    def test_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        s = softmax(t(rng.normal(size=(5, 7)) * 20), axis=1)
-        np.testing.assert_allclose(s.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_logsumexp_matches_naive_on_small_inputs(self):
         rng = np.random.default_rng(1)

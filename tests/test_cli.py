@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sarcse.checkpoint import load_checkpoint, save_checkpoint
 from sarcse.cli import (
     DEFAULTS,
     EXIT_IO,
@@ -288,6 +289,24 @@ class TestExitCodes:
             ])
         assert code == EXIT_NUMERIC
         assert "non-finite" in capsys.readouterr().err
+
+    def test_zero_norm_embedding_is_numeric(self, data, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained / "best.ckpt")
+        ckpt.tensors = {name: np.zeros_like(arr) for name, arr in ckpt.tensors.items()}
+        path = tmp_path / "zero.ckpt"
+        save_checkpoint(ckpt, path)
+        code = main(["eval", str(path), data["test"], "--out", str(tmp_path / "eval")])
+        assert code == EXIT_NUMERIC
+        assert "zero-norm" in capsys.readouterr().err
+
+    def test_shape_mismatch_with_header_is_io(self, data, trained, tmp_path, capsys):
+        ckpt = load_checkpoint(trained / "best.ckpt")
+        ckpt.config = {**ckpt.config, "enc_channels": 9}
+        path = tmp_path / "altered.ckpt"
+        save_checkpoint(ckpt, path)     # altered header, re-sealed checksum
+        code = main(["eval", str(path), data["test"], "--out", str(tmp_path / "eval")])
+        assert code == EXIT_IO
+        assert "enc.k3.kernels" in capsys.readouterr().err
 
     def test_reference_configuration_trains(self, data, tmp_path):
         # default loss keys with the documented reference batch size

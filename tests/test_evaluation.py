@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcse.corpus import ScoredPair, Vocab
+from sarcse.corpus import FrequencyTable, ScoredPair, Vocab
 from sarcse.embeddings import init_table
 from sarcse.evaluation import (
     GROUP_LABELS,
@@ -20,8 +20,10 @@ from sarcse.evaluation import (
     group_stats,
     similarity_density,
     spearman,
+    token_report,
     uniformity,
 )
+from sarcse.losses import LossConfig
 from sarcse.model import init_params
 
 from oracles import oracle_spearman, oracle_variance
@@ -243,6 +245,35 @@ class TestEvaluatePairs:
         embs = encode_tokens(toks, vocab, table, params)
         assert embs.shape[0] == 3
         assert embs[0].tobytes() == embs[1].tobytes() == embs[2].tobytes()
+
+
+_WORDS = [f"w{i}" for i in range(12)] + ["oov"]
+
+
+class TestBatchIndependence:
+    """A sentence's values never depend on the other sentences of its chunk."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sentences=st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=12), min_size=1, max_size=12),
+        batch_size=st.integers(1, 8),
+    )
+    def test_rows_and_token_mse_equal_sentence_alone(self, tiny_model, sentences, batch_size):
+        vocab, table, params = tiny_model
+        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        embs = encode_tokens(sentences, vocab, table, params, batch_size=batch_size)
+        for toks, row in zip(sentences, embs):
+            alone = encode_tokens([toks], vocab, table, params, batch_size=1)[0]
+            assert row.tobytes() == alone.tobytes()
+
+        pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences, sentences[::-1])]
+        together = token_report(pairs, vocab, table, params, LossConfig(), freq)
+        for pi, pair in enumerate(pairs):
+            for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
+                alone = token_report([ScoredPair(1.0, toks, toks)], vocab, table, params, LossConfig(), freq)
+                mse = np.array([r[4] for r in together if r[:2] == (pi, side)])
+                mse_alone = np.array([r[4] for r in alone if r[1] == "a"])
+                assert mse.tobytes() == mse_alone.tobytes()
 
 
 class TestEvaluateCheckpoint:

@@ -1,9 +1,12 @@
+import pathlib
+
 import numpy as np
 import pytest
 
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
     BadMagicError,
+    CheckpointError,
     ChecksumMismatchError,
     TruncatedError,
     VersionMismatchError,
@@ -11,7 +14,7 @@ from sarcse.checkpoint import (
     save_checkpoint,
     unpack_model,
 )
-from sarcse.corpus import build_vocab, load_corpus, load_sts_pairs, token_frequency
+from sarcse.corpus import Vocab, build_vocab, load_corpus, load_sts_pairs, token_frequency
 from sarcse.losses import LossConfig
 from sarcse.trainer import AdamW, TrainConfig, train, write_log
 
@@ -236,24 +239,61 @@ class TestCheckpointIO:
         with pytest.raises(TruncatedError):
             load_checkpoint(path)
 
-    def test_resume_preserves_ablation_mode(self, toy_setup, tmp_path):
-        sentences, dev, vocab, freq = toy_setup
-        first = train(small_config(ablation="no_sal", max_steps=3, eval_every=3), sentences, dev, vocab, freq)
-        path = tmp_path / "no_sal.ckpt"
-        save_checkpoint(first.last, path)
-        loaded = load_checkpoint(path)
-        resumed_cfg = TrainConfig.from_flat(loaded.config)
-        assert resumed_cfg.ablation == "no_sal"
-        second = train(resumed_cfg, sentences, dev, vocab, freq, resume=loaded)
-        assert all(row.token_weight_mean == 1.0 for row in second.log_rows)
-        assert second.last.step > loaded.step
-
     def test_unpack_model_round_trip(self, toy_setup, tmp_path):
         sentences, dev, vocab, freq = toy_setup
         result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
         table, params = unpack_model(result.last)
         assert table.weights.shape == (len(vocab), 8)
         assert params.embedding_size == 2 * (8 - 1)
+
+
+    def test_failed_save_keeps_previous_file(self, toy_setup, tmp_path, monkeypatch):
+        sentences, dev, vocab, freq = toy_setup
+        result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
+        path = tmp_path / "best.ckpt"
+        save_checkpoint(result.last, path)
+        good = path.read_bytes()
+
+        def torn_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", torn_write)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(result.last, path)
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    def test_save_leaves_no_temporary_file(self, toy_setup, tmp_path):
+        sentences, dev, vocab, freq = toy_setup
+        result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
+        save_checkpoint(result.best, tmp_path / "model.ckpt")
+        save_checkpoint(result.last, tmp_path / "model.ckpt")   # overwrite in place
+        assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+        assert load_checkpoint(tmp_path / "model.ckpt").step == result.last.step
+
+    @pytest.mark.parametrize("key,value,tensor", [
+        ("enc_channels", 9, "enc.k3.kernels"),
+        ("embed_dim", 7, "embedding.weights"),
+        ("mix_channels", 3, "mix.kernels"),
+    ])
+    def test_shapes_must_match_header_config(self, toy_setup, tmp_path, key, value, tensor):
+        sentences, dev, vocab, freq = toy_setup
+        ckpt = train(small_config(max_steps=1, eval_every=1), sentences, dev, vocab, freq).last
+        ckpt.config = {**ckpt.config, key: value}
+        path = tmp_path / "altered.ckpt"
+        save_checkpoint(ckpt, path)     # a well-formed file with a re-sealed checksum
+        with pytest.raises(CheckpointError, match=f"tensor {tensor} has shape"):
+            unpack_model(load_checkpoint(path))
+
+    def test_vocabulary_size_must_match_table(self, toy_setup, tmp_path):
+        sentences, dev, vocab, freq = toy_setup
+        ckpt = train(small_config(max_steps=1, eval_every=1), sentences, dev, vocab, freq).last
+        ckpt.vocab = Vocab(ckpt.vocab.tokens[:-1])
+        with pytest.raises(CheckpointError, match="embedding.weights"):
+            unpack_model(ckpt)
 
 
 class TestTrainConfigFlat:
