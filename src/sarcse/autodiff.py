@@ -139,12 +139,6 @@ class Tensor:
             lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
         )
 
-    def __rsub__(self, other) -> "Tensor":
-        return self._coerce(other).__sub__(self)
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._from_op(-self.data, (self,), lambda g: (-g,))
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             c = other
@@ -202,31 +196,17 @@ class Tensor:
     def T(self) -> "Tensor":
         return self.transpose()
 
-    def index0(self, i: int) -> "Tensor":
-        """Select entry `i` along the leading axis (drops that axis)."""
+    def __getitem__(self, key) -> "Tensor":
+        """Basic or advanced indexing that selects each entry at most once
+        (ints, slices, arrays of distinct indices), so the adjoint is a scatter."""
         parent_shape = self.data.shape
-        data = self.data[i]
 
         def vjp(g):
             full = np.zeros(parent_shape, dtype=g.dtype)
-            full[i] = g
+            full[key] = g
             return (full,)
 
-        return Tensor._from_op(data, (self,), vjp)
-
-    def head_rows(self, n: int) -> "Tensor":
-        """Keep the first `n` entries along the leading axis."""
-        if n > self.data.shape[0]:
-            raise ShapeError(f"head_rows: asked for {n} rows of shape {self.shape}")
-        parent_shape = self.data.shape
-        data = self.data[:n]
-
-        def vjp(g):
-            full = np.zeros(parent_shape, dtype=g.dtype)
-            full[:n] = g
-            return (full,)
-
-        return Tensor._from_op(data, (self,), vjp)
+        return Tensor._from_op(self.data[key], (self,), vjp)
 
     # -- reductions and pointwise functions -------------------------------
 
@@ -256,18 +236,6 @@ class Tensor:
         x = self.data
         return Tensor._from_op(np.log(x), (self,), lambda g: (g / x,))
 
-    def sqrt(self) -> "Tensor":
-        out = np.sqrt(self.data)
-        return Tensor._from_op(out, (self,), lambda g: (g * (0.5 / out),))
-
-    def maximum(self, c: float) -> "Tensor":
-        """Elementwise max with a constant; subgradient 0 at the kink."""
-        x = self.data
-        return Tensor._from_op(
-            np.maximum(x, c), (self,),
-            lambda g: (np.where(x > c, g, 0.0),),
-        )
-
 
 # -- module-level ops ------------------------------------------------------
 
@@ -288,8 +256,8 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
-    """Stack 1-d tensors of equal length into a matrix, one per row."""
-    return concat([v.reshape(1, -1) for v in vectors], axis=0)
+    """Stack k tensors of shape B x c into one B x k x c tensor."""
+    return concat([v.reshape(v.shape[0], 1, -1) for v in vectors], axis=1)
 
 
 def l2_norm(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -345,22 +313,28 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 
 
 # -- convolution / pooling --------------------------------------------------
+#
+# Every primitive takes a leading batch axis. Forward GEMMs are np.matmul on
+# (B, M, K) stacks, one BLAS call per batch entry, so a sentence's bits never
+# depend on its batch-mates (BLAS rounds a row differently as M changes).
+# Kernel gradients carry no bitwise guarantee and flatten the batch.
 
 
 def _windows_1d(x: np.ndarray, ks: int) -> np.ndarray:
-    """Row-major im2col for a P x d sequence: (P-ks+1) x (ks*d)."""
-    p, d = x.shape
-    out = np.empty((p - ks + 1, ks * d), dtype=x.dtype)
+    """Row-major im2col for B x P x d sequences: B x (P-ks+1) x (ks*d)."""
+    nb, p, d = x.shape
+    out = np.empty((nb, p - ks + 1, ks * d), dtype=x.dtype)
     for j in range(ks):
-        out[:, j * d:(j + 1) * d] = x[j:p - ks + 1 + j]
+        out[:, :, j * d:(j + 1) * d] = x[:, j:p - ks + 1 + j]
     return out
 
 
 def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid stride-1 convolution of a P x d sequence with c_out kernels of shape ks x d."""
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d_valid: expected 2-d input and 3-d kernels, got {x.shape} and {kernels.shape}")
-    p, d = x.shape
+    """Valid stride-1 convolution of B x P x d sequences with c_out kernels
+    of shape ks x d: B x (P-ks+1) x c_out."""
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ShapeError(f"conv1d_valid: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
+    nb, p, d = x.shape
     c_out, ks, kd = kernels.shape
     if kd != d:
         raise ShapeError(f"conv1d_valid: kernel width {kd} does not match embedding width {d}")
@@ -369,7 +343,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if p < ks:
         raise ShapeError(f"conv1d_valid: sequence shorter than kernel (P={p} < ks={ks})")
 
-    win = _windows_1d(x.data, ks)               # (P-ks+1) x (ks*d)
+    win = _windows_1d(x.data, ks)               # B x (P-ks+1) x (ks*d)
     k2 = kernels.data.reshape(c_out, ks * d)
     out = win @ k2.T + bias.data
 
@@ -377,57 +351,58 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gwin = g @ k2
         gx = np.zeros_like(x.data)
         for j in range(ks):
-            gx[j:p - ks + 1 + j] += gwin[:, j * d:(j + 1) * d]
-        gk = (g.T @ win).reshape(c_out, ks, d)
-        return (gx, gk, g.sum(axis=0))
+            gx[:, j:p - ks + 1 + j] += gwin[:, :, j * d:(j + 1) * d]
+        gk = (g.reshape(-1, c_out).T @ win.reshape(-1, ks * d)).reshape(c_out, ks, d)
+        return (gx, gk, g.sum(axis=(0, 1)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
 def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of conv1d_valid as a forward op: P x c_in -> (P+ks-1) x d by scatter-add."""
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(f"transposed_conv1d: expected 2-d input and 3-d kernels, got {x.shape} and {kernels.shape}")
-    p, c_in = x.shape
+    """Adjoint of conv1d_valid as a forward op: B x P x c_in -> B x (P+ks-1) x d by scatter-add."""
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ShapeError(f"transposed_conv1d: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
+    nb, p, c_in = x.shape
     kc, ks, d = kernels.shape
     if kc != c_in:
         raise ShapeError(f"transposed_conv1d: input channels {c_in} do not match kernel channels {kc}")
     if bias.shape != (d,):
         raise ShapeError(f"transposed_conv1d: bias shape {bias.shape} does not match width {d}")
 
-    out = np.tile(bias.data, (p + ks - 1, 1))
+    out = np.tile(bias.data, (nb, p + ks - 1, 1))
     for j in range(ks):
-        out[j:j + p] += x.data @ kernels.data[:, j, :]
+        out[:, j:j + p] += x.data @ kernels.data[:, j, :]
 
     def vjp(g):
         gx = np.zeros_like(x.data)
         gk = np.zeros_like(kernels.data)
+        flat_x = x.data.reshape(-1, c_in)
         for j in range(ks):
-            gseg = g[j:j + p]
+            gseg = g[:, j:j + p]
             gx += gseg @ kernels.data[:, j, :].T
-            gk[:, j, :] = x.data.T @ gseg
-        return (gx, gk, g.sum(axis=0))
+            gk[:, j, :] = flat_x.T @ gseg.reshape(-1, d)
+        return (gx, gk, g.sum(axis=(0, 1)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid cross-correlation of one R x C plane: c_out x (R-kh+1) x (C-kw+1)."""
-    if x.data.ndim != 2 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv2d_valid: expected 2-d plane and 3-d kernels, got {x.shape} and {kernels.shape}")
-    r, c = x.shape
+    """Valid cross-correlation of B planes R x C: B x c_out x (R-kh+1) x (C-kw+1)."""
+    if x.data.ndim != 3 or kernels.data.ndim != 3:
+        raise ShapeError(f"conv2d_valid: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
+    nb, r, c = x.shape
     c_out, kh, kw = kernels.shape
     if r < kh or c < kw:
-        raise ShapeError(f"conv2d_valid: plane {x.shape} smaller than kernel ({kh}, {kw})")
+        raise ShapeError(f"conv2d_valid: plane {x.shape[1:]} smaller than kernel ({kh}, {kw})")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv2d_valid: bias shape {bias.shape} does not match {c_out} channels")
 
     rr, cc = r - kh + 1, c - kw + 1
-    out = np.empty((c_out, rr, cc), dtype=x.dtype)
+    out = np.empty((nb, c_out, rr, cc), dtype=x.dtype)
     out[:] = bias.data[:, None, None]
     for a in range(kh):
         for b in range(kw):
-            patch = x.data[a:a + rr, b:b + cc]
+            patch = x.data[:, None, a:a + rr, b:b + cc]
             out += kernels.data[:, a, b][:, None, None] * patch
 
     def vjp(g):
@@ -435,79 +410,80 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gk = np.zeros_like(kernels.data)
         for a in range(kh):
             for b in range(kw):
-                patch = x.data[a:a + rr, b:b + cc]
-                gx[a:a + rr, b:b + cc] += np.einsum("o,orc->rc", kernels.data[:, a, b], g)
-                gk[:, a, b] = (g * patch).sum(axis=(1, 2))
-        return (gx, gk, g.sum(axis=(1, 2)))
+                patch = x.data[:, None, a:a + rr, b:b + cc]
+                gx[:, a:a + rr, b:b + cc] += np.einsum("o,norc->nrc", kernels.data[:, a, b], g)
+                gk[:, a, b] = (g * patch).sum(axis=(0, 2, 3))
+        return (gx, gk, g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
 def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of conv2d_valid as a forward op: c_in x R' x C' -> (R'+kh-1) x (C'+kw-1) plane."""
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise ShapeError(f"transposed_conv2d: expected 3-d input and 3-d kernels, got {x.shape} and {kernels.shape}")
-    c_in, rr, cc = x.shape
+    """Adjoint of conv2d_valid as a forward op: B x c_in x R' x C' -> B x (R'+kh-1) x (C'+kw-1)."""
+    if x.data.ndim != 4 or kernels.data.ndim != 3:
+        raise ShapeError(f"transposed_conv2d: expected a 4-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
+    nb, c_in, rr, cc = x.shape
     kc, kh, kw = kernels.shape
     if kc != c_in:
         raise ShapeError(f"transposed_conv2d: input channels {c_in} do not match kernel channels {kc}")
     if bias.size != 1:
         raise ShapeError(f"transposed_conv2d: bias must be a scalar, got shape {bias.shape}")
 
-    out = np.full((rr + kh - 1, cc + kw - 1), bias.data.reshape(()), dtype=x.dtype)
+    out = np.full((nb, rr + kh - 1, cc + kw - 1), bias.data.reshape(()), dtype=x.dtype)
     for a in range(kh):
         for b in range(kw):
-            out[a:a + rr, b:b + cc] += np.einsum("o,orc->rc", kernels.data[:, a, b], x.data)
+            out[:, a:a + rr, b:b + cc] += np.einsum("o,norc->nrc", kernels.data[:, a, b], x.data)
 
     def vjp(g):
         gx = np.zeros_like(x.data)
         gk = np.zeros_like(kernels.data)
         for a in range(kh):
             for b in range(kw):
-                gseg = g[a:a + rr, b:b + cc]
+                gseg = g[:, None, a:a + rr, b:b + cc]
                 gx += kernels.data[:, a, b][:, None, None] * gseg
-                gk[:, a, b] = (x.data * gseg).sum(axis=(1, 2))
+                gk[:, a, b] = (x.data * gseg).sum(axis=(0, 2, 3))
         return (gx, gk, g.sum().reshape(bias.shape))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
 def max_pool_time(t: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Max over positions of a P x c feature map; ties go to the lowest index.
+    """Max over positions of B x P x c feature maps; ties go to the lowest index.
 
-    Returns the pooled c-vector and the integer argmax positions. The
-    backward rule routes the adjoint only to the argmax entries.
+    Returns the B x c pooled values and the B x c integer argmax positions.
+    The backward rule routes the adjoint only to the argmax entries.
     """
-    if t.data.ndim != 2:
-        raise ShapeError(f"max_pool_time: expected a P x c map, got shape {t.shape}")
-    p, c = t.shape
-    indices = t.data.argmax(axis=0)
-    values = t.data[indices, np.arange(c)]
+    if t.data.ndim != 3:
+        raise ShapeError(f"max_pool_time: expected a 3-d batched input, got shape {t.shape}")
+    nb, _, c = t.shape
+    indices = t.data.argmax(axis=1)
+    at = (np.arange(nb)[:, None], indices, np.arange(c))
+    values = t.data[at]
 
     def vjp(g):
         gx = np.zeros_like(t.data)
-        gx[indices, np.arange(c)] = g
+        gx[at] = g
         return (gx,)
 
     return Tensor._from_op(values, (t,), vjp), indices
 
 
 def max_unpool_time(values: Tensor, indices: np.ndarray, length: int) -> Tensor:
-    """Place a c-vector back at recorded positions of a length x c map, zeros elsewhere."""
-    if values.data.ndim != 1:
-        raise ShapeError(f"max_unpool_time: expected a vector, got shape {values.shape}")
+    """Place B x c values back at recorded positions of B x length x c maps, zeros elsewhere."""
+    if values.data.ndim != 2:
+        raise ShapeError(f"max_unpool_time: expected a 2-d batched input, got shape {values.shape}")
     indices = np.asarray(indices)
-    c = values.shape[0]
-    if indices.shape != (c,):
-        raise ShapeError(f"max_unpool_time: {c} values but indices shape {indices.shape}")
+    if indices.shape != values.shape:
+        raise ShapeError(f"max_unpool_time: values shape {values.shape} but indices shape {indices.shape}")
     if indices.size and (indices.min() < 0 or indices.max() >= length):
         raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for length {length}")
-    cols = np.arange(c)
-    out = np.zeros((length, c), dtype=values.dtype)
-    out[indices, cols] = values.data
+    nb, c = values.shape
+    at = (np.arange(nb)[:, None], indices, np.arange(c))
+    out = np.zeros((nb, length, c), dtype=values.dtype)
+    out[at] = values.data
 
     def vjp(g):
-        return (g[indices, cols],)
+        return (g[at],)
 
     return Tensor._from_op(out, (values,), vjp)
 

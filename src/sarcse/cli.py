@@ -229,17 +229,23 @@ def _fmt_rho(value: Optional[float]) -> str:
 def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, table_name: str) -> int:
     """Train once per value of config `key` under the shared seed, into
     `<out>/<subdir_prefix><value>`, and tabulate each value (formatted with
-    `fmt`) with its best dev and that checkpoint's test Spearman."""
+    `fmt`) with its best dev and that checkpoint's test Spearman. Two values
+    with one label would share a directory and a row, so they are refused."""
+    labels = [f"{value:{fmt}}" for value in values]
+    for i, label in enumerate(labels):
+        first = labels.index(label)
+        if first != i:
+            raise ConfigError(f"{key} values {values[first]!r} and {values[i]!r} share the label {label}")
     cfg = resolve_config(args.config, args.set, args.seed)
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     rows = []
-    for value in values:
+    for label, value in zip(labels, values):
         result = _train_once({**cfg, key: value}, args.corpus, args.dev)
-        sub = out_dir / f"{subdir_prefix}{value:{fmt}}"
+        sub = out_dir / f"{subdir_prefix}{label}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)
         test = evaluate_checkpoint(result.best, args.test).spearman_rho
-        rows.append(f"{value:{fmt}},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
+        rows.append(f"{label},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
     with open(out_dir / table_name, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg['seed']}\n")
         fh.write(f"{key},dev_spearman,test_spearman\n")

@@ -176,16 +176,19 @@ class SentenceBatch:
     lengths: np.ndarray    # B int64
 
     @property
-    def batch_size(self) -> int:
-        return self.ids.shape[0]
-
-    @property
     def padded_len(self) -> int:
         return self.ids.shape[1]
 
     def token_ids(self, i: int) -> np.ndarray:
         """Un-padded id sequence of sentence `i`."""
         return self.ids[i, : self.lengths[i]]
+
+    def length_groups(self) -> list[tuple[np.ndarray, int]]:
+        """(rows, n) for each effective length n = max(length, MIN_SENTENCE_LEN),
+        ascending in n, rows ascending. Sentences shorter than the largest
+        kernel keep their first zero-pad rows up to that length."""
+        eff = np.maximum(self.lengths, MIN_SENTENCE_LEN)
+        return [(np.flatnonzero(eff == n), int(n)) for n in np.unique(eff)]
 
 
 def make_batch(

@@ -9,11 +9,10 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import Tensor
 from .corpus import ScoredPair, Vocab, make_batch_tokens
 from .embeddings import EmbeddingTable, embed
 from .losses import LossConfig, ZeroNormError, token_weights
-from .model import ModelParams, decode, encode, sentence_inputs
+from .model import ModelParams, decode, encode
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
 
@@ -135,10 +134,10 @@ def _encode_unique(
     params: ModelParams,
     batch_size: int,
     with_recon: bool,
-) -> Iterator[tuple[tuple[str, ...], Tensor, Tensor, Optional[Tensor]]]:
-    """Yield (tokens, x, z, recon) once per distinct sentence, dropout off,
-    embedding `batch_size` sentences at a time; each is encoded (and decoded
-    if `with_recon`, else recon is None) in its own graph."""
+) -> Iterator[tuple[tuple[str, ...], np.ndarray, np.ndarray, Optional[np.ndarray]]]:
+    """Yield numpy rows (tokens, x, z, recon) once per distinct sentence,
+    dropout off, embedding `batch_size` sentences at a time; each length group
+    is encoded (and decoded if `with_recon`, else recon is None) at once."""
     frozen = table.frozen_view()
     unique = list(dict.fromkeys(tuple(t) for t in token_lists))
     rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
@@ -146,9 +145,12 @@ def _encode_unique(
         chunk = unique[start:start + batch_size]
         batch = make_batch_tokens(chunk, vocab)
         x_full = embed(batch, frozen, 0.0, rng)
-        for toks, x in zip(chunk, sentence_inputs(x_full, batch.lengths)):
+        for rows, n in batch.length_groups():
+            x = x_full[rows, :n]
             z, state = encode(x, params)
-            yield toks, x, z, (decode(z, state, params) if with_recon else None)
+            recon = decode(z, state, params).data if with_recon else None
+            for j, i in enumerate(rows):
+                yield chunk[i], x.data[j], z.data[j], None if recon is None else recon[j]
 
 
 def encode_tokens(
@@ -163,7 +165,7 @@ def encode_tokens(
     Repeated sentences are computed once, so duplicates are bitwise equal.
     """
     cache = {
-        toks: z.data
+        toks: z
         for toks, _, z, _ in _encode_unique(token_lists, vocab, table, params, batch_size, False)
     }
     return np.stack([cache[tuple(t)] for t in token_lists])
@@ -254,7 +256,7 @@ def token_report(
     sides = [toks for pair in pairs for toks in (pair.sentence_a, pair.sentence_b)]
     mse: dict[tuple[str, ...], np.ndarray] = {}
     for toks, x, _, recon in _encode_unique(sides, vocab, table, params, 64, True):
-        diff = x.data - recon.data
+        diff = x - recon
         mse[toks] = (diff * diff).mean(axis=1)
     rows = []
     for pi, pair in enumerate(pairs):

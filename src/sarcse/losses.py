@@ -63,24 +63,22 @@ def reconstruction_loss(
     mask: np.ndarray,
     detach_target: bool = False,
 ) -> Tensor:
-    """Weighted mean of per-token MSE over the masked-true rows.
-
-    Per token the MSE averages over the embedding width; the sentence loss
-    averages the weighted token losses over the N real tokens.
-    """
+    """B sentence losses: each the weighted mean of per-token MSE over the
+    sentence's masked-true rows, for B x N x d inputs and B x N weights and
+    mask. Per token the MSE averages over the embedding width."""
     if x.shape != x_recon.shape:
         raise ValueError(f"reconstruction_loss: shapes differ, {x.shape} vs {x_recon.shape}")
     mask = np.asarray(mask, dtype=bool)
-    n_real = int(mask.sum())
-    if n_real == 0:
+    n_real = mask.sum(axis=1)
+    if not n_real.all():
         raise ValueError("reconstruction_loss: mask selects no tokens")
     if detach_target:
         x = x.detach()
-    d = x.shape[1]
+    d = x.shape[2]
     diff = x - x_recon
-    per_token = (diff * diff).sum(axis=1) * (1.0 / d)
+    per_token = (diff * diff).sum(axis=2) * (1.0 / d)
     w = np.where(mask, np.asarray(weights, dtype=np.float64), 0.0).astype(x.dtype)
-    return (per_token * Tensor(w)).sum() * (1.0 / n_real)
+    return (per_token * Tensor(w)).sum(axis=1) * Tensor((1.0 / n_real).astype(x.dtype))
 
 
 def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:

@@ -7,6 +7,12 @@ convolution. The flattened mix is the sentence embedding, of length
 mix_channels * (enc_channels - 1). The decoder runs the same pipeline
 backwards: transposed 2-d convolution, unpooling at the recorded argmax
 positions, transposed 1-d convolutions, and an elementwise mean over scales.
+
+The layout is batch-first. The unit of computation is a length group: the
+sentences of a batch that share an effective length n
+(`SentenceBatch.length_groups`), stacked as B_g x n x d with no padding
+beyond the zero rows of sentences shorter than 5 tokens. Each sentence keeps
+the BLAS shapes it would have alone, so its bits never depend on its batch.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .autodiff import (
     transposed_conv1d,
     transposed_conv2d,
 )
-from .corpus import MIN_SENTENCE_LEN, SentenceBatch
+from .corpus import SentenceBatch
 from .embeddings import EmbeddingTable, embed
 
 KERNEL_SIZES = (3, 4, 5)
@@ -120,18 +126,18 @@ def init_params(
 
 @dataclass
 class EncodeState:
-    """Everything the decoder needs to mirror one encoded sentence."""
+    """Everything the decoder needs to mirror one encoded length group."""
 
     length: int                                 # effective token count fed to the convs
-    pool_indices: dict[int, np.ndarray] = field(default_factory=dict)
+    pool_indices: dict[int, np.ndarray] = field(default_factory=dict)   # B x enc_channels
 
 
 def encode(x: Tensor, params: ModelParams) -> tuple[Tensor, EncodeState]:
-    """Encode an N x d sentence into its embedding vector.
+    """Encode B x N x d sentences into B x embedding_size embeddings.
 
     N must be at least the largest kernel width (batching pads to 5).
     """
-    n = x.shape[0]
+    n = x.shape[1]
     if n < max(KERNEL_SIZES):
         raise ShapeError(f"encode: sentence length {n} is below the minimum {max(KERNEL_SIZES)}")
     state = EncodeState(length=n)
@@ -141,24 +147,24 @@ def encode(x: Tensor, params: ModelParams) -> tuple[Tensor, EncodeState]:
         values, indices = max_pool_time(feature_map)
         state.pool_indices[ks] = indices
         pooled.append(values)
-    plane = stack_rows(pooled)                                  # 3 x enc_channels
+    plane = stack_rows(pooled)                                  # B x 3 x enc_channels
     mixed = conv2d_valid(plane, params.mix_kernels, params.mix_bias)
-    return mixed.reshape(-1), state
+    return mixed.reshape(x.shape[0], -1), state
 
 
 def decode(z: Tensor, state: EncodeState, params: ModelParams) -> Tensor:
-    """Reconstruct N x d token representations from an embedding vector."""
-    if z.size != params.embedding_size:
+    """Reconstruct B x N x d token representations from B x embedding_size embeddings."""
+    if z.shape[1:] != (params.embedding_size,):
         raise ShapeError(
-            f"decode: embedding length {z.size} does not match "
+            f"decode: embeddings of shape {z.shape} do not have the embedding length "
             f"mix_channels*(enc_channels-1) = {params.embedding_size}"
         )
-    planes = z.reshape(params.mix_channels, 1, params.enc_channels - 1)
+    planes = z.reshape(z.shape[0], params.mix_channels, 1, params.enc_channels - 1)
     restored = transposed_conv2d(planes, params.demix_kernels, params.demix_bias)
     scales: Optional[Tensor] = None
     for row, ks in enumerate(KERNEL_SIZES):
         unpooled = max_unpool_time(
-            restored.index0(row), state.pool_indices[ks], state.length - ks + 1
+            restored[:, row], state.pool_indices[ks], state.length - ks + 1
         )
         tokens = transposed_conv1d(unpooled, params.dec_kernels[ks], params.dec_bias[ks])
         scales = tokens if scales is None else scales + tokens
@@ -166,48 +172,13 @@ def decode(z: Tensor, state: EncodeState, params: ModelParams) -> Tensor:
 
 
 @dataclass
-class SentenceViews:
-    """Per-sentence tensors for one dropout view."""
+class LengthGroup:
+    """One length group of one dropout view."""
 
-    inputs: list[Tensor]                    # effective-length x d slices of X
-    embeddings: Tensor                      # B x embedding_size
-    recons: Optional[list[Tensor]]          # None when the decoder is disabled
-
-
-@dataclass
-class PairForward:
-    """Both dropout views of a batch plus their effective lengths and masks."""
-
-    view: SentenceViews
-    view_aug: SentenceViews
-    eff_lengths: list[int]
-    eff_masks: list[np.ndarray]
-
-
-def sentence_inputs(x_full: Tensor, lengths: np.ndarray) -> list[Tensor]:
-    """Per-sentence slices of a B x L x d batch, each of its first
-    max(n, MIN_SENTENCE_LEN) rows: sentences shorter than the largest kernel
-    keep zero-pad rows up to 5. Each slice is encoded in its own graph."""
-    return [x_full.index0(i).head_rows(max(int(n), MIN_SENTENCE_LEN)) for i, n in enumerate(lengths)]
-
-
-def _run_view(
-    batch: SentenceBatch,
-    table: EmbeddingTable,
-    params: ModelParams,
-    dropout_rate: float,
-    rng: np.random.Generator,
-    run_decoder: bool,
-) -> SentenceViews:
-    inputs = sentence_inputs(embed(batch, table, dropout_rate, rng), batch.lengths)
-    zs = []
-    recons: Optional[list[Tensor]] = [] if run_decoder else None
-    for x in inputs:
-        z, st = encode(x, params)
-        zs.append(z)
-        if recons is not None:
-            recons.append(decode(z, st, params))
-    return SentenceViews(inputs=inputs, embeddings=stack_rows(zs), recons=recons)
+    rows: np.ndarray                # the group's rows in the batch, ascending
+    inputs: Tensor                  # B_g x n x d slice of the embedded batch
+    embeddings: Tensor              # B_g x embedding_size
+    recons: Optional[Tensor]        # B_g x n x d; None when the decoder is disabled
 
 
 def forward_pair(
@@ -217,15 +188,20 @@ def forward_pair(
     dropout_rate: float,
     rng: np.random.Generator,
     run_decoder: bool = True,
-) -> PairForward:
+) -> tuple[list[LengthGroup], list[LengthGroup]]:
     """Run the autoencoder over a batch under two independent dropout draws.
 
-    Sentences shorter than the largest kernel keep their first zero-pad rows
-    up to length 5 (`sentence_inputs`); the per-sentence masks exclude those
-    rows downstream.
+    Each view embeds the whole padded batch once, then encodes (and decodes)
+    it one length group at a time; both views list the groups in the same
+    order.
     """
-    view = _run_view(batch, table, params, dropout_rate, rng, run_decoder)
-    view_aug = _run_view(batch, table, params, dropout_rate, rng, run_decoder)
-    eff_lengths = [x.shape[0] for x in view.inputs]
-    eff_masks = [batch.mask[i, :n] for i, n in enumerate(eff_lengths)]
-    return PairForward(view=view, view_aug=view_aug, eff_lengths=eff_lengths, eff_masks=eff_masks)
+    views = []
+    for _ in range(2):
+        x_full = embed(batch, table, dropout_rate, rng)
+        groups = []
+        for rows, n in batch.length_groups():
+            x = x_full[rows, :n]
+            z, st = encode(x, params)
+            groups.append(LengthGroup(rows, x, z, decode(z, st, params) if run_decoder else None))
+        views.append(groups)
+    return views[0], views[1]

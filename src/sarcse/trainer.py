@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import GradientMap, Tensor, backward
+from .autodiff import GradientMap, Tensor, backward, concat
 from .checkpoint import Checkpoint, pack_model
 from .corpus import PAD_ID, FrequencyTable, ScoredPair, SentenceBatch, Vocab, make_batch
 from .embeddings import EmbeddingTable, init_table
@@ -188,37 +188,32 @@ def objective(
     rng: np.random.Generator,
 ) -> tuple[Tensor, LogRow]:
     """Loss of one batch and its log row (step 0): InfoNCE over two dropout
-    views plus each view's SAL-weighted reconstruction loss, summed over
-    sentences left to right and averaged; exact zeros without the decoder."""
+    views plus each view's SAL-weighted reconstruction loss averaged over
+    sentences; exact zeros without the decoder. Sentences enter both terms
+    in length-group order, the same in both views."""
     run_decoder = cfg.ablation != "no_sal_no_decoder"
-    pf = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
-    l_info = info_nce(pf.view.embeddings, pf.view_aug.embeddings, cfg.loss.tau)
-    weight_sum, weight_n = 0.0, 0
+    view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
+    l_info = info_nce(
+        concat([g.embeddings for g in view]), concat([g.embeddings for g in view_aug]), cfg.loss.tau
+    )
+    l_recon = l_recon_aug = Tensor(np.zeros(()))
+    weight_mean = 1.0
     if run_decoder:
-        l_recon_acc = None
-        l_recon_aug_acc = None
-        for i in range(batch.batch_size):
-            n_eff = pf.eff_lengths[i]
-            mask = pf.eff_masks[i]
-            if cfg.ablation == "no_sal":
-                w = np.ones(n_eff)
-            else:
-                w = token_weights(batch.ids[i, :n_eff], freq, cfg.loss.theta, cfg.loss.lam)
-            weight_sum += float(w[mask].sum())
-            weight_n += int(mask.sum())
-            li = reconstruction_loss(
-                pf.view.inputs[i], pf.view.recons[i], w, mask, cfg.loss.detach_targets
-            )
-            lai = reconstruction_loss(
-                pf.view_aug.inputs[i], pf.view_aug.recons[i], w, mask, cfg.loss.detach_targets
-            )
-            l_recon_acc = li if l_recon_acc is None else l_recon_acc + li
-            l_recon_aug_acc = lai if l_recon_aug_acc is None else l_recon_aug_acc + lai
-        l_recon = l_recon_acc * (1.0 / batch.batch_size)
-        l_recon_aug = l_recon_aug_acc * (1.0 / batch.batch_size)
-    else:
-        l_recon = Tensor(np.zeros(()))
-        l_recon_aug = Tensor(np.zeros(()))
+        if cfg.ablation == "no_sal":
+            w = np.ones(batch.ids.shape)
+        else:
+            w = token_weights(batch.ids, freq, cfg.loss.theta, cfg.loss.lam)
+        weight_mean = float(w[batch.mask].mean())
+        terms = []
+        for groups in (view, view_aug):
+            per_sentence = []
+            for g in groups:
+                n = g.inputs.shape[1]
+                per_sentence.append(reconstruction_loss(
+                    g.inputs, g.recons, w[g.rows, :n], batch.mask[g.rows, :n], cfg.loss.detach_targets
+                ))
+            terms.append(concat(per_sentence).mean())
+        l_recon, l_recon_aug = terms
 
     loss = total_loss(l_info, l_recon, l_recon_aug, cfg.loss)
     row = LogRow(
@@ -227,7 +222,7 @@ def objective(
         recon=float(l_recon.data),
         recon_aug=float(l_recon_aug.data),
         total=float(loss.data),
-        token_weight_mean=weight_sum / weight_n if weight_n else 1.0,
+        token_weight_mean=weight_mean,
     )
     return loss, row
 
@@ -244,7 +239,7 @@ def train(
 
     Every `eval_every` steps (and at the end of the run) the dev Spearman is
     computed with dropout off, and the best-scoring parameters are retained.
-    Single-threaded and bitwise-reproducible for a fixed seed.
+    Bitwise-reproducible for a fixed seed and BLAS thread count.
     """
     if not sentences:
         raise ValueError("train: empty corpus")

@@ -1,10 +1,13 @@
 """Brute-force reference implementations used to freeze expected values.
 
 These deliberately avoid the library's code paths: ranks are computed by
-counting rather than sorting, and reductions use math.fsum.
+counting rather than sorting, reductions use math.fsum, and the autoencoder
+runs one sentence at a time on raw arrays.
 """
 
 import math
+
+import numpy as np
 
 
 def oracle_rank(values):
@@ -35,3 +38,56 @@ def oracle_variance(values):
     n = len(values)
     mean = math.fsum(values) / n
     return math.fsum((v - mean) ** 2 for v in values) / n
+
+
+# -- per-sentence autoencoder ---------------------------------------------------
+#
+# The model's forward pass one sentence at a time, as it ran before the batch
+# axis existed: 2-d im2col convolution, max-pool, mix, demix, unpool and
+# transposed convolution in plain numpy. Batched `encode`/`decode` must match
+# it per sentence within a float64 tolerance.
+
+
+def oracle_encode(x, params, kernel_sizes):
+    """N x d sentence -> (embedding vector, {ks: argmax positions})."""
+    n, d = x.shape
+    pooled, indices = [], {}
+    for ks in kernel_sizes:
+        k = params.enc_kernels[ks].data
+        win = np.concatenate([x[j:n - ks + 1 + j] for j in range(ks)], axis=1)
+        fm = win @ k.reshape(k.shape[0], -1).T + params.enc_bias[ks].data
+        indices[ks] = fm.argmax(axis=0)
+        pooled.append(fm.max(axis=0))
+    plane = np.stack(pooled)
+    mk = params.mix_kernels.data
+    m, kh, kw = mk.shape
+    rr, cc = plane.shape[0] - kh + 1, plane.shape[1] - kw + 1
+    mixed = np.zeros((m, rr, cc)) + params.mix_bias.data[:, None, None]
+    for a in range(kh):
+        for b in range(kw):
+            mixed += mk[:, a, b][:, None, None] * plane[a:a + rr, b:b + cc]
+    return mixed.reshape(-1), indices
+
+
+def oracle_decode(z, indices, n, params, kernel_sizes):
+    """Embedding vector -> N x d reconstruction, unpooling at `indices`."""
+    dk = params.demix_kernels.data
+    m, kh, kw = dk.shape
+    planes = z.reshape(m, 1, -1)
+    rr, cc = planes.shape[1:]
+    restored = np.full((rr + kh - 1, cc + kw - 1), float(params.demix_bias.data[0]))
+    for a in range(kh):
+        for b in range(kw):
+            restored[a:a + rr, b:b + cc] += np.einsum("o,orc->rc", dk[:, a, b], planes)
+    c = restored.shape[1]
+    total = 0.0
+    for row, ks in enumerate(kernel_sizes):
+        p = n - ks + 1
+        unpooled = np.zeros((p, c))
+        unpooled[indices[ks], np.arange(c)] = restored[row]
+        k = params.dec_kernels[ks].data
+        tokens = np.tile(params.dec_bias[ks].data, (n, 1))
+        for j in range(ks):
+            tokens[j:j + p] += unpooled @ k[:, j, :]
+        total = total + tokens
+    return total * (1.0 / len(kernel_sizes))

@@ -37,10 +37,10 @@ def _feature_map_gap(x_data, params):
     gaps = []
     for ks in KERNEL_SIZES:
         fm = conv1d_valid(Tensor(x_data), params.enc_kernels[ks], params.enc_bias[ks]).data
-        if fm.shape[0] < 2:
+        if fm.shape[1] < 2:
             continue
-        srt = np.sort(fm, axis=0)
-        gaps.append(float((srt[-1] - srt[-2]).min()))
+        srt = np.sort(fm, axis=1)
+        gaps.append(float((srt[:, -1] - srt[:, -2]).min()))
     return min(gaps) if gaps else np.inf
 
 
@@ -77,9 +77,8 @@ def _objective_point():
         rng = np.random.default_rng(seed)
         table = init_table(vocab, embed_dim, 0.6, rng, dtype=np.float64)
         params = init_params(embed_dim, enc_channels, mix_channels, rng, dtype=np.float64)
-        pf = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
-        views = pf.view.inputs + pf.view_aug.inputs
-        gap = min(_feature_map_gap(x.data, params) for x in views)
+        view, view_aug = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
+        gap = min(_feature_map_gap(g.inputs.data, params) for g in view + view_aug)
         if gap > 1e-3:
             arrays = [table.weights.data] + [t.data for _, t in params.named()]
             return loss_of, arrays
@@ -100,16 +99,16 @@ def test_criterion_01_gradient_fidelity():
 
 def test_criterion_02_embedding_length_law():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(8, 3)))
+    x = Tensor(rng.normal(size=(1, 8, 3)))
     for _ in range(25):
         enc_channels = int(rng.integers(2, 65))
         mix_channels = int(rng.integers(1, 5))
         params = init_params(3, enc_channels, mix_channels, np.random.default_rng(1), dtype=np.float64)
         z, _ = encode(x, params)
-        assert z.shape == (mix_channels * (enc_channels - 1),)
+        assert z.shape == (1, mix_channels * (enc_channels - 1))
     reference = init_params(3, 500, 3, np.random.default_rng(2), dtype=np.float64)
     z, _ = encode(x, reference)
-    assert z.shape == (1497,)
+    assert z.shape == (1, 1497)
 
 
 # -- criterion 3: self-adaptive weight table ------------------------------------
@@ -161,8 +160,8 @@ def test_criterion_05_adjoint_identity():
         d = int(rng.integers(1, 6))
         ks = int(rng.integers(1, 6))
         c = int(rng.integers(1, 8))
-        u = rng.normal(size=(p, d))
-        v = rng.normal(size=(p - ks + 1, c))
+        u = rng.normal(size=(1, p, d))
+        v = rng.normal(size=(1, p - ks + 1, c))
         k = rng.normal(size=(c, ks, d))
         lhs = float((conv1d_valid(Tensor(u), Tensor(k), Tensor(np.zeros(c))).data * v).sum())
         rhs = float((transposed_conv1d(Tensor(v), Tensor(k), Tensor(np.zeros(d))).data * u).sum())
@@ -231,12 +230,13 @@ def test_criterion_08_padding_invariance():
         padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 9)))
         outputs = []
         for batch in (plain, padded):
-            pf = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-            w = token_weights(batch.ids[0, : pf.eff_lengths[0]], freq, 0.1, 50.0)
+            (group,), _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+            n_eff = group.inputs.shape[1]
+            w = token_weights(batch.ids[group.rows, :n_eff], freq, 0.1, 50.0)
             loss = reconstruction_loss(
-                pf.view.inputs[0], pf.view.recons[0], w, pf.eff_masks[0]
+                group.inputs, group.recons, w, batch.mask[group.rows, :n_eff]
             )
-            outputs.append((pf.view.embeddings.data.tobytes(), loss.data.tobytes()))
+            outputs.append((group.embeddings.data.tobytes(), loss.data.tobytes()))
         assert outputs[0][0] == outputs[1][0], "embedding changed under extra padding"
         assert outputs[0][1] == outputs[1][1], "reconstruction loss changed under extra padding"
 

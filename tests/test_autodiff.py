@@ -51,36 +51,36 @@ class TestElementwise:
 
 class TestConv1d:
     def test_hand_convolution(self):
-        out = conv1d_valid(t([[1.0], [2.0], [3.0]]), t([[[1.0], [1.0]]]), t([0.0]))
-        np.testing.assert_array_equal(out.data, [[3.0], [5.0]])
+        out = conv1d_valid(t([[[1.0], [2.0], [3.0]]]), t([[[1.0], [1.0]]]), t([0.0]))
+        np.testing.assert_array_equal(out.data, [[[3.0], [5.0]]])
 
     def test_identity_kernel(self):
-        x = t(np.random.default_rng(2).normal(size=(4, 1)))
+        x = t(np.random.default_rng(2).normal(size=(1, 4, 1)))
         out = conv1d_valid(x, t([[[1.0]]]), t([0.0]))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_rule(self):
-        out = conv1d_valid(t(np.ones((5, 2))), t(np.ones((7, 3, 2))), t(np.zeros(7)))
-        assert out.shape == (3, 7)
+        out = conv1d_valid(t(np.ones((1, 5, 2))), t(np.ones((7, 3, 2))), t(np.zeros(7)))
+        assert out.shape == (1, 3, 7)
 
     def test_too_short_sequence(self):
         with pytest.raises(ShapeError, match="sequence shorter than kernel"):
-            conv1d_valid(t(np.ones((2, 1))), t(np.ones((1, 3, 1))), t(np.zeros(1)))
+            conv1d_valid(t(np.ones((1, 2, 1))), t(np.ones((1, 3, 1))), t(np.zeros(1)))
 
 
 class TestTransposedConv1d:
     def test_hand_scatter_add(self):
-        out = transposed_conv1d(t([[1.0], [1.0]]), t([[[1.0], [1.0]]]), t([0.0]))
-        np.testing.assert_array_equal(out.data, [[1.0], [2.0], [1.0]])
+        out = transposed_conv1d(t([[[1.0], [1.0]]]), t([[[1.0], [1.0]]]), t([0.0]))
+        np.testing.assert_array_equal(out.data, [[[1.0], [2.0], [1.0]]])
 
     def test_identity_kernel(self):
-        x = t(np.random.default_rng(3).normal(size=(4, 1)))
+        x = t(np.random.default_rng(3).normal(size=(1, 4, 1)))
         out = transposed_conv1d(x, t([[[1.0]]]), t([0.0]))
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_rule(self):
-        out = transposed_conv1d(t(np.ones((3, 6))), t(np.ones((6, 3, 8))), t(np.zeros(8)))
-        assert out.shape == (5, 8)
+        out = transposed_conv1d(t(np.ones((1, 3, 6))), t(np.ones((6, 3, 8))), t(np.zeros(8)))
+        assert out.shape == (1, 5, 8)
 
     def test_adjoint_of_conv(self):
         rng = np.random.default_rng(4)
@@ -89,8 +89,8 @@ class TestTransposedConv1d:
             d = rng.integers(1, 5)
             ks = rng.integers(1, min(6, p + 1))
             c = rng.integers(1, 7)
-            u = rng.normal(size=(p, d))
-            v = rng.normal(size=(p - ks + 1, c))
+            u = rng.normal(size=(1, p, d))
+            v = rng.normal(size=(1, p - ks + 1, c))
             k = rng.normal(size=(c, ks, d))
             zero_c, zero_d = t(np.zeros(c)), t(np.zeros(d))
             lhs = float((conv1d_valid(t(u), t(k), zero_c).data * v).sum())
@@ -100,57 +100,57 @@ class TestTransposedConv1d:
 
 class TestConv2d:
     def test_shape_rule(self):
-        out = conv2d_valid(t(np.ones((3, 64))), t(np.ones((3, 3, 2))), t(np.zeros(3)))
-        assert out.shape == (3, 1, 63)
+        out = conv2d_valid(t(np.ones((1, 3, 64))), t(np.ones((3, 3, 2))), t(np.zeros(3)))
+        assert out.shape == (1, 3, 1, 63)
 
     def test_one_by_one_identity(self):
-        x = t(np.random.default_rng(5).normal(size=(4, 6)))
+        x = t(np.random.default_rng(5).normal(size=(1, 4, 6)))
         out = conv2d_valid(x, t(np.ones((1, 1, 1))), t(np.zeros(1)))
-        np.testing.assert_array_equal(out.data[0], x.data)
+        np.testing.assert_array_equal(out.data[:, 0], x.data)
 
     def test_all_ones_two_by_two(self):
-        out = conv2d_valid(t(np.ones((2, 2))), t(np.ones((1, 2, 2))), t(np.zeros(1)))
-        np.testing.assert_array_equal(out.data, [[[4.0]]])
+        out = conv2d_valid(t(np.ones((1, 2, 2))), t(np.ones((1, 2, 2))), t(np.zeros(1)))
+        np.testing.assert_array_equal(out.data, [[[[4.0]]]])
 
     def test_transposed_round_shape(self):
-        out = transposed_conv2d(t(np.ones((3, 1, 63))), t(np.ones((3, 3, 2))), t(np.zeros(1)))
-        assert out.shape == (3, 64)
+        out = transposed_conv2d(t(np.ones((1, 3, 1, 63))), t(np.ones((3, 3, 2))), t(np.zeros(1)))
+        assert out.shape == (1, 3, 64)
 
     def test_undersized_plane(self):
         with pytest.raises(ShapeError, match="conv2d_valid"):
-            conv2d_valid(t(np.ones((2, 1))), t(np.ones((1, 3, 2))), t(np.zeros(1)))
+            conv2d_valid(t(np.ones((1, 2, 1))), t(np.ones((1, 3, 2))), t(np.zeros(1)))
 
 
 class TestPooling:
     def test_hand_pool(self):
-        values, idx = max_pool_time(t([[1.0, 5.0], [3.0, 2.0]]))
-        np.testing.assert_array_equal(values.data, [3.0, 5.0])
-        np.testing.assert_array_equal(idx, [1, 0])
+        values, idx = max_pool_time(t([[[1.0, 5.0], [3.0, 2.0]]]))
+        np.testing.assert_array_equal(values.data, [[3.0, 5.0]])
+        np.testing.assert_array_equal(idx, [[1, 0]])
 
     def test_single_row(self):
-        values, idx = max_pool_time(t([[2.0, -1.0, 0.5]]))
-        np.testing.assert_array_equal(values.data, [2.0, -1.0, 0.5])
-        np.testing.assert_array_equal(idx, [0, 0, 0])
+        values, idx = max_pool_time(t([[[2.0, -1.0, 0.5]]]))
+        np.testing.assert_array_equal(values.data, [[2.0, -1.0, 0.5]])
+        np.testing.assert_array_equal(idx, [[0, 0, 0]])
 
     def test_tie_takes_lowest_index(self):
-        _, idx = max_pool_time(t([[2.0], [2.0]]))
-        assert idx[0] == 0
+        _, idx = max_pool_time(t([[[2.0], [2.0]]]))
+        assert idx[0, 0] == 0
 
     def test_unpool_inverse_of_pool(self):
-        values, idx = max_pool_time(t([[1.0, 5.0], [3.0, 2.0]]))
+        values, idx = max_pool_time(t([[[1.0, 5.0], [3.0, 2.0]]]))
         restored = max_unpool_time(values, idx, 2)
-        np.testing.assert_array_equal(restored.data, [[0.0, 5.0], [3.0, 0.0]])
+        np.testing.assert_array_equal(restored.data, [[[0.0, 5.0], [3.0, 0.0]]])
         values2, idx2 = max_pool_time(restored)
         np.testing.assert_array_equal(values2.data, values.data)
         np.testing.assert_array_equal(idx2, idx)
 
     def test_unpool_single_position(self):
-        out = max_unpool_time(t([4.0, 7.0]), np.array([0, 0]), 1)
-        np.testing.assert_array_equal(out.data, [[4.0, 7.0]])
+        out = max_unpool_time(t([[4.0, 7.0]]), np.array([[0, 0]]), 1)
+        np.testing.assert_array_equal(out.data, [[[4.0, 7.0]]])
 
     def test_unpool_index_out_of_range(self):
         with pytest.raises(IndexError):
-            max_unpool_time(t([1.0]), np.array([3]), 2)
+            max_unpool_time(t([[1.0]]), np.array([[3]]), 2)
 
 
 class TestDropout:
@@ -217,13 +217,13 @@ class TestGradCheck:
         assert grad_check(f, arrays) <= 1e-4, name
 
     def test_pool_near_strict_max(self):
-        x = np.zeros((4, 2))
-        x[1, 0] = 1.0
-        x[3, 1] = 2.0
+        x = np.zeros((1, 4, 2))
+        x[0, 1, 0] = 1.0
+        x[0, 3, 1] = 2.0
 
         def f(a):
             values, _ = max_pool_time(a)
-            return (values * np.array([1.0, 2.0])).sum()
+            return (values * np.array([[1.0, 2.0]])).sum()
 
         assert grad_check(f, [x]) <= 1e-4
 
@@ -236,20 +236,20 @@ class TestShapeFuzz:
             d = int(rng.integers(1, 6))
             ks = int(rng.integers(1, p + 1))
             c = int(rng.integers(1, 7))
-            x = Tensor(rng.normal(size=(p, d)))
+            x = Tensor(rng.normal(size=(1, p, d)))
             k = Tensor(rng.normal(size=(c, ks, d)))
             out = conv1d_valid(x, k, Tensor(np.zeros(c, dtype=np.float64)))
-            assert out.shape == (p - ks + 1, c)
+            assert out.shape == (1, p - ks + 1, c)
             back = transposed_conv1d(out, k, Tensor(np.zeros(d, dtype=np.float64)))
-            assert back.shape == (p, d)
+            assert back.shape == (1, p, d)
             values, idx = max_pool_time(out)
-            assert values.shape == (c,) and idx.shape == (c,)
-            restored = max_unpool_time(values, idx, out.shape[0])
+            assert values.shape == (1, c) and idx.shape == (1, c)
+            restored = max_unpool_time(values, idx, out.shape[1])
             assert restored.shape == out.shape
             flat = out.reshape(-1)
             assert flat.shape == ((p - ks + 1) * c,)
-            both = concat([x, x], axis=0)
-            assert both.shape == (2 * p, d)
+            both = concat([x, x], axis=1)
+            assert both.shape == (1, 2 * p, d)
 
     def test_conv2d_shape_fuzz(self):
         rng = np.random.default_rng(8)
@@ -259,18 +259,32 @@ class TestShapeFuzz:
             kh = int(rng.integers(1, r + 1))
             kw = int(rng.integers(1, c + 1))
             co = int(rng.integers(1, 5))
-            x = Tensor(rng.normal(size=(r, c)))
+            x = Tensor(rng.normal(size=(1, r, c)))
             k = Tensor(rng.normal(size=(co, kh, kw)))
             out = conv2d_valid(x, k, Tensor(np.zeros(co, dtype=np.float64)))
-            assert out.shape == (co, r - kh + 1, c - kw + 1)
+            assert out.shape == (1, co, r - kh + 1, c - kw + 1)
             back = transposed_conv2d(out, k, Tensor(np.zeros(1, dtype=np.float64)))
-            assert back.shape == (r, c)
+            assert back.shape == (1, r, c)
+
+
+class TestBatchAxis:
+    @pytest.mark.parametrize("call", [
+        lambda: conv1d_valid(t(np.ones((5, 2))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
+        lambda: transposed_conv1d(t(np.ones((5, 2))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
+        lambda: conv2d_valid(t(np.ones((3, 4))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
+        lambda: transposed_conv2d(t(np.ones((2, 1, 3))), t(np.ones((2, 3, 2))), t(np.zeros(1))),
+        lambda: max_pool_time(t(np.ones((5, 2)))),
+        lambda: max_unpool_time(t(np.ones(2)), np.zeros(2, dtype=int), 3),
+    ], ids=["conv1d", "transposed_conv1d", "conv2d", "transposed_conv2d", "pool", "unpool"])
+    def test_unbatched_input_rejected(self, call):
+        with pytest.raises(ShapeError, match="batched input"):
+            call()
 
 
 class TestDeterminism:
     def test_forward_bitwise_reproducible(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(size=(6, 4)).astype(np.float32)
+        x = rng.normal(size=(1, 6, 4)).astype(np.float32)
         k = rng.normal(size=(5, 3, 4)).astype(np.float32)
 
         def run():
@@ -284,10 +298,10 @@ class TestDeterminism:
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=20))
 def test_stack_rows_round_trip(values):
-    rows = [Tensor(np.array(values, dtype=np.float64)) for _ in range(3)]
+    rows = [Tensor(np.array([values], dtype=np.float64)) for _ in range(3)]
     stacked = stack_rows(rows)
-    assert stacked.shape == (3, len(values))
-    np.testing.assert_array_equal(stacked.data[1], values)
+    assert stacked.shape == (1, 3, len(values))
+    np.testing.assert_array_equal(stacked.data[0, 1], values)
 
 
 @settings(max_examples=50, deadline=None)

@@ -268,6 +268,17 @@ class TestHarnesses:
         ])
         assert code == EXIT_USAGE
 
+    def test_sweep_rejects_values_sharing_a_label(self, data, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main([
+            "sweep-theta", data["corpus"], data["dev"], data["test"],
+            "--values", "0.1,0.1000001", "--out", str(out), *FAST,
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "0.1" in err and "0.1000001" in err
+        assert not (out / "theta_0.1").exists()
+
 
 class TestUsageErrors:
     def test_missing_subcommand(self, capsys):

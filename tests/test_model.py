@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import oracle_decode, oracle_encode
 from sarcse.autodiff import ShapeError, Tensor, grad_check
-from sarcse.corpus import Vocab, make_batch
+from sarcse.corpus import Vocab, make_batch, make_batch_tokens
 from sarcse.embeddings import init_table
 from sarcse.model import (
     KERNEL_SIZES,
@@ -31,7 +34,8 @@ def random_params(embed_dim, enc_channels, mix_channels, seed=0, dtype=np.float6
 
 
 def random_sentence(n, d, seed=1, dtype=np.float64):
-    return Tensor(np.random.default_rng(seed).normal(size=(n, d)).astype(dtype))
+    """A length group of one n x d sentence."""
+    return Tensor(np.random.default_rng(seed).normal(size=(1, n, d)).astype(dtype))
 
 
 class TestEmbeddingLengthLaw:
@@ -42,17 +46,17 @@ class TestEmbeddingLengthLaw:
             mix_channels = int(rng.integers(1, 5))
             params = random_params(3, enc_channels, mix_channels, seed=int(rng.integers(1e6)))
             z, _ = encode(random_sentence(7, 3), params)
-            assert z.shape == (mix_channels * (enc_channels - 1),)
+            assert z.shape == (1, mix_channels * (enc_channels - 1))
 
     def test_reference_dimensions(self):
         params = random_params(4, 500, 3)
         z, _ = encode(random_sentence(6, 4), params)
-        assert z.shape == (1497,)
+        assert z.shape == (1, 1497)
 
     def test_desk_scale_dimensions(self):
         params = random_params(4, 64, 3)
         z, _ = encode(random_sentence(9, 4), params)
-        assert z.shape == (189,)
+        assert z.shape == (1, 189)
 
 
 class TestEncode:
@@ -83,13 +87,13 @@ class TestDecode:
             x = random_sentence(n, 5, seed=n)
             z, state = encode(x, params)
             recon = decode(z, state, params)
-            assert recon.shape == (n, 5)
+            assert recon.shape == (1, n, 5)
 
     def test_zero_embedding_zero_biases_gives_zeros(self):
         params = random_params(4, 6, 2, zero_bias=True)
         x = random_sentence(7, 4)
         _, state = encode(x, params)
-        zero_z = Tensor(np.zeros(params.embedding_size))
+        zero_z = Tensor(np.zeros((1, params.embedding_size)))
         recon = decode(zero_z, state, params)
         np.testing.assert_array_equal(recon.data, 0.0)
 
@@ -107,9 +111,9 @@ class TestDecode:
 
     def test_wrong_embedding_length(self):
         params = random_params(4, 6, 2)
-        state = EncodeState(length=6, pool_indices={ks: np.zeros(6, dtype=int) for ks in KERNEL_SIZES})
+        state = EncodeState(length=6, pool_indices={ks: np.zeros((1, 6), dtype=int) for ks in KERNEL_SIZES})
         with pytest.raises(ShapeError, match="embedding length"):
-            decode(Tensor(np.zeros(3)), state, params)
+            decode(Tensor(np.zeros((1, 3))), state, params)
 
 
 def _params_from_arrays(arrays, embed_dim, enc_channels, mix_channels):
@@ -151,10 +155,10 @@ def _pool_gaps(x_data, params):
     gaps = []
     for ks in KERNEL_SIZES:
         fm = conv1d_valid(Tensor(x_data), params.enc_kernels[ks], params.enc_bias[ks]).data
-        if fm.shape[0] == 1:
+        if fm.shape[1] == 1:
             continue
-        srt = np.sort(fm, axis=0)
-        gaps.append((srt[-1] - srt[-2]).min())
+        srt = np.sort(fm, axis=1)
+        gaps.append((srt[:, -1] - srt[:, -2]).min())
     return min(gaps) if gaps else np.inf
 
 
@@ -162,7 +166,7 @@ class TestAutoencoderGradients:
     def test_reconstruction_objective_matches_finite_differences(self):
         embed_dim, enc_channels, mix_channels, n = 4, 6, 2, 6
         base = random_params(embed_dim, enc_channels, mix_channels, seed=10)
-        x_data = np.random.default_rng(11).normal(size=(n, embed_dim))
+        x_data = np.random.default_rng(11).normal(size=(1, n, embed_dim))
         assert _pool_gaps(x_data, base) > 1e-3
 
         names = [name for name, _ in base.named()]
@@ -179,6 +183,11 @@ class TestAutoencoderGradients:
         assert err <= 1e-4, f"worst relative error {err} over {names}"
 
 
+def _embeddings(view):
+    """A view's embeddings, one row per sentence in length-group order."""
+    return np.concatenate([g.embeddings.data for g in view])
+
+
 class TestForwardPair:
     @pytest.fixture
     def setup(self):
@@ -190,29 +199,30 @@ class TestForwardPair:
 
     def test_no_dropout_views_identical(self, setup):
         _, table, params, batch = setup
-        pf = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(pf.view.embeddings.data, pf.view_aug.embeddings.data)
+        view, view_aug = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(_embeddings(view), _embeddings(view_aug))
 
     def test_fixed_rng_reproducible(self, setup):
         _, table, params, batch = setup
         a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
         b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.view.embeddings.data, b.view.embeddings.data)
-        np.testing.assert_array_equal(a.view_aug.embeddings.data, b.view_aug.embeddings.data)
+        np.testing.assert_array_equal(_embeddings(a[0]), _embeddings(b[0]))
+        np.testing.assert_array_equal(_embeddings(a[1]), _embeddings(b[1]))
 
     def test_one_embedding_per_sentence_per_view(self, setup):
         _, table, params, batch = setup
-        pf = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
-        assert pf.view.embeddings.shape == (3, params.embedding_size)
-        assert pf.view_aug.embeddings.shape == (3, params.embedding_size)
-        assert len(pf.view.recons) == 3
+        view, view_aug = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
+        assert _embeddings(view).shape == (3, params.embedding_size)
+        assert _embeddings(view_aug).shape == (3, params.embedding_size)
+        assert sum(g.recons.shape[0] for g in view) == 3
 
     def test_short_sentence_uses_effective_length_five(self, setup):
         _, table, params, batch = setup
-        pf = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        assert pf.eff_lengths[1] == 5
-        assert pf.view.recons[1].shape == (5, 4)
-        assert pf.eff_masks[1].tolist() == [True, True, True, False, False]
+        view, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        (short,) = [g for g in view if 1 in g.rows]
+        assert short.inputs.shape[1] == 5
+        assert short.recons.shape == (1, 5, 4)
+        assert batch.mask[short.rows, :5].tolist() == [[True, True, True, False, False]]
 
 
 class TestPadInvariance:
@@ -226,6 +236,36 @@ class TestPadInvariance:
             words = " ".join(f"w{rng.integers(0, 30)}" for _ in range(n))
             short = make_batch([words], vocab)
             padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 7)))
-            pf_short = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
-            pf_padded = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
-            assert pf_short.view.embeddings.data.tobytes() == pf_padded.view.embeddings.data.tobytes()
+            view_short, _ = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
+            view_padded, _ = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
+            assert _embeddings(view_short).tobytes() == _embeddings(view_padded).tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(5, 14), st.integers(0, 2**32 - 1))
+def test_batched_autoencoder_matches_per_sentence_oracle(b, n, seed):
+    rng = np.random.default_rng(seed)
+    embed_dim, enc_channels, mix_channels = int(rng.integers(1, 6)), int(rng.integers(2, 10)), int(rng.integers(1, 4))
+    params = random_params(embed_dim, enc_channels, mix_channels, seed=seed)
+    x = rng.normal(size=(b, n, embed_dim))
+    z, state = encode(Tensor(x), params)
+    recon = decode(z, state, params).data
+    for i in range(b):
+        oz, oidx = oracle_encode(x[i], params, KERNEL_SIZES)
+        np.testing.assert_allclose(z.data[i], oz, rtol=1e-12)
+        for ks in KERNEL_SIZES:
+            np.testing.assert_array_equal(state.pool_indices[ks][i], oidx[ks])
+        np.testing.assert_allclose(recon[i], oracle_decode(oz, oidx, n, params, KERNEL_SIZES), rtol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(1, 20), min_size=1, max_size=30))
+def test_length_groups_cover_every_row_once_ascending(lengths):
+    batch = make_batch_tokens([["a"] * n for n in lengths], Vocab(["a"]))
+    groups = batch.length_groups()
+    rows = np.concatenate([r for r, _ in groups])
+    assert sorted(rows.tolist()) == list(range(len(lengths)))
+    ns = [n for _, n in groups]
+    assert ns == sorted(set(ns))
+    for r, n in groups:
+        assert all(max(lengths[i], 5) == n for i in r)

@@ -1,21 +1,28 @@
 import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
     BadMagicError,
+    Checkpoint,
     CheckpointError,
     ChecksumMismatchError,
     TruncatedError,
     VersionMismatchError,
     load_checkpoint,
+    pack_model,
     save_checkpoint,
     unpack_model,
 )
-from sarcse.corpus import Vocab, build_vocab, load_corpus, load_sts_pairs, token_frequency
+from sarcse.corpus import FrequencyTable, Vocab, build_vocab, load_corpus, load_sts_pairs, token_frequency
+from sarcse.embeddings import init_table
 from sarcse.losses import LossConfig
+from sarcse.model import init_params
 from sarcse.trainer import AdamW, TrainConfig, train, write_log
 
 
@@ -294,6 +301,54 @@ class TestCheckpointIO:
         ckpt.vocab = Vocab(ckpt.vocab.tokens[:-1])
         with pytest.raises(CheckpointError, match="embedding.weights"):
             unpack_model(ckpt)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    embed_dim=st.integers(1, 6),
+    enc_channels=st.integers(2, 9),
+    mix_channels=st.integers(1, 4),
+    n_tokens=st.integers(0, 12),
+    with_moments=st.booleans(),
+    best_dev=st.one_of(st.none(), st.floats(-1.0, 1.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_checkpoint_round_trip_any_config(
+    embed_dim, enc_channels, mix_channels, n_tokens, with_moments, best_dev, seed
+):
+    rng = np.random.default_rng(seed)
+    vocab = Vocab([f"t{i}" for i in range(n_tokens)], corpus_sha256="ab" * 32)
+    cfg = TrainConfig(embed_dim=embed_dim, enc_channels=enc_channels, mix_channels=mix_channels, seed=seed)
+    table = init_table(vocab, embed_dim, 0.1, rng)
+    params = init_params(embed_dim, enc_channels, mix_channels, rng)
+    tensors = pack_model(table, params)
+    moments = {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in tensors.items()} if with_moments else {}
+    ckpt = Checkpoint(
+        config=cfg.to_flat(), vocab=vocab, freq=FrequencyTable(rng.dirichlet(np.ones(len(vocab)))),
+        tensors=tensors, opt_m=moments, opt_v={k: v * v for k, v in moments.items()},
+        step=int(rng.integers(0, 1000)), best_dev=best_dev,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        loaded = load_checkpoint(path)
+
+    def header(c):
+        return c.config, c.vocab.tokens, c.vocab.corpus_sha256, c.step, c.best_dev
+
+    assert header(loaded) == header(ckpt)
+    assert loaded.freq.freq.tobytes() == ckpt.freq.freq.tobytes()
+    for attr in ("opt_m", "opt_v"):
+        got, want = getattr(loaded, attr), getattr(ckpt, attr)
+        assert got.keys() == want.keys()
+        assert all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes() for k in want)
+    table_back, params_back = unpack_model(loaded)
+    pairs = [(table.weights, table_back.weights)] + [
+        (a, b) for (_, a), (_, b) in zip(params.named(), params_back.named())
+    ]
+    for want, got in pairs:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.data.tobytes() == want.data.tobytes()
 
 
 class TestTrainConfigFlat:
