@@ -22,8 +22,6 @@ __all__ = [
     "grad_check",
     "concat",
     "stack_rows",
-    "l2_norm",
-    "logsumexp",
     "dropout",
     "embedding_lookup",
     "conv1d_valid",
@@ -106,9 +104,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -130,15 +125,6 @@ class Tensor:
 
     __radd__ = __add__
 
-    def __sub__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data - other.data
-        sa, sb = self.shape, other.shape
-        return Tensor._from_op(
-            data, (self, other),
-            lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)),
-        )
-
     def __mul__(self, other) -> "Tensor":
         if isinstance(other, (int, float)):
             c = other
@@ -152,29 +138,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            return self * (1.0 / other)
-        other = self._coerce(other)
-        a, b = self.data, other.data
-        return Tensor._from_op(
-            a / b, (self, other),
-            lambda g: (
-                _unbroadcast(g / b, a.shape),
-                _unbroadcast(-g * a / (b * b), b.shape),
-            ),
-        )
-
-    def __matmul__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-        return Tensor._from_op(
-            a @ b, (self, other),
-            lambda g: (g @ b.T, a.T @ g),
-        )
-
     # -- shape ops -------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
@@ -186,15 +149,6 @@ class Tensor:
         except ValueError as exc:
             raise ShapeError(f"reshape: cannot view {orig} as {shape}") from exc
         return Tensor._from_op(data, (self,), lambda g: (g.reshape(orig),))
-
-    def transpose(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose: expected a matrix, got shape {self.shape}")
-        return Tensor._from_op(self.data.T.copy(), (self,), lambda g: (g.T,))
-
-    @property
-    def T(self) -> "Tensor":
-        return self.transpose()
 
     def __getitem__(self, key) -> "Tensor":
         """Basic or advanced indexing that selects each entry at most once
@@ -208,7 +162,7 @@ class Tensor:
 
         return Tensor._from_op(self.data[key], (self,), vjp)
 
-    # -- reductions and pointwise functions -------------------------------
+    # -- reductions -------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         data = self.data.sum(axis=axis, keepdims=keepdims)
@@ -227,15 +181,6 @@ class Tensor:
         else:
             n = self.data.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
-
-    def exp(self) -> "Tensor":
-        out = np.exp(self.data)
-        return Tensor._from_op(out, (self,), lambda g: (g * out,))
-
-    def log(self) -> "Tensor":
-        x = self.data
-        return Tensor._from_op(np.log(x), (self,), lambda g: (g / x,))
-
 
 # -- module-level ops ------------------------------------------------------
 
@@ -257,30 +202,9 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """Stack k tensors of shape B x c into one B x k x c tensor."""
-    return concat([v.reshape(v.shape[0], 1, -1) for v in vectors], axis=1)
-
-
-def l2_norm(t: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    """Euclidean norm; the reduced axes must not be all-zero where used."""
-    x = t.data
-    out = np.sqrt((x * x).sum(axis=axis, keepdims=keepdims))
-
-    def vjp(g):
-        n = out
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-            n = np.expand_dims(n, axis)
-        return (g * x / n,)
-
-    return Tensor._from_op(np.asarray(out), (t,), vjp)
-
-
-def logsumexp(t: Tensor, axis: int = -1) -> Tensor:
-    """log(sum(exp(t))) over one axis via the max shift; exact gradient."""
-    shift = t.data.max(axis=axis, keepdims=True)
-    shifted = t - Tensor(shift)
-    total = shifted.exp().sum(axis=axis)
-    return total.log() + Tensor(np.squeeze(shift, axis=axis))
+    vectors = list(vectors)
+    data = np.stack([v.data for v in vectors], axis=1)
+    return Tensor._from_op(data, vectors, lambda g: tuple(np.moveaxis(g, 1, 0)))
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -212,6 +212,8 @@ def cmd_embed(args) -> int:
         if not toks:
             raise ValueError(f"{args.sentences}:{lineno}: empty sentence")
         token_lists.append(toks)
+    if not token_lists:
+        raise ValueError(f"{args.sentences}: holds no sentences")
     embs = encode_tokens(token_lists, ckpt.vocab, table, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

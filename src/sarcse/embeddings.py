@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor, dropout, embedding_lookup
-from .corpus import PAD_ID, SentenceBatch, Vocab, pretrained_vectors
+from .corpus import PAD_ID, UNK_ID, SentenceBatch, Vocab, pretrained_vectors
 
 
 @dataclass
@@ -32,7 +32,8 @@ def init_table(
     dtype=np.float32,
 ) -> EmbeddingTable:
     """Uniform(-init_scale, +init_scale) table, optionally overlaid with
-    vectors from a pretrained file for the tokens it covers."""
+    vectors from a pretrained file for the vocabulary tokens it covers
+    (other lines are skipped)."""
     if dim < 1:
         raise ValueError(f"init_table: dim must be >= 1, got {dim}")
     weights = rng.uniform(-init_scale, init_scale, size=(len(vocab), dim))
@@ -43,7 +44,7 @@ def init_table(
                     f"init_table: pretrained width {vec.shape[0]} does not match dim {dim}"
                 )
             idx = vocab.id_of(token)
-            if idx != PAD_ID:
+            if idx != UNK_ID:
                 weights[idx] = vec
     weights[PAD_ID] = 0.0
     return EmbeddingTable(Tensor(weights.astype(dtype), requires_grad=True))

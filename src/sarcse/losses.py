@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tensor, l2_norm, logsumexp
+from .autodiff import Tensor
 from .corpus import FrequencyTable
 
 
@@ -65,20 +65,26 @@ def reconstruction_loss(
 ) -> Tensor:
     """B sentence losses: each the weighted mean of per-token MSE over the
     sentence's masked-true rows, for B x N x d inputs and B x N weights and
-    mask. Per token the MSE averages over the embedding width."""
+    mask. Per token the MSE averages over the embedding width. One graph
+    node; with detach_target the target `x` gets no adjoint."""
     if x.shape != x_recon.shape:
         raise ValueError(f"reconstruction_loss: shapes differ, {x.shape} vs {x_recon.shape}")
     mask = np.asarray(mask, dtype=bool)
     n_real = mask.sum(axis=1)
     if not n_real.all():
         raise ValueError("reconstruction_loss: mask selects no tokens")
-    if detach_target:
-        x = x.detach()
     d = x.shape[2]
-    diff = x - x_recon
+    diff = x.data - x_recon.data
     per_token = (diff * diff).sum(axis=2) * (1.0 / d)
     w = np.where(mask, np.asarray(weights, dtype=np.float64), 0.0).astype(x.dtype)
-    return (per_token * Tensor(w)).sum(axis=1) * Tensor((1.0 / n_real).astype(x.dtype))
+    inv_n = (1.0 / n_real).astype(x.dtype)
+    out = (per_token * w).sum(axis=1) * inv_n
+
+    def vjp(g):
+        g_recon = ((g * inv_n)[:, None] * w)[:, :, None] * diff * (-2.0 / d)
+        return (g_recon,) if detach_target else (-g_recon, g_recon)
+
+    return Tensor._from_op(out, (x_recon,) if detach_target else (x, x_recon), vjp)
 
 
 def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
@@ -86,22 +92,39 @@ def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
 
     Anchors are the rows of `z`; for anchor i the positive is row i of
     `z_aug` and the candidates are all rows of `z_aug`. Cosine logits are
-    scaled by 1/tau and reduced with a log-sum-exp, so the value is the mean
-    negative log-probability of the positive.
+    scaled by 1/tau and reduced with a max-shifted log-sum-exp, so the value
+    is the mean negative log-probability of the positive. One graph node:
+    the adjoint of the logits is (softmax - I) * g / b, taken back through
+    the scaling and the row normalisation.
     """
     if z.shape != z_aug.shape or z.data.ndim != 2:
         raise ValueError(f"info_nce: expected matching B x k matrices, got {z.shape} and {z_aug.shape}")
+    norms = []
     for name, t in (("first view", z), ("second view", z_aug)):
-        norms = np.sqrt((t.data * t.data).sum(axis=1))
-        bad = np.nonzero(norms == 0.0)[0]
+        norm = np.sqrt((t.data * t.data).sum(axis=1, keepdims=True))
+        bad = np.nonzero(norm[:, 0] == 0.0)[0]
         if bad.size:
             raise ZeroNormError(f"info_nce: zero-norm embedding at sentence index {int(bad[0])} ({name})")
+        norms.append(norm)
     b = z.shape[0]
-    zn = z / l2_norm(z, axis=1, keepdims=True)
-    zan = z_aug / l2_norm(z_aug, axis=1, keepdims=True)
-    logits = (zn @ zan.T) * (1.0 / tau)
-    pos = (logits * Tensor(np.eye(b, dtype=logits.dtype))).sum(axis=1)
-    return (logsumexp(logits, axis=1) - pos).mean()
+    zn, zan = z.data / norms[0], z_aug.data / norms[1]
+    logits = (zn @ zan.T.copy()) * (1.0 / tau)
+    shift = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - shift)
+    total = e.sum(axis=1)
+    per_row = (np.log(total) + shift[:, 0]) - np.diagonal(logits)
+    loss = np.asarray(per_row.sum() * (1.0 / b))
+
+    def vjp(g):
+        g_logits = e / total[:, None]
+        g_logits[np.diag_indices(b)] -= 1.0
+        g_logits *= g * (1.0 / (b * tau))
+        return tuple(
+            (gu - u * (gu * u).sum(axis=1, keepdims=True)) / norm
+            for gu, u, norm in ((g_logits @ zan, zn, norms[0]), (g_logits.T @ zn, zan, norms[1]))
+        )
+
+    return Tensor._from_op(loss, (z, z_aug), vjp)
 
 
 def total_loss(l_contrastive: Tensor, l_recon: Tensor, l_recon_aug: Tensor, cfg: LossConfig) -> Tensor:

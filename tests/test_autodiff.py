@@ -13,8 +13,6 @@ from sarcse.autodiff import (
     conv2d_valid,
     dropout,
     grad_check,
-    l2_norm,
-    logsumexp,
     max_pool_time,
     max_unpool_time,
     stack_rows,
@@ -31,22 +29,9 @@ class TestElementwise:
     def test_add(self):
         np.testing.assert_array_equal((t([1, 2]) + t([3, 4])).data, [4, 6])
 
-    def test_logsumexp_matches_naive_on_small_inputs(self):
-        rng = np.random.default_rng(1)
-        x = rng.normal(size=(4, 6))
-        ours = logsumexp(t(x), axis=1).data
-        naive = np.log(np.exp(x).sum(axis=1))
-        np.testing.assert_allclose(ours, naive, atol=1e-12)
-
-    def test_logsumexp_large_values_stay_finite(self):
-        x = t(np.array([[1000.0, 1000.0]]))
-        out = logsumexp(x, axis=1)
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data, 1000.0 + np.log(2.0))
-
     def test_shape_mismatch_names_primitive(self):
-        with pytest.raises(ShapeError, match="matmul"):
-            t(np.ones((2, 3))) @ t(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="reshape"):
+            t(np.ones((2, 3))).reshape(4)
 
 
 class TestConv1d:
@@ -302,14 +287,3 @@ def test_stack_rows_round_trip(values):
     stacked = stack_rows(rows)
     assert stacked.shape == (1, 3, len(values))
     np.testing.assert_array_equal(stacked.data[0, 1], values)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 8), st.integers(1, 8),
-    st.floats(-10, 10, allow_nan=False),
-)
-def test_l2_norm_matches_numpy(rows, cols, scale):
-    rng = np.random.default_rng(abs(hash((rows, cols))) % (2**32))
-    x = rng.normal(size=(rows, cols)) * scale + 1.0
-    np.testing.assert_allclose(l2_norm(Tensor(x)).data, np.linalg.norm(x), atol=1e-12)

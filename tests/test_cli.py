@@ -233,6 +233,13 @@ class TestEmbed:
         assert code == EXIT_IO
         assert ":2:" in capsys.readouterr().err
 
+    def test_empty_file_names_file(self, data, trained, tmp_path, capsys):
+        sentences = tmp_path / "empty.txt"
+        sentences.write_text("", encoding="utf-8")
+        code = main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(tmp_path / "e.tsv")])
+        assert code == EXIT_IO
+        assert f"{sentences}: holds no sentences" in capsys.readouterr().err
+
 
 class TestHarnesses:
     def test_ablate_rows_and_shared_seed(self, data, tmp_path):

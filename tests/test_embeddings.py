@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sarcse.autodiff import backward
-from sarcse.corpus import PAD_ID, Vocab, make_batch
+from sarcse.corpus import PAD_ID, UNK_ID, Vocab, make_batch
 from sarcse.embeddings import embed, init_table
 
 
@@ -62,6 +62,8 @@ def test_pretrained_overlay_exact(vocab, tmp_path):
     np.testing.assert_array_almost_equal(
         table.weights.data[vocab.id_of("man")], [0.25, -1.5, 3.0]
     )
+    drawn = init_table(vocab, 3, 0.5, np.random.default_rng(0))
+    np.testing.assert_array_equal(table.weights.data[UNK_ID], drawn.weights.data[UNK_ID])
 
 
 def test_pretrained_width_mismatch(vocab, tmp_path):

@@ -275,6 +275,27 @@ class TestBatchIndependence:
                 mse_alone = np.array([r[4] for r in alone if r[1] == "a"])
                 assert mse.tobytes() == mse_alone.tobytes()
 
+    def test_token_mse_equal_sentence_alone_at_paper_width(self):
+        # At enc_channels=500 BLAS rounds a decoder GEMM row differently when
+        # the batch is flattened into its rows, so this width can tell the two
+        # apart where the tiny model cannot.
+        rng = np.random.default_rng(17)
+        words = [f"w{i}" for i in range(40)]
+        vocab = Vocab(words)
+        table = init_table(vocab, 32, 0.1, rng)
+        params = init_params(32, 500, 3, rng)
+        sentences = [list(rng.choice(words, size=12)) for _ in range(16)]
+        assert len({tuple(s) for s in sentences}) == 16
+        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences[::2], sentences[1::2])]
+        together = token_report(pairs, vocab, table, params, LossConfig(), freq)
+        for pi, pair in enumerate(pairs):
+            for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
+                alone = token_report([ScoredPair(1.0, toks, toks)], vocab, table, params, LossConfig(), freq)
+                mse = np.array([r[4] for r in together if r[:2] == (pi, side)])
+                mse_alone = np.array([r[4] for r in alone if r[1] == "a"])
+                assert mse.tobytes() == mse_alone.tobytes()
+
 
 class TestEvaluateCheckpoint:
     def test_bundled_untrained_checkpoint(self, toy_data_dir):

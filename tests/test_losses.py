@@ -169,6 +169,23 @@ class TestInfoNce:
         with pytest.raises(ValueError, match="index 1"):
             info_nce(Tensor(z), Tensor(np.ones((3, 4))), 0.05)
 
+    def test_tiny_tau_stays_finite(self):
+        # logits reach 1/tau = 1e4, where an unshifted exp overflows
+        rng = np.random.default_rng(9)
+        z = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        za = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+        loss = info_nce(z, za, tau=1e-4)
+        zn = z.data / np.linalg.norm(z.data, axis=1, keepdims=True)
+        zan = za.data / np.linalg.norm(za.data, axis=1, keepdims=True)
+        logits = (zn @ zan.T) / 1e-4
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.exp(logits)).any()
+        expected = np.mean(np.logaddexp.reduce(logits, axis=1) - np.diag(logits))
+        assert np.isfinite(loss.item())
+        assert loss.item() == pytest.approx(expected, rel=1e-9)
+        grads = backward(loss)
+        assert np.isfinite(grads.wrt(z)).all() and np.isfinite(grads.wrt(za)).all()
+
     def test_separating_views_lowers_loss(self):
         # positives aligned with their own row beat a shuffled pairing
         rng = np.random.default_rng(7)

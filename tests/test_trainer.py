@@ -19,11 +19,19 @@ from sarcse.checkpoint import (
     save_checkpoint,
     unpack_model,
 )
-from sarcse.corpus import FrequencyTable, Vocab, build_vocab, load_corpus, load_sts_pairs, token_frequency
+from sarcse.corpus import (
+    FrequencyTable,
+    Vocab,
+    build_vocab,
+    load_corpus,
+    load_sts_pairs,
+    make_batch,
+    token_frequency,
+)
 from sarcse.embeddings import init_table
 from sarcse.losses import LossConfig
 from sarcse.model import init_params
-from sarcse.trainer import AdamW, TrainConfig, train, write_log
+from sarcse.trainer import AdamW, TrainConfig, objective, train, write_log
 
 
 class _FakeGrads:
@@ -191,6 +199,27 @@ class TestTrainLoop:
         assert lines[0] == "step,infonce,recon,recon_aug,total,token_weight_mean,dev_spearman"
         assert len(lines) == 5
 
+
+def test_objective_graph_size(toy_data_dir):
+    """The first step of the reproduce configuration (bundled corpus, batch
+    16, width 64, seed 7) builds at most 300 graph nodes, counted as
+    `backward` visits them: the loss and every requires_grad ancestor."""
+    corpus = toy_data_dir / "toy_corpus.txt"
+    sentences, vocab = load_corpus(corpus), build_vocab(corpus)
+    freq = token_frequency(corpus, vocab)
+    cfg = TrainConfig(embed_dim=32, enc_channels=64, mix_channels=3, batch_size=16, seed=7)
+    rng = np.random.default_rng(cfg.seed)     # the draw order of train()
+    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng)
+    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+    first = [sentences[i] for i in rng.permutation(len(sentences))[:cfg.batch_size]]
+    loss, _ = objective(cfg, make_batch(first, vocab), table, params, freq, rng)
+    seen, stack = {id(loss)}, [loss]
+    while stack:
+        for parent in stack.pop()._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    assert len(seen) <= 300
 
 class TestCheckpointIO:
     def test_round_trip_bitwise(self, toy_setup, tmp_path):
