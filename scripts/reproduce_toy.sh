@@ -7,6 +7,8 @@ cd "$(dirname "$0")/.."
 # enc_channels=500 the training log and checkpoints differ between 1 and 2
 # OpenBLAS threads. Pin one thread, as bench/run.py does.
 export OPENBLAS_NUM_THREADS=1
+# Run from a clean checkout without installing the package.
+export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 CORPUS=data/toy_corpus.txt
 DEV=data/toy_sts_dev.tsv

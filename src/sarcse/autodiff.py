@@ -242,6 +242,16 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 # (B, M, K) stacks, one BLAS call per batch entry, so a sentence's bits never
 # depend on its batch-mates (BLAS rounds a row differently as M changes).
 # Kernel gradients carry no bitwise guarantee and flatten the batch.
+#
+# The ops come in adjoint pairs (conv1d_valid and transposed_conv1d, the 2-d
+# pair, max_pool_time and max_unpool_time): a VJP's input adjoint is its
+# partner's forward on the output adjoint with a zero bias, and a pair's two
+# kernel gradients are one contraction with input and adjoint swapped.
+
+
+def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int) -> np.ndarray:
+    """Input adjoint of a conv: the partner `op` run forward on `g`, zero bias, no graph."""
+    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype))).data
 
 
 def _windows_1d(x: np.ndarray, ks: int) -> np.ndarray:
@@ -251,6 +261,17 @@ def _windows_1d(x: np.ndarray, ks: int) -> np.ndarray:
     for j in range(ks):
         out[:, :, j * d:(j + 1) * d] = x[:, j:p - ks + 1 + j]
     return out
+
+
+def _kernel_grad_2d(small: np.ndarray, big: np.ndarray) -> np.ndarray:
+    """gk[o, a, b] = sum of small[n, o, r, c] * big[n, r+a, c+b] over n, r, c."""
+    _, c_k, rr, cc = small.shape
+    kh, kw = big.shape[1] - rr + 1, big.shape[2] - cc + 1
+    gk = np.empty((c_k, kh, kw), dtype=small.dtype)
+    for a in range(kh):
+        for b in range(kw):
+            gk[:, a, b] = (small * big[:, None, a:a + rr, b:b + cc]).sum(axis=(0, 2, 3))
+    return gk
 
 
 def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -268,22 +289,18 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"conv1d_valid: sequence shorter than kernel (P={p} < ks={ks})")
 
     win = _windows_1d(x.data, ks)               # B x (P-ks+1) x (ks*d)
-    k2 = kernels.data.reshape(c_out, ks * d)
-    out = win @ k2.T + bias.data
+    out = win @ kernels.data.reshape(c_out, ks * d).T + bias.data
 
     def vjp(g):
-        gwin = g @ k2
-        gx = np.zeros_like(x.data)
-        for j in range(ks):
-            gx[:, j:p - ks + 1 + j] += gwin[:, :, j * d:(j + 1) * d]
-        gk = (g.reshape(-1, c_out).T @ win.reshape(-1, ks * d)).reshape(c_out, ks, d)
-        return (gx, gk, g.sum(axis=(0, 1)))
+        gk = g.reshape(-1, c_out).T @ win.reshape(-1, ks * d)
+        return (_partner(transposed_conv1d, g, kernels, d), gk.reshape(c_out, ks, d), g.sum(axis=(0, 1)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
 def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of conv1d_valid as a forward op: B x P x c_in -> B x (P+ks-1) x d by scatter-add."""
+    """Adjoint of conv1d_valid as a forward op: B x P x c_in -> B x (P+ks-1) x d,
+    one GEMM then an overlap-add of its ks column blocks onto the bias."""
     if x.data.ndim != 3 or kernels.data.ndim != 3:
         raise ShapeError(f"transposed_conv1d: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
     nb, p, c_in = x.shape
@@ -293,19 +310,15 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (d,):
         raise ShapeError(f"transposed_conv1d: bias shape {bias.shape} does not match width {d}")
 
-    out = np.tile(bias.data, (nb, p + ks - 1, 1))
+    cols = x.data @ kernels.data.reshape(c_in, ks * d)      # B x P x (ks*d)
+    out = np.empty((nb, p + ks - 1, d), dtype=x.dtype)
+    out[:] = bias.data
     for j in range(ks):
-        out[:, j:j + p] += x.data @ kernels.data[:, j, :]
+        out[:, j:j + p] += cols[:, :, j * d:(j + 1) * d]
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gk = np.zeros_like(kernels.data)
-        flat_x = x.data.reshape(-1, c_in)
-        for j in range(ks):
-            gseg = g[:, j:j + p]
-            gx += gseg @ kernels.data[:, j, :].T
-            gk[:, j, :] = flat_x.T @ gseg.reshape(-1, d)
-        return (gx, gk, g.sum(axis=(0, 1)))
+        gk = x.data.reshape(-1, c_in).T @ _windows_1d(g, ks).reshape(-1, ks * d)
+        return (_partner(conv1d_valid, g, kernels, c_in), gk.reshape(c_in, ks, d), g.sum(axis=(0, 1)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
@@ -330,14 +343,8 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             out += kernels.data[:, a, b][:, None, None] * patch
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gk = np.zeros_like(kernels.data)
-        for a in range(kh):
-            for b in range(kw):
-                patch = x.data[:, None, a:a + rr, b:b + cc]
-                gx[:, a:a + rr, b:b + cc] += np.einsum("o,norc->nrc", kernels.data[:, a, b], g)
-                gk[:, a, b] = (g * patch).sum(axis=(0, 2, 3))
-        return (gx, gk, g.sum(axis=(0, 2, 3)))
+        gx = _partner(transposed_conv2d, g, kernels, 1)
+        return (gx, _kernel_grad_2d(g, x.data), g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
@@ -359,14 +366,8 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
             out[:, a:a + rr, b:b + cc] += np.einsum("o,norc->nrc", kernels.data[:, a, b], x.data)
 
     def vjp(g):
-        gx = np.zeros_like(x.data)
-        gk = np.zeros_like(kernels.data)
-        for a in range(kh):
-            for b in range(kw):
-                gseg = g[:, None, a:a + rr, b:b + cc]
-                gx += kernels.data[:, a, b][:, None, None] * gseg
-                gk[:, a, b] = (x.data * gseg).sum(axis=(0, 2, 3))
-        return (gx, gk, g.sum().reshape(bias.shape))
+        gx = _partner(conv2d_valid, g, kernels, c_in)
+        return (gx, _kernel_grad_2d(x.data, g), g.sum().reshape(bias.shape))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
@@ -375,21 +376,14 @@ def max_pool_time(t: Tensor) -> tuple[Tensor, np.ndarray]:
     """Max over positions of B x P x c feature maps; ties go to the lowest index.
 
     Returns the B x c pooled values and the B x c integer argmax positions.
-    The backward rule routes the adjoint only to the argmax entries.
+    The adjoint is max_unpool_time: it routes g only to the argmax entries.
     """
     if t.data.ndim != 3:
         raise ShapeError(f"max_pool_time: expected a 3-d batched input, got shape {t.shape}")
-    nb, _, c = t.shape
+    nb, length, c = t.shape
     indices = t.data.argmax(axis=1)
-    at = (np.arange(nb)[:, None], indices, np.arange(c))
-    values = t.data[at]
-
-    def vjp(g):
-        gx = np.zeros_like(t.data)
-        gx[at] = g
-        return (gx,)
-
-    return Tensor._from_op(values, (t,), vjp), indices
+    values = t.data[np.arange(nb)[:, None], indices, np.arange(c)]
+    return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, length).data,)), indices
 
 
 def max_unpool_time(values: Tensor, indices: np.ndarray, length: int) -> Tensor:

@@ -8,6 +8,7 @@ errors, 4 numeric failures.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -58,9 +59,12 @@ def _parse_value(key: str, raw: str):
             raise ConfigError(f"config key {key!r}: expected an integer, got {raw!r}") from exc
     if isinstance(default, float):
         try:
-            return float(raw)
+            value = float(raw)
         except ValueError as exc:
             raise ConfigError(f"config key {key!r}: expected a number, got {raw!r}") from exc
+        if not math.isfinite(value):
+            raise ConfigError(f"config key {key!r}: expected a finite number, got {raw!r}")
+        return value
     return raw
 
 
@@ -103,7 +107,16 @@ def resolve_config(
         apply(key.strip(), raw.strip(), "--set")
     if seed is not None:
         cfg["seed"] = seed
+    _train_config(cfg)
     return cfg
+
+
+def _train_config(cfg: dict) -> TrainConfig:
+    """The TrainConfig of a resolved config; an out-of-range value is a ConfigError."""
+    try:
+        return TrainConfig.from_flat({k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
+    except ValueError as exc:
+        raise ConfigError(f"config: {exc}") from exc
 
 
 def _format_value(value) -> str:
@@ -158,8 +171,7 @@ def _train_once(cfg: dict, corpus_path: str, dev_path: str):
     vocab, freq = _build_vocab_and_freq(corpus_path, cfg)
     sentences = corpus_io.load_corpus(corpus_path)
     dev_pairs = corpus_io.load_sts_pairs(dev_path)
-    tc = TrainConfig.from_flat({k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
-    return train(tc, sentences, dev_pairs, vocab, freq)
+    return train(_train_config(cfg), sentences, dev_pairs, vocab, freq)
 
 
 def _write_train_outputs(result, out_dir: Path) -> None:
@@ -239,6 +251,8 @@ def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, ta
         if first != i:
             raise ConfigError(f"{key} values {values[first]!r} and {values[i]!r} share the label {label}")
     cfg = resolve_config(args.config, args.set, args.seed)
+    for value in values:
+        _train_config({**cfg, key: value})
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     rows = []
     for label, value in zip(labels, values):

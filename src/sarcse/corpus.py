@@ -147,7 +147,8 @@ class ScoredPair:
 
 
 def load_sts_pairs(path: str | Path) -> list[ScoredPair]:
-    """Read tab-separated `score\\ta\\tb` similarity pairs."""
+    """Read tab-separated `score\\ta\\tb` similarity pairs. A sentence that
+    tokenizes to nothing is an error naming its `path:line`."""
     pairs: list[ScoredPair] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -163,7 +164,10 @@ def load_sts_pairs(path: str | Path) -> list[ScoredPair]:
                 raise ValueError(f"{path}:{lineno}: bad score {fields[0]!r}") from exc
             if not 0.0 <= score <= 5.0:
                 raise ValueError(f"{path}:{lineno}: score {score} outside [0, 5]")
-            pairs.append(ScoredPair(score, tokenize(fields[1]), tokenize(fields[2])))
+            a, b = tokenize(fields[1]), tokenize(fields[2])
+            if not a or not b:
+                raise ValueError(f"{path}:{lineno}: sentence {1 if not a else 2} is empty after tokenization")
+            pairs.append(ScoredPair(score, a, b))
     return pairs
 
 

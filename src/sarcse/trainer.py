@@ -49,6 +49,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
 

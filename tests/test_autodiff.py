@@ -101,6 +101,19 @@ class TestConv2d:
         out = transposed_conv2d(t(np.ones((1, 3, 1, 63))), t(np.ones((3, 3, 2))), t(np.zeros(1)))
         assert out.shape == (1, 3, 64)
 
+    def test_adjoint_of_conv(self):
+        rng = np.random.default_rng(6)
+        for _ in range(50):
+            nb, r, c = rng.integers(1, 3), rng.integers(1, 6), rng.integers(1, 9)
+            kh, kw = rng.integers(1, r + 1), rng.integers(1, c + 1)
+            c_out = rng.integers(1, 5)
+            u = rng.normal(size=(nb, r, c))
+            v = rng.normal(size=(nb, c_out, r - kh + 1, c - kw + 1))
+            k = rng.normal(size=(c_out, kh, kw))
+            lhs = float((conv2d_valid(t(u), t(k), t(np.zeros(c_out))).data * v).sum())
+            rhs = float((transposed_conv2d(t(v), t(k), t(np.zeros(1))).data * u).sum())
+            assert abs(lhs - rhs) < 1e-10
+
     def test_undersized_plane(self):
         with pytest.raises(ShapeError, match="conv2d_valid"):
             conv2d_valid(t(np.ones((1, 2, 1))), t(np.ones((1, 3, 2))), t(np.zeros(1)))

@@ -110,6 +110,26 @@ class TestResolveConfig:
         code = main(["train", "x", "y", "--out", "/tmp/x", "--set", "batch_size=soon"])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("setting", [
+        "batch_size=0", "tau=-1", "ablation=bogus", "dropout=1.5",
+        "tau=nan", "lam=nan", "lr=nan", "lr=inf",
+    ])
+    def test_out_of_range_value_is_usage_error(self, data, tmp_path, capsys, setting):
+        out = tmp_path / "run"
+        code = main(["train", data["corpus"], data["dev"], "--out", str(out), *FAST, "--set", setting])
+        assert code == EXIT_USAGE
+        assert setting.split("=")[0] in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_grid_value_is_usage_error(self, data, tmp_path):
+        out = tmp_path / "s"
+        code = main([
+            "sweep-theta", data["corpus"], data["dev"], data["test"],
+            "--values", "0.1,2", "--out", str(out), *FAST,
+        ])
+        assert code == EXIT_USAGE
+        assert not out.exists()
+
 
 class TestBuildVocab:
     def test_outputs_and_determinism(self, data, tmp_path):
@@ -160,6 +180,18 @@ class TestTrain:
         weights = {row.split(",")[5] for row in rows}
         assert weights == {"1.0"}
 
+    def test_empty_dev_sentence_fails_before_training(self, data, tmp_path, capsys, monkeypatch):
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("5.0\tthe dog eats .\tthe dog eats .\n1.0\tthe cat sees .\t\n", encoding="utf-8")
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("train ran on an unreadable dev file")
+
+        monkeypatch.setattr("sarcse.cli.train", no_training)
+        code = main(["train", data["corpus"], str(dev), "--out", str(tmp_path / "run"), *FAST])
+        assert code == EXIT_IO
+        assert f"{dev}:2: sentence 2 is empty after tokenization" in capsys.readouterr().err
+
     def test_resolved_config_echoed(self, data, tmp_path):
         out = tmp_path / "run"
         run_train(data, out)
@@ -196,6 +228,13 @@ class TestEval:
         lines = (out / "token_report.csv").read_text().splitlines()
         assert lines[0] == "pair,side,position,token,recon_mse,weight"
         assert len(lines) > 10
+
+    def test_empty_pair_sentence_names_line(self, trained, tmp_path, capsys):
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("5.0\tthe dog eats .\tthe dog eats .\n1.0\t \tthe cat sees .\n", encoding="utf-8")
+        code = main(["eval", str(trained / "best.ckpt"), str(pairs), "--out", str(tmp_path / "x")])
+        assert code == EXIT_IO
+        assert f"{pairs}:2: sentence 1 is empty after tokenization" in capsys.readouterr().err
 
     def test_missing_pairs_file(self, trained, tmp_path):
         code = main(["eval", str(trained / "best.ckpt"), "missing.tsv", "--out", str(tmp_path / "x")])

@@ -141,6 +141,12 @@ class TestStsPairs:
         with pytest.raises(ValueError, match=":1:"):
             load_sts_pairs(path)
 
+    @pytest.mark.parametrize("line, side", [("2.0\t \tc d", 1), ("2.0\ta b\t", 2)])
+    def test_empty_sentence_names_line(self, tmp_path, line, side):
+        path = write(tmp_path, "p.tsv", f"1.0\ta b\tc d\n{line}\n")
+        with pytest.raises(ValueError, match=rf"p\.tsv:2: sentence {side} is empty after tokenization"):
+            load_sts_pairs(path)
+
     def test_score_out_of_range(self, tmp_path):
         path = write(tmp_path, "p.tsv", "7.0\ta\tb\n")
         with pytest.raises(ValueError, match="outside"):
