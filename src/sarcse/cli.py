@@ -108,6 +108,8 @@ def resolve_config(
     if seed is not None:
         cfg["seed"] = seed
     _train_config(cfg)
+    if cfg["min_count"] < 1:
+        raise ConfigError(f"config: min_count must be >= 1, got {cfg['min_count']}")
     return cfg
 
 
@@ -196,13 +198,15 @@ def cmd_eval(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
     pairs = corpus_io.load_sts_pairs(args.pairs)
-    report = evaluate_pairs(pairs, ckpt.vocab, table, params, pos_threshold=float(cfg["pos_threshold"]))
+    token_mse = {} if args.token_report else None     # filled by the one encode pass
+    report = evaluate_pairs(pairs, ckpt.vocab, table, params,
+                            pos_threshold=float(cfg["pos_threshold"]), token_mse=token_mse)
     write_metrics_csv(report, out_dir / "metrics.csv")
     write_density_csv(report, out_dir / "density.csv")
     write_summary(report, out_dir / "summary.txt")
     if args.token_report:
         loss_cfg = LossConfig(theta=float(ckpt.config["theta"]), lam=float(ckpt.config["lam"]))
-        rows = token_report(pairs, ckpt.vocab, table, params, loss_cfg, ckpt.freq)
+        rows = token_report(pairs, ckpt.vocab, loss_cfg, ckpt.freq, token_mse)
         with open(out_dir / "token_report.csv", "w", encoding="utf-8") as fh:
             fh.write("pair,side,position,token,recon_mse,weight\n")
             for pi, side, pos, tok, mse, w in rows:
@@ -231,7 +235,7 @@ def cmd_embed(args) -> int:
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", encoding="utf-8") as fh:
         for row in embs:
-            fh.write("\t".join(repr(float(v)) for v in row) + "\n")
+            fh.write("\t".join(map(repr, row.tolist())) + "\n")
     print(f"embedded {len(token_lists)} sentences -> {out_path}")
     return EXIT_OK
 

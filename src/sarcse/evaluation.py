@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -73,19 +73,51 @@ def alignment(pos_pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
     return total / len(pos_pairs)
 
 
+# Rows per GEMM block in `uniformity`: each block holds one BLOCK x n float64
+# distance matrix, so memory is O(BLOCK * n) and never n x n.
+UNIFORMITY_BLOCK = 64
+# Gram-form squared distances below this (negative ones included) are
+# recomputed from the difference; it sits far above the rounding of
+# |u|^2 + |v|^2 - 2 u.v for unit rows.
+_EXACT_BELOW = 1e-9
+_EXACT_PAIRS = 1024     # close pairs recomputed per gather, to bound memory
+
+
 def uniformity(embeddings: Sequence[np.ndarray]) -> float:
-    """log of the mean Gaussian-kernel value over all unordered distinct pairs."""
-    if len(embeddings) < 2:
+    """log of the mean Gaussian-kernel value over all unordered distinct pairs.
+
+    Squared distances come from blocked Gram products, |u_i|^2 + |u_j|^2 -
+    2 u_i.u_j; pairs closer than `_EXACT_BELOW` are recomputed from their
+    difference, so bitwise-identical embeddings are exactly distance 0.
+    """
+    n = len(embeddings)
+    if n < 2:
         raise ValueError("uniformity: need at least 2 embeddings")
-    unit = np.stack([_normalize(np.asarray(e, np.float64), "uniformity") for e in embeddings])
+    unit = np.array(embeddings, dtype=np.float64)
+    norms = np.linalg.norm(unit, axis=1)
+    if not norms.all():
+        raise ZeroNormError("uniformity: zero-norm embedding")
+    unit /= norms[:, None]
+    sq = np.einsum("ij,ij->i", unit, unit)
     total = 0.0
-    count = 0
-    for i in range(len(unit) - 1):
-        diff = unit[i + 1:] - unit[i]          # exact zeros for identical embeddings
-        sq_dist = (diff * diff).sum(axis=1)
-        total += float(np.exp(-2.0 * sq_dist).sum())
-        count += diff.shape[0]
-    return float(np.log(total / count))
+    for start in range(0, n - 1, UNIFORMITY_BLOCK):
+        # rows i in [start, stop) against columns j in [start + 1, n)
+        stop = min(start + UNIFORMITY_BLOCK, n - 1)
+        b = stop - start
+        dist = unit[start:stop] @ unit[start + 1:].T
+        dist *= -2.0
+        dist += sq[start:stop, None]
+        dist += sq[None, start + 1:]
+        dist[:, :b][np.tril_indices(b, -1)] = np.inf    # j <= i
+        rows, cols = np.nonzero(dist < _EXACT_BELOW)
+        for k in range(0, len(rows), _EXACT_PAIRS):
+            r, c = rows[k:k + _EXACT_PAIRS], cols[k:k + _EXACT_PAIRS]
+            diff = unit[start + r] - unit[start + 1 + c]   # exact zeros for identical embeddings
+            dist[r, c] = np.einsum("ij,ij->i", diff, diff)
+        dist *= -2.0
+        np.exp(dist, out=dist)
+        total += float(dist.sum())
+    return float(np.log(total / (n * (n - 1) // 2)))
 
 
 def group_of(score: float) -> str:
@@ -127,20 +159,25 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 # -- model-driven evaluation -------------------------------------------------
 
 
-def _encode_unique(
+def encode_tokens(
     token_lists: Sequence[list[str]],
     vocab: Vocab,
     table: EmbeddingTable,
     params: ModelParams,
-    batch_size: int,
-    with_recon: bool,
-) -> Iterator[tuple[tuple[str, ...], np.ndarray, np.ndarray, Optional[np.ndarray]]]:
-    """Yield numpy rows (tokens, x, z, recon) once per distinct sentence,
-    dropout off, embedding `batch_size` sentences at a time; each length group
-    is encoded (and decoded if `with_recon`, else recon is None) at once."""
+    batch_size: int = 64,
+    token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
+) -> np.ndarray:
+    """Embed tokenized sentences with dropout off; returns an n x |z| matrix.
+
+    Each distinct sentence is computed once, `batch_size` distinct sentences
+    at a time and each length group at once, so duplicates are bitwise equal.
+    Given a dict `token_mse`, the same pass also decodes every distinct
+    sentence and stores its per-token reconstruction MSE under its tokens.
+    """
     frozen = table.frozen_view()
     unique = list(dict.fromkeys(tuple(t) for t in token_lists))
     rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
+    cache = {}
     for start in range(0, len(unique), batch_size):
         chunk = unique[start:start + batch_size]
         batch = make_batch_tokens(chunk, vocab)
@@ -148,26 +185,11 @@ def _encode_unique(
         for rows, n in batch.length_groups():
             x = x_full[rows, :n]
             z, state = encode(x, params)
-            recon = decode(z, state, params).data if with_recon else None
+            diff = None if token_mse is None else x.data - decode(z, state, params).data
             for j, i in enumerate(rows):
-                yield chunk[i], x.data[j], z.data[j], None if recon is None else recon[j]
-
-
-def encode_tokens(
-    token_lists: Sequence[list[str]],
-    vocab: Vocab,
-    table: EmbeddingTable,
-    params: ModelParams,
-    batch_size: int = 64,
-) -> np.ndarray:
-    """Embed tokenized sentences with dropout off; returns an n x |z| matrix.
-
-    Repeated sentences are computed once, so duplicates are bitwise equal.
-    """
-    cache = {
-        toks: z
-        for toks, _, z, _ in _encode_unique(token_lists, vocab, table, params, batch_size, False)
-    }
+                cache[chunk[i]] = z.data[j]
+                if diff is not None:
+                    token_mse[chunk[i]] = (diff[j] * diff[j]).mean(axis=1)
     return np.stack([cache[tuple(t)] for t in token_lists])
 
 
@@ -203,12 +225,17 @@ def evaluate_pairs(
     table: EmbeddingTable,
     params: ModelParams,
     pos_threshold: float = 4.0,
+    token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> EvalReport:
-    """Embed both sides of every pair (no dropout) and compute all metrics."""
+    """Embed both sides of every pair (no dropout) and compute all metrics.
+
+    A dict `token_mse` is filled as by `encode_tokens`, in the same pass,
+    for `token_report`.
+    """
     if not pairs:
         return EvalReport(None, None, None, {g: [] for g in GROUP_LABELS}, 0)
     all_tokens = [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs]
-    embs = encode_tokens(all_tokens, vocab, table, params)
+    embs = encode_tokens(all_tokens, vocab, table, params, token_mse=token_mse)
     emb_a, emb_b = embs[: len(pairs)], embs[len(pairs):]
 
     predicted = [cosine(emb_a[i], emb_b[i]) for i in range(len(pairs))]
@@ -220,7 +247,7 @@ def evaluate_pairs(
 
     positives = [(emb_a[i], emb_b[i]) for i in range(len(pairs)) if gold[i] >= pos_threshold]
     align = alignment(positives) if positives else None
-    uniform = uniformity(list(embs)) if len(embs) >= 2 else None
+    uniform = uniformity(embs) if len(embs) >= 2 else None
     return EvalReport(
         spearman_rho=rho,
         alignment=align,
@@ -243,28 +270,23 @@ def evaluate_checkpoint(checkpoint, pairs_path, pos_threshold: float = 4.0) -> E
 def token_report(
     pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    table: EmbeddingTable,
-    params: ModelParams,
     loss_cfg: LossConfig,
     freq,
+    token_mse: dict[tuple[str, ...], np.ndarray],
 ) -> list[tuple[int, str, int, str, float, float]]:
     """Per-token reconstruction MSE rows: (pair, side, position, token, mse, weight).
 
-    Lower loss marks the tokens the embedding preserves best. Sentences are
-    decoded one chunk at a time and only their MSE vectors are kept.
+    Lower loss marks the tokens the embedding preserves best. `token_mse`
+    holds each sentence's per-token MSE, as `encode_tokens` (or
+    `evaluate_pairs`) fills it.
     """
-    sides = [toks for pair in pairs for toks in (pair.sentence_a, pair.sentence_b)]
-    mse: dict[tuple[str, ...], np.ndarray] = {}
-    for toks, x, _, recon in _encode_unique(sides, vocab, table, params, 64, True):
-        diff = x - recon
-        mse[toks] = (diff * diff).mean(axis=1)
     rows = []
     for pi, pair in enumerate(pairs):
         for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
             weights = token_weights(np.asarray(vocab.encode(toks)), freq, loss_cfg.theta, loss_cfg.lam)
-            token_mse = mse[tuple(toks)]
+            mse = token_mse[tuple(toks)]
             for pos, tok in enumerate(toks):
-                rows.append((pi, side, pos, tok, float(token_mse[pos]), float(weights[pos])))
+                rows.append((pi, side, pos, tok, float(mse[pos]), float(weights[pos])))
     return rows
 
 

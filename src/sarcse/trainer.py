@@ -45,10 +45,24 @@ class TrainConfig:
     loss: LossConfig = field(default_factory=LossConfig)
 
     def __post_init__(self):
+        if self.embed_dim < 1:
+            raise ValueError(f"embed_dim must be >= 1, got {self.embed_dim}")
+        if self.enc_channels < 2:
+            raise ValueError(f"enc_channels must be >= 2 (the mix kernel spans 2 channels), got {self.enc_channels}")
+        if self.mix_channels < 1:
+            raise ValueError(f"mix_channels must be >= 1, got {self.mix_channels}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if not self.lr > 0.0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+        if not self.weight_decay >= 0.0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.ablation not in ABLATIONS:

@@ -91,3 +91,21 @@ def oracle_decode(z, indices, n, params, kernel_sizes):
             tokens[j:j + p] += unpooled @ k[:, j, :]
         total = total + tokens
     return total * (1.0 / len(kernel_sizes))
+
+
+# -- uniformity -----------------------------------------------------------------
+
+
+def oracle_uniformity(embeddings):
+    """log of the mean Gaussian kernel exp(-2 |u_i - u_j|^2) over all unordered
+    pairs of L2-normalized rows, one row against all later rows at a time."""
+    rows = [np.asarray(e, np.float64) for e in embeddings]
+    unit = np.stack([r / np.linalg.norm(r) for r in rows])
+    total = 0.0
+    count = 0
+    for i in range(len(unit) - 1):
+        diff = unit[i + 1:] - unit[i]          # exact zeros for identical embeddings
+        sq_dist = (diff * diff).sum(axis=1)
+        total += float(np.exp(-2.0 * sq_dist).sum())
+        count += diff.shape[0]
+    return float(np.log(total / count))

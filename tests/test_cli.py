@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from sarcse.checkpoint import load_checkpoint, save_checkpoint
+from sarcse import evaluation
+from sarcse.checkpoint import load_checkpoint, save_checkpoint, unpack_model
 from sarcse.cli import (
     DEFAULTS,
     EXIT_IO,
@@ -12,6 +13,8 @@ from sarcse.cli import (
     read_config_file,
     resolve_config,
 )
+from sarcse.corpus import load_sts_pairs, make_batch_tokens, tokenize
+from sarcse.evaluation import encode_tokens
 
 
 @pytest.fixture(scope="module")
@@ -113,6 +116,8 @@ class TestResolveConfig:
     @pytest.mark.parametrize("setting", [
         "batch_size=0", "tau=-1", "ablation=bogus", "dropout=1.5",
         "tau=nan", "lam=nan", "lr=nan", "lr=inf",
+        "lr=-1", "lr=0", "weight_decay=-5", "eval_every=-1", "max_steps=-3",
+        "enc_channels=0", "enc_channels=1", "embed_dim=0", "mix_channels=0", "min_count=0",
     ])
     def test_out_of_range_value_is_usage_error(self, data, tmp_path, capsys, setting):
         out = tmp_path / "run"
@@ -229,6 +234,36 @@ class TestEval:
         assert lines[0] == "pair,side,position,token,recon_mse,weight"
         assert len(lines) > 10
 
+    def test_token_report_leaves_the_other_outputs_unchanged(self, data, trained, tmp_path):
+        plain, tok = tmp_path / "plain", tmp_path / "tok"
+        assert main(["eval", str(trained / "best.ckpt"), data["test"], "--out", str(plain)]) == EXIT_OK
+        assert main(["eval", str(trained / "best.ckpt"), data["test"], "--out", str(tok), "--token-report"]) == EXIT_OK
+        for name in ("metrics.csv", "density.csv", "summary.txt"):
+            assert (plain / name).read_bytes() == (tok / name).read_bytes()
+
+    def test_token_report_encodes_each_distinct_sentence_once(self, toy_data_dir, tmp_path, monkeypatch):
+        ckpt_path, pairs_path = toy_data_dir / "toy_untrained.ckpt", toy_data_dir / "toy_sts_test.tsv"
+        calls = []
+        real_encode = evaluation.encode
+
+        def counting_encode(x, params):
+            calls.append(x.shape[0])
+            return real_encode(x, params)
+
+        monkeypatch.setattr(evaluation, "encode", counting_encode)
+        out = tmp_path / "eval"
+        assert main(["eval", str(ckpt_path), str(pairs_path), "--out", str(out), "--token-report"]) == EXIT_OK
+        pairs = load_sts_pairs(pairs_path)
+        vocab = load_checkpoint(ckpt_path).vocab
+        unique = list(dict.fromkeys(tuple(t) for t in [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs]))
+        groups = sum(
+            len(make_batch_tokens(unique[start:start + 64], vocab).length_groups())
+            for start in range(0, len(unique), 64)
+        )
+        assert len(unique) > 64
+        assert len(calls) == groups
+        assert sum(calls) == len(unique)
+
     def test_empty_pair_sentence_names_line(self, trained, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("5.0\tthe dog eats .\tthe dog eats .\n1.0\t \tthe cat sees .\n", encoding="utf-8")
@@ -264,6 +299,18 @@ class TestEmbed:
         main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(f1)])
         main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(f2)])
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_output_is_repr_of_encode_tokens_rows(self, trained, tmp_path):
+        lines = ["the dog eats the food .", "the cat sees the rice .", "the dog eats the food .", "a"]
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out_file = tmp_path / "emb.tsv"
+        assert main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(out_file)]) == EXIT_OK
+        ckpt = load_checkpoint(trained / "best.ckpt")
+        table, params = unpack_model(ckpt)
+        embs = encode_tokens([tokenize(line) for line in lines], ckpt.vocab, table, params)
+        expected = "".join("\t".join(repr(float(v)) for v in row) + "\n" for row in embs)
+        assert out_file.read_text(encoding="utf-8") == expected
 
     def test_empty_line_names_line_number(self, data, trained, tmp_path, capsys):
         sentences = tmp_path / "s.txt"

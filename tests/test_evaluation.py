@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sarcse.corpus import FrequencyTable, ScoredPair, Vocab
 from sarcse.embeddings import init_table
 from sarcse.evaluation import (
     GROUP_LABELS,
+    UNIFORMITY_BLOCK,
     EvalReport,
     UndefinedCorrelationError,
     alignment,
@@ -23,10 +25,10 @@ from sarcse.evaluation import (
     token_report,
     uniformity,
 )
-from sarcse.losses import LossConfig
+from sarcse.losses import LossConfig, ZeroNormError
 from sarcse.model import init_params
 
-from oracles import oracle_spearman, oracle_variance
+from oracles import oracle_spearman, oracle_uniformity, oracle_variance
 
 
 class TestSpearman:
@@ -115,6 +117,48 @@ class TestUniformity:
         with pytest.raises(ValueError):
             uniformity([np.ones(3)])
 
+    def test_zero_norm_rejected(self):
+        with pytest.raises(ZeroNormError, match="uniformity: zero-norm"):
+            uniformity([np.ones(3), np.zeros(3), np.ones(3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.one_of(
+            st.integers(2, 300),
+            st.sampled_from([k * UNIFORMITY_BLOCK + d for k in (1, 2, 3, 4) for d in (-1, 0, 1, 2)]),
+        ),
+        width=st.integers(2, 200),
+        duplicates=st.integers(0, 40),
+        near=st.integers(0, 40),
+        dtype=st.sampled_from([np.float32, np.float64]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_pairwise_oracle(self, n, width, duplicates, near, dtype, seed):
+        rng = np.random.default_rng(seed)
+        rows = rng.normal(size=(n, width))
+        rows[rng.integers(0, n, duplicates)] = rows[rng.integers(0, n, duplicates)]
+        src, dst = rng.integers(0, n, near), rng.integers(0, n, near)
+        rows[dst] = rows[src] + 1e-9 * rng.normal(size=(near, width))
+        rows = rows.astype(dtype)
+        assert abs(uniformity(rows) - oracle_uniformity(rows)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 300), width=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
+    def test_identical_rows_exactly_zero(self, n, width, seed):
+        row = np.random.default_rng(seed).normal(size=width)
+        assert uniformity([row.copy() for _ in range(n)]) == 0.0
+
+    def test_memory_is_blocked(self):
+        # An n x n float64 distance matrix alone would be 30.5 MiB here.
+        rows = list(np.random.default_rng(2).normal(size=(2000, 189)))
+        tracemalloc.start()
+        try:
+            uniformity(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
 
 class TestRotationInvariance:
     def test_alignment_and_uniformity_under_rotation(self):
@@ -186,6 +230,14 @@ def _pair(score, a, b):
     return ScoredPair(score, a.split(), b.split())
 
 
+def report_rows(pairs, vocab, table, params, freq):
+    """`token_report` rows over one encode pass of the pairs' sentences, a, b per pair."""
+    token_mse = {}
+    sides = [toks for pair in pairs for toks in (pair.sentence_a, pair.sentence_b)]
+    encode_tokens(sides, vocab, table, params, token_mse=token_mse)
+    return token_report(pairs, vocab, LossConfig(), freq, token_mse)
+
+
 class TestEvaluatePairs:
     def test_report_fields_and_determinism(self, tiny_model):
         vocab, table, params = tiny_model
@@ -247,6 +299,22 @@ class TestEvaluatePairs:
         assert embs[0].tobytes() == embs[1].tobytes() == embs[2].tobytes()
 
 
+    def test_eval_pass_token_mse_matches_a_separate_pass(self, tiny_model):
+        vocab, table, params = tiny_model
+        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        pairs = [
+            _pair(5.0, "w0 w1 w2 w3 w4", "w0 w1 w2 w3 w4"),
+            _pair(2.0, "w5 w6 w7", "w0 w1 w2 w3 w4 w8 w9"),
+            _pair(0.5, "w10 w11 w0 w1 w2", "w6 w7 w8 w9 w10 oov"),
+        ]
+        token_mse = {}
+        report = evaluate_pairs(pairs, vocab, table, params, token_mse=token_mse)
+        assert report == evaluate_pairs(pairs, vocab, table, params)
+        assert set(token_mse) == {tuple(t) for p in pairs for t in (p.sentence_a, p.sentence_b)}
+        rows = token_report(pairs, vocab, LossConfig(), freq, token_mse)
+        assert rows == report_rows(pairs, vocab, table, params, freq)
+
+
 _WORDS = [f"w{i}" for i in range(12)] + ["oov"]
 
 
@@ -267,10 +335,10 @@ class TestBatchIndependence:
             assert row.tobytes() == alone.tobytes()
 
         pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences, sentences[::-1])]
-        together = token_report(pairs, vocab, table, params, LossConfig(), freq)
+        together = report_rows(pairs, vocab, table, params, freq)
         for pi, pair in enumerate(pairs):
             for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
-                alone = token_report([ScoredPair(1.0, toks, toks)], vocab, table, params, LossConfig(), freq)
+                alone = report_rows([ScoredPair(1.0, toks, toks)], vocab, table, params, freq)
                 mse = np.array([r[4] for r in together if r[:2] == (pi, side)])
                 mse_alone = np.array([r[4] for r in alone if r[1] == "a"])
                 assert mse.tobytes() == mse_alone.tobytes()
@@ -288,10 +356,10 @@ class TestBatchIndependence:
         assert len({tuple(s) for s in sentences}) == 16
         freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
         pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences[::2], sentences[1::2])]
-        together = token_report(pairs, vocab, table, params, LossConfig(), freq)
+        together = report_rows(pairs, vocab, table, params, freq)
         for pi, pair in enumerate(pairs):
             for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
-                alone = token_report([ScoredPair(1.0, toks, toks)], vocab, table, params, LossConfig(), freq)
+                alone = report_rows([ScoredPair(1.0, toks, toks)], vocab, table, params, freq)
                 mse = np.array([r[4] for r in together if r[:2] == (pi, side)])
                 mse_alone = np.array([r[4] for r in alone if r[1] == "a"])
                 assert mse.tobytes() == mse_alone.tobytes()
