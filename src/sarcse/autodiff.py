@@ -422,9 +422,6 @@ class GradientMap:
             return np.zeros_like(t.data)
         return g
 
-    def __contains__(self, t: Tensor) -> bool:
-        return t.node_id in self._grads
-
 
 def _topo_order(root: Tensor) -> list[Tensor]:
     order: list[Tensor] = []

@@ -26,8 +26,7 @@ import numpy as np
 
 from .autodiff import Tensor
 from .corpus import FrequencyTable, Vocab
-from .embeddings import EmbeddingTable
-from .model import ModelParams, build_params
+from .model import param_shapes
 
 MAGIC = b"SARC"
 VERSION = 1
@@ -186,20 +185,21 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 # -- model <-> tensor-dict plumbing ------------------------------------------
 
 
-def pack_model(table: EmbeddingTable, params: ModelParams) -> dict[str, np.ndarray]:
-    tensors = {"embedding.weights": table.weights.data}
-    for name, t in params.named():
-        tensors[name] = t.data
-    return tensors
+def pack_model(table: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    return {"embedding.weights": table.data, **{name: t.data for name, t in params.items()}}
 
 
-def unpack_model(ckpt: Checkpoint) -> tuple[EmbeddingTable, ModelParams]:
+def unpack_model(ckpt: Checkpoint) -> tuple[Tensor, dict[str, Tensor]]:
     """Rebuild the embedding table and conv parameters from stored tensors,
     each of the shape the header config and vocabulary imply."""
     cfg = ckpt.config
     embed_dim = int(cfg["embed_dim"])
-
-    def tensor(name: str, shape: tuple[int, ...]) -> Tensor:
+    shapes = {
+        "embedding.weights": (len(ckpt.vocab), embed_dim),
+        **param_shapes(embed_dim, int(cfg["enc_channels"]), int(cfg["mix_channels"])),
+    }
+    tensors = {}
+    for name, shape in shapes.items():
         if name not in ckpt.tensors:
             raise CheckpointError(f"checkpoint missing tensor {name}")
         arr = ckpt.tensors[name]
@@ -207,11 +207,5 @@ def unpack_model(ckpt: Checkpoint) -> tuple[EmbeddingTable, ModelParams]:
             raise CheckpointError(
                 f"checkpoint tensor {name} has shape {arr.shape}, but the header implies {shape}"
             )
-        return Tensor(arr.copy())
-
-    table = EmbeddingTable(
-        tensor("embedding.weights", (len(ckpt.vocab), embed_dim)),
-        trainable=not cfg.get("freeze_table", False),
-    )
-    params = build_params(embed_dim, int(cfg["enc_channels"]), int(cfg["mix_channels"]), tensor)
-    return table, params
+        tensors[name] = Tensor(arr.copy())
+    return tensors.pop("embedding.weights"), tensors

@@ -24,7 +24,6 @@ from .evaluation import (
     write_metrics_csv,
     write_summary,
 )
-from .losses import LossConfig
 from .trainer import ABLATIONS, TrainConfig, train, write_log
 
 EXIT_OK = 0
@@ -116,7 +115,7 @@ def resolve_config(
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig of a resolved config; an out-of-range value is a ConfigError."""
     try:
-        return TrainConfig.from_flat({k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
+        return TrainConfig(**{k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
@@ -205,8 +204,8 @@ def cmd_eval(args) -> int:
     write_density_csv(report, out_dir / "density.csv")
     write_summary(report, out_dir / "summary.txt")
     if args.token_report:
-        loss_cfg = LossConfig(theta=float(ckpt.config["theta"]), lam=float(ckpt.config["lam"]))
-        rows = token_report(pairs, ckpt.vocab, loss_cfg, ckpt.freq, token_mse)
+        rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse,
+                            float(ckpt.config["theta"]), float(ckpt.config["lam"]))
         with open(out_dir / "token_report.csv", "w", encoding="utf-8") as fh:
             fh.write("pair,side,position,token,recon_mse,weight\n")
             for pi, side, pos, tok, mse, w in rows:

@@ -114,9 +114,6 @@ class FrequencyTable:
 
     freq: np.ndarray    # float64, length == len(vocab)
 
-    def of_id(self, idx: int) -> float:
-        return float(self.freq[idx])
-
 
 def token_frequency(corpus_path: str | Path, vocab: Vocab) -> FrequencyTable:
     """Normalized token frequencies over the training corpus."""
@@ -178,14 +175,6 @@ class SentenceBatch:
     ids: np.ndarray        # B x L int64
     mask: np.ndarray       # B x L bool, True = real token
     lengths: np.ndarray    # B int64
-
-    @property
-    def padded_len(self) -> int:
-        return self.ids.shape[1]
-
-    def token_ids(self, i: int) -> np.ndarray:
-        """Un-padded id sequence of sentence `i`."""
-        return self.ids[i, : self.lengths[i]]
 
     def length_groups(self) -> list[tuple[np.ndarray, int]]:
         """(rows, n) for each effective length n = max(length, MIN_SENTENCE_LEN),

@@ -2,25 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autodiff import Tensor, dropout, embedding_lookup
 from .corpus import PAD_ID, UNK_ID, SentenceBatch, Vocab, pretrained_vectors
-
-
-@dataclass
-class EmbeddingTable:
-    """V x d lookup table; row 0 (PAD) is pinned at zero."""
-
-    weights: Tensor
-    trainable: bool = True
-
-    def frozen_view(self) -> "EmbeddingTable":
-        """Same weights outside the differentiation graph (inference)."""
-        return EmbeddingTable(Tensor(self.weights.data), trainable=False)
 
 
 def init_table(
@@ -30,10 +17,10 @@ def init_table(
     rng: np.random.Generator,
     pretrained_path: str | Path | None = None,
     dtype=np.float32,
-) -> EmbeddingTable:
-    """Uniform(-init_scale, +init_scale) table, optionally overlaid with
-    vectors from a pretrained file for the vocabulary tokens it covers
-    (other lines are skipped)."""
+) -> Tensor:
+    """V x d table drawn from Uniform(-init_scale, +init_scale), optionally
+    overlaid with vectors from a pretrained file for the vocabulary tokens it
+    covers (other lines are skipped). Row 0 (PAD) is pinned at zero."""
     if dim < 1:
         raise ValueError(f"init_table: dim must be >= 1, got {dim}")
     weights = rng.uniform(-init_scale, init_scale, size=(len(vocab), dim))
@@ -47,12 +34,12 @@ def init_table(
             if idx != UNK_ID:
                 weights[idx] = vec
     weights[PAD_ID] = 0.0
-    return EmbeddingTable(Tensor(weights.astype(dtype), requires_grad=True))
+    return Tensor(weights.astype(dtype), requires_grad=True)
 
 
 def embed(
     batch: SentenceBatch,
-    table: EmbeddingTable,
+    table: Tensor,
     dropout_rate: float,
     rng: np.random.Generator,
 ) -> Tensor:
@@ -61,7 +48,7 @@ def embed(
     Two calls with independent rng draws give the two dropout views of the
     same batch; rate 0 is a pure lookup. PAD rows stay zero either way.
     """
-    out = embedding_lookup(table.weights, batch.ids)
+    out = embedding_lookup(table, batch.ids)
     if dropout_rate > 0.0:
         out = dropout(out, dropout_rate, rng)
     return out

@@ -4,15 +4,17 @@ embedding space, and grouped similarity densities."""
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
+from .autodiff import Tensor
 from .corpus import ScoredPair, Vocab, make_batch_tokens
-from .embeddings import EmbeddingTable, embed
-from .losses import LossConfig, ZeroNormError, token_weights
-from .model import ModelParams, decode, encode
+from .embeddings import embed
+from .losses import ZeroNormError, token_weights
+from .model import decode, encode
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
 
@@ -73,49 +75,51 @@ def alignment(pos_pairs: Sequence[tuple[np.ndarray, np.ndarray]]) -> float:
     return total / len(pos_pairs)
 
 
-# Rows per GEMM block in `uniformity`: each block holds one BLOCK x n float64
-# distance matrix, so memory is O(BLOCK * n) and never n x n.
+# Rows per GEMM block in `uniformity`: each block holds one BLOCK x m float64
+# distance matrix over the m distinct rows, so memory is O(BLOCK * m) and
+# never m x m.
 UNIFORMITY_BLOCK = 64
-# Gram-form squared distances below this (negative ones included) are
-# recomputed from the difference; it sits far above the rounding of
-# |u|^2 + |v|^2 - 2 u.v for unit rows.
-_EXACT_BELOW = 1e-9
-_EXACT_PAIRS = 1024     # close pairs recomputed per gather, to bound memory
 
 
 def uniformity(embeddings: Sequence[np.ndarray]) -> float:
     """log of the mean Gaussian-kernel value over all unordered distinct pairs.
 
-    Squared distances come from blocked Gram products, |u_i|^2 + |u_j|^2 -
-    2 u_i.u_j; pairs closer than `_EXACT_BELOW` are recomputed from their
-    difference, so bitwise-identical embeddings are exactly distance 0.
+    Each bitwise-distinct normalized row is kept once with its multiplicity
+    c, in first-occurrence order: its c(c-1)/2 pairs with itself have kernel
+    value exactly 1. Squared distances between distinct rows come from
+    blocked Gram products, |u_i|^2 + |u_j|^2 - 2 u_i.u_j, clamped at 0, and
+    each is weighted by c_i c_j.
     """
     n = len(embeddings)
     if n < 2:
         raise ValueError("uniformity: need at least 2 embeddings")
-    unit = np.array(embeddings, dtype=np.float64)
-    norms = np.linalg.norm(unit, axis=1)
+    rows = np.array(embeddings, dtype=np.float64)
+    norms = np.linalg.norm(rows, axis=1)
     if not norms.all():
         raise ZeroNormError("uniformity: zero-norm embedding")
-    unit /= norms[:, None]
+    rows /= norms[:, None]
+    counts = Counter(row.tobytes() for row in rows)
+    del rows        # its bytes live on as the keys; free each copy once it is rebuilt
+    mult = np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+    unit = np.frombuffer(b"".join(counts), dtype=np.float64).reshape(len(mult), -1)
+    del counts
+    m = len(mult)
     sq = np.einsum("ij,ij->i", unit, unit)
-    total = 0.0
-    for start in range(0, n - 1, UNIFORMITY_BLOCK):
-        # rows i in [start, stop) against columns j in [start + 1, n)
-        stop = min(start + UNIFORMITY_BLOCK, n - 1)
+    total = float((mult * (mult - 1.0)).sum() * 0.5)
+    for start in range(0, m - 1, UNIFORMITY_BLOCK):
+        # rows i in [start, stop) against columns j in [start + 1, m)
+        stop = min(start + UNIFORMITY_BLOCK, m - 1)
         b = stop - start
         dist = unit[start:stop] @ unit[start + 1:].T
         dist *= -2.0
         dist += sq[start:stop, None]
         dist += sq[None, start + 1:]
+        np.maximum(dist, 0.0, out=dist)
         dist[:, :b][np.tril_indices(b, -1)] = np.inf    # j <= i
-        rows, cols = np.nonzero(dist < _EXACT_BELOW)
-        for k in range(0, len(rows), _EXACT_PAIRS):
-            r, c = rows[k:k + _EXACT_PAIRS], cols[k:k + _EXACT_PAIRS]
-            diff = unit[start + r] - unit[start + 1 + c]   # exact zeros for identical embeddings
-            dist[r, c] = np.einsum("ij,ij->i", diff, diff)
         dist *= -2.0
         np.exp(dist, out=dist)
+        dist *= mult[start:stop, None]
+        dist *= mult[None, start + 1:]
         total += float(dist.sum())
     return float(np.log(total / (n * (n - 1) // 2)))
 
@@ -162,8 +166,8 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 def encode_tokens(
     token_lists: Sequence[list[str]],
     vocab: Vocab,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
     batch_size: int = 64,
     token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> np.ndarray:
@@ -174,7 +178,7 @@ def encode_tokens(
     Given a dict `token_mse`, the same pass also decodes every distinct
     sentence and stores its per-token reconstruction MSE under its tokens.
     """
-    frozen = table.frozen_view()
+    frozen = Tensor(table.data)     # the same weights outside the graph
     unique = list(dict.fromkeys(tuple(t) for t in token_lists))
     rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
     cache = {}
@@ -222,8 +226,8 @@ class EvalReport:
 def evaluate_pairs(
     pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
     pos_threshold: float = 4.0,
     token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> EvalReport:
@@ -270,9 +274,10 @@ def evaluate_checkpoint(checkpoint, pairs_path, pos_threshold: float = 4.0) -> E
 def token_report(
     pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    loss_cfg: LossConfig,
     freq,
     token_mse: dict[tuple[str, ...], np.ndarray],
+    theta: float,
+    lam: float,
 ) -> list[tuple[int, str, int, str, float, float]]:
     """Per-token reconstruction MSE rows: (pair, side, position, token, mse, weight).
 
@@ -283,7 +288,7 @@ def token_report(
     rows = []
     for pi, pair in enumerate(pairs):
         for side, toks in (("a", pair.sentence_a), ("b", pair.sentence_b)):
-            weights = token_weights(np.asarray(vocab.encode(toks)), freq, loss_cfg.theta, loss_cfg.lam)
+            weights = token_weights(np.asarray(vocab.encode(toks)), freq, theta, lam)
             mse = token_mse[tuple(toks)]
             for pos, tok in enumerate(toks):
                 rows.append((pi, side, pos, tok, float(mse[pos]), float(weights[pos])))

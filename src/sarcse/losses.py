@@ -3,8 +3,6 @@ combined objective."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .autodiff import Tensor
@@ -13,37 +11,6 @@ from .corpus import FrequencyTable
 
 class ZeroNormError(FloatingPointError, ValueError):
     """An embedding has norm zero, so its direction (and cosine) is undefined."""
-
-
-@dataclass
-class LossConfig:
-    """Objective hyperparameters.
-
-    theta is the floor of the per-token reconstruction weight, lam the slope
-    of the frequency penalty, tau the InfoNCE temperature, and alpha / beta /
-    gamma the mixing weights of the contrastive term and the two
-    reconstruction terms. With detach_targets the reconstruction targets are
-    treated as constants, which closes the collapse-to-zero shortcut a
-    trainable embedding table would otherwise have.
-    """
-
-    theta: float = 0.1
-    lam: float = 50.0
-    tau: float = 0.05
-    alpha: float = 1.0
-    beta: float = 2.5e-4
-    gamma: float = 2.5e-4
-    detach_targets: bool = False
-
-    def __post_init__(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
-        if self.lam < 0.0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.tau <= 0.0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
-        if min(self.alpha, self.beta, self.gamma) < 0.0:
-            raise ValueError("alpha, beta, gamma must be >= 0")
 
 
 def token_weight(freq: float, theta: float, lam: float) -> float:
@@ -127,6 +94,8 @@ def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
     return Tensor._from_op(loss, (z, z_aug), vjp)
 
 
-def total_loss(l_contrastive: Tensor, l_recon: Tensor, l_recon_aug: Tensor, cfg: LossConfig) -> Tensor:
+def total_loss(
+    l_contrastive: Tensor, l_recon: Tensor, l_recon_aug: Tensor, alpha: float, beta: float, gamma: float
+) -> Tensor:
     """alpha * contrastive + beta * reconstruction + gamma * augmented reconstruction."""
-    return l_contrastive * cfg.alpha + l_recon * cfg.beta + l_recon_aug * cfg.gamma
+    return l_contrastive * alpha + l_recon * beta + l_recon_aug * gamma

@@ -13,12 +13,15 @@ sentences of a batch that share an effective length n
 (`SentenceBatch.length_groups`), stacked as B_g x n x d with no padding
 beyond the zero rows of sentences shorter than 5 tokens. Each sentence keeps
 the BLAS shapes it would have alone, so its bits never depend on its batch.
+
+The parameters are one dict from checkpoint name (`enc.k3.kernels`,
+`mix.bias`, ...) to Tensor, laid out by `param_shapes`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -34,69 +37,24 @@ from .autodiff import (
     transposed_conv2d,
 )
 from .corpus import SentenceBatch
-from .embeddings import EmbeddingTable, embed
+from .embeddings import embed
 
 KERNEL_SIZES = (3, 4, 5)
 MIX_KERNEL = (3, 2)     # consumes all three scales per adjacent channel pair
 
 
-@dataclass
-class ModelParams:
-    """All convolution parameters, keyed by kernel width where per-scale."""
-
-    embed_dim: int
-    enc_channels: int
-    mix_channels: int
-    enc_kernels: dict[int, Tensor]
-    enc_bias: dict[int, Tensor]
-    mix_kernels: Tensor
-    mix_bias: Tensor
-    demix_kernels: Tensor
-    demix_bias: Tensor
-    dec_kernels: dict[int, Tensor]
-    dec_bias: dict[int, Tensor]
-
-    @property
-    def embedding_size(self) -> int:
-        return self.mix_channels * (self.enc_channels - 1)
-
-    def named(self) -> Iterator[tuple[str, Tensor]]:
+def param_shapes(embed_dim: int, enc_channels: int, mix_channels: int) -> dict[str, tuple[int, ...]]:
+    """Shape of every model parameter under its checkpoint name. Kernels come
+    in the order enc, dec, mix, demix, which is the draw order of `init_params`."""
+    shapes = {}
+    for part, bias in (("enc", enc_channels), ("dec", embed_dim)):
         for ks in KERNEL_SIZES:
-            yield f"enc.k{ks}.kernels", self.enc_kernels[ks]
-            yield f"enc.k{ks}.bias", self.enc_bias[ks]
-        yield "mix.kernels", self.mix_kernels
-        yield "mix.bias", self.mix_bias
-        yield "demix.kernels", self.demix_kernels
-        yield "demix.bias", self.demix_bias
-        for ks in KERNEL_SIZES:
-            yield f"dec.k{ks}.kernels", self.dec_kernels[ks]
-            yield f"dec.k{ks}.bias", self.dec_bias[ks]
-
-
-def build_params(
-    embed_dim: int,
-    enc_channels: int,
-    mix_channels: int,
-    tensor: Callable[[str, tuple[int, ...]], Tensor],
-) -> ModelParams:
-    """ModelParams holding `tensor(name, shape)` for every parameter, by its
-    `named` name. Kernels are requested in the order enc, dec, mix, demix,
-    which is the draw order of `init_params`."""
-    conv = {ks: (enc_channels, ks, embed_dim) for ks in KERNEL_SIZES}
-    mix = (mix_channels, *MIX_KERNEL)
-    return ModelParams(
-        embed_dim=embed_dim,
-        enc_channels=enc_channels,
-        mix_channels=mix_channels,
-        enc_kernels={ks: tensor(f"enc.k{ks}.kernels", conv[ks]) for ks in KERNEL_SIZES},
-        enc_bias={ks: tensor(f"enc.k{ks}.bias", (enc_channels,)) for ks in KERNEL_SIZES},
-        dec_kernels={ks: tensor(f"dec.k{ks}.kernels", conv[ks]) for ks in KERNEL_SIZES},
-        dec_bias={ks: tensor(f"dec.k{ks}.bias", (embed_dim,)) for ks in KERNEL_SIZES},
-        mix_kernels=tensor("mix.kernels", mix),
-        mix_bias=tensor("mix.bias", (mix_channels,)),
-        demix_kernels=tensor("demix.kernels", mix),
-        demix_bias=tensor("demix.bias", (1,)),
-    )
+            shapes[f"{part}.k{ks}.kernels"] = (enc_channels, ks, embed_dim)
+            shapes[f"{part}.k{ks}.bias"] = (bias,)
+    for part, bias in (("mix", mix_channels), ("demix", 1)):
+        shapes[f"{part}.kernels"] = (mix_channels, *MIX_KERNEL)
+        shapes[f"{part}.bias"] = (bias,)
+    return shapes
 
 
 def init_params(
@@ -105,7 +63,7 @@ def init_params(
     mix_channels: int,
     rng: np.random.Generator,
     dtype=np.float32,
-) -> ModelParams:
+) -> dict[str, Tensor]:
     """Uniform fan-in-scaled kernels, zero biases. The fan-in of encoder
     kernels (enc, mix) is one output's window, of decoder kernels (dec, demix)
     their input channels."""
@@ -121,7 +79,8 @@ def init_params(
         s = 1.0 / np.sqrt(fan_in)
         return Tensor(rng.uniform(-s, s, size=shape).astype(dtype), requires_grad=True)
 
-    return build_params(embed_dim, enc_channels, mix_channels, draw)
+    shapes = param_shapes(embed_dim, enc_channels, mix_channels)
+    return {name: draw(name, shape) for name, shape in shapes.items()}
 
 
 @dataclass
@@ -132,8 +91,8 @@ class EncodeState:
     pool_indices: dict[int, np.ndarray] = field(default_factory=dict)   # B x enc_channels
 
 
-def encode(x: Tensor, params: ModelParams) -> tuple[Tensor, EncodeState]:
-    """Encode B x N x d sentences into B x embedding_size embeddings.
+def encode(x: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, EncodeState]:
+    """Encode B x N x d sentences into B x |z| embeddings, |z| = mix_channels * (enc_channels - 1).
 
     N must be at least the largest kernel width (batching pads to 5).
     """
@@ -143,30 +102,32 @@ def encode(x: Tensor, params: ModelParams) -> tuple[Tensor, EncodeState]:
     state = EncodeState(length=n)
     pooled = []
     for ks in KERNEL_SIZES:
-        feature_map = conv1d_valid(x, params.enc_kernels[ks], params.enc_bias[ks])
+        feature_map = conv1d_valid(x, params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"])
         values, indices = max_pool_time(feature_map)
         state.pool_indices[ks] = indices
         pooled.append(values)
     plane = stack_rows(pooled)                                  # B x 3 x enc_channels
-    mixed = conv2d_valid(plane, params.mix_kernels, params.mix_bias)
+    mixed = conv2d_valid(plane, params["mix.kernels"], params["mix.bias"])
     return mixed.reshape(x.shape[0], -1), state
 
 
-def decode(z: Tensor, state: EncodeState, params: ModelParams) -> Tensor:
-    """Reconstruct B x N x d token representations from B x embedding_size embeddings."""
-    if z.shape[1:] != (params.embedding_size,):
+def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
+    """Reconstruct B x N x d token representations from B x |z| embeddings."""
+    mix_channels, enc_channels = params["demix.kernels"].shape[0], params["dec.k3.kernels"].shape[0]
+    width = mix_channels * (enc_channels - 1)
+    if z.shape[1:] != (width,):
         raise ShapeError(
             f"decode: embeddings of shape {z.shape} do not have the embedding length "
-            f"mix_channels*(enc_channels-1) = {params.embedding_size}"
+            f"mix_channels*(enc_channels-1) = {width}"
         )
-    planes = z.reshape(z.shape[0], params.mix_channels, 1, params.enc_channels - 1)
-    restored = transposed_conv2d(planes, params.demix_kernels, params.demix_bias)
+    planes = z.reshape(z.shape[0], mix_channels, 1, enc_channels - 1)
+    restored = transposed_conv2d(planes, params["demix.kernels"], params["demix.bias"])
     scales: Optional[Tensor] = None
     for row, ks in enumerate(KERNEL_SIZES):
         unpooled = max_unpool_time(
             restored[:, row], state.pool_indices[ks], state.length - ks + 1
         )
-        tokens = transposed_conv1d(unpooled, params.dec_kernels[ks], params.dec_bias[ks])
+        tokens = transposed_conv1d(unpooled, params[f"dec.k{ks}.kernels"], params[f"dec.k{ks}.bias"])
         scales = tokens if scales is None else scales + tokens
     return scales * (1.0 / len(KERNEL_SIZES))
 
@@ -177,14 +138,14 @@ class LengthGroup:
 
     rows: np.ndarray                # the group's rows in the batch, ascending
     inputs: Tensor                  # B_g x n x d slice of the embedded batch
-    embeddings: Tensor              # B_g x embedding_size
+    embeddings: Tensor              # B_g x |z|
     recons: Optional[Tensor]        # B_g x n x d; None when the decoder is disabled
 
 
 def forward_pair(
     batch: SentenceBatch,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
     dropout_rate: float,
     rng: np.random.Generator,
     run_decoder: bool = True,

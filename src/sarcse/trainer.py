@@ -4,7 +4,7 @@ checkpoint snapshots."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -12,17 +12,26 @@ import numpy as np
 from .autodiff import GradientMap, Tensor, backward, concat
 from .checkpoint import Checkpoint, pack_model
 from .corpus import PAD_ID, FrequencyTable, ScoredPair, SentenceBatch, Vocab, make_batch
-from .embeddings import EmbeddingTable, init_table
+from .embeddings import init_table
 from .evaluation import UndefinedCorrelationError, cosine, encode_tokens, spearman
-from .losses import LossConfig, info_nce, reconstruction_loss, token_weights, total_loss
-from .model import ModelParams, forward_pair, init_params
+from .losses import info_nce, reconstruction_loss, token_weights, total_loss
+from .model import forward_pair, init_params
 
 ABLATIONS = ("full", "no_sal", "no_sal_no_decoder")
 
 
 @dataclass
 class TrainConfig:
-    """Model dimensions, optimization settings, and the loss configuration."""
+    """Model dimensions, optimization settings, and the objective.
+
+    theta is the floor of the per-token reconstruction weight, lam the slope
+    of the frequency penalty, tau the InfoNCE temperature, and alpha / beta /
+    gamma the mixing weights of the contrastive term and the two
+    reconstruction terms. With detach_targets the reconstruction targets are
+    treated as constants, which closes the collapse-to-zero shortcut a
+    trainable embedding table would otherwise have. The field order is the
+    order of the checkpoint header's config.
+    """
 
     embed_dim: int = 32
     enc_channels: int = 64
@@ -42,7 +51,13 @@ class TrainConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     ablation: str = "full"
-    loss: LossConfig = field(default_factory=LossConfig)
+    theta: float = 0.1
+    lam: float = 50.0
+    tau: float = 0.05
+    alpha: float = 1.0
+    beta: float = 2.5e-4
+    gamma: float = 2.5e-4
+    detach_targets: bool = False
 
     def __post_init__(self):
         if self.embed_dim < 1:
@@ -51,6 +66,8 @@ class TrainConfig:
             raise ValueError(f"enc_channels must be >= 2 (the mix kernel spans 2 channels), got {self.enc_channels}")
         if self.mix_channels < 1:
             raise ValueError(f"mix_channels must be >= 1, got {self.mix_channels}")
+        if not self.init_scale >= 0.0:
+            raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
@@ -65,27 +82,25 @@ class TrainConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not self.adam_eps > 0.0:
+            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
         if self.ablation not in ABLATIONS:
             raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError(f"theta must be in [0, 1], got {self.theta}")
+        if not self.lam >= 0.0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not self.tau > 0.0:
+            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not min(self.alpha, self.beta, self.gamma) >= 0.0:
+            raise ValueError("alpha, beta, gamma must be >= 0")
 
     def to_flat(self) -> dict:
-        """Flat scalar dict, loss fields inlined; round-trips via `from_flat`."""
-        out = {}
-        for f in fields(self):
-            if f.name == "loss":
-                continue
-            out[f.name] = getattr(self, f.name)
-        for f in fields(self.loss):
-            out[f.name] = getattr(self.loss, f.name)
-        return out
-
-    @classmethod
-    def from_flat(cls, flat: dict) -> "TrainConfig":
-        loss_names = {f.name for f in fields(LossConfig)}
-        own_names = {f.name for f in fields(cls)} - {"loss"}
-        loss = LossConfig(**{k: v for k, v in flat.items() if k in loss_names})
-        own = {k: v for k, v in flat.items() if k in own_names}
-        return cls(loss=loss, **own)
+        """The fields as a dict, in declaration order."""
+        return asdict(self)
 
 
 @dataclass
@@ -161,8 +176,8 @@ class TrainResult:
 def dev_spearman(
     pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
 ) -> Optional[float]:
     """Spearman of predicted vs gold similarity; None when undefined."""
     all_tokens = [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs]
@@ -178,8 +193,8 @@ def _snapshot(
     cfg: TrainConfig,
     vocab: Vocab,
     freq: FrequencyTable,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
     opt: AdamW,
     best_dev: Optional[float],
 ) -> Checkpoint:
@@ -198,8 +213,8 @@ def _snapshot(
 def objective(
     cfg: TrainConfig,
     batch: SentenceBatch,
-    table: EmbeddingTable,
-    params: ModelParams,
+    table: Tensor,
+    params: dict[str, Tensor],
     freq: FrequencyTable,
     rng: np.random.Generator,
 ) -> tuple[Tensor, LogRow]:
@@ -210,7 +225,7 @@ def objective(
     run_decoder = cfg.ablation != "no_sal_no_decoder"
     view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
     l_info = info_nce(
-        concat([g.embeddings for g in view]), concat([g.embeddings for g in view_aug]), cfg.loss.tau
+        concat([g.embeddings for g in view]), concat([g.embeddings for g in view_aug]), cfg.tau
     )
     l_recon = l_recon_aug = Tensor(np.zeros(()))
     weight_mean = 1.0
@@ -218,7 +233,7 @@ def objective(
         if cfg.ablation == "no_sal":
             w = np.ones(batch.ids.shape)
         else:
-            w = token_weights(batch.ids, freq, cfg.loss.theta, cfg.loss.lam)
+            w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
         weight_mean = float(w[batch.mask].mean())
         terms = []
         for groups in (view, view_aug):
@@ -226,12 +241,12 @@ def objective(
             for g in groups:
                 n = g.inputs.shape[1]
                 per_sentence.append(reconstruction_loss(
-                    g.inputs, g.recons, w[g.rows, :n], batch.mask[g.rows, :n], cfg.loss.detach_targets
+                    g.inputs, g.recons, w[g.rows, :n], batch.mask[g.rows, :n], cfg.detach_targets
                 ))
             terms.append(concat(per_sentence).mean())
         l_recon, l_recon_aug = terms
 
-    loss = total_loss(l_info, l_recon, l_recon_aug, cfg.loss)
+    loss = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)
     row = LogRow(
         step=0,
         infonce=float(l_info.data),
@@ -273,9 +288,9 @@ def train(
         eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
     )
 
-    named = list(params.named())
-    if table.trainable and not cfg.freeze_table:
-        named = [("embedding.weights", table.weights)] + named
+    named = list(params.items())
+    if not cfg.freeze_table:
+        named = [("embedding.weights", table)] + named
 
     steps_per_epoch = math.ceil(len(sentences) / cfg.batch_size)
     budget = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch

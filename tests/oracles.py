@@ -53,16 +53,16 @@ def oracle_encode(x, params, kernel_sizes):
     n, d = x.shape
     pooled, indices = [], {}
     for ks in kernel_sizes:
-        k = params.enc_kernels[ks].data
+        k = params[f"enc.k{ks}.kernels"].data
         win = np.concatenate([x[j:n - ks + 1 + j] for j in range(ks)], axis=1)
-        fm = win @ k.reshape(k.shape[0], -1).T + params.enc_bias[ks].data
+        fm = win @ k.reshape(k.shape[0], -1).T + params[f"enc.k{ks}.bias"].data
         indices[ks] = fm.argmax(axis=0)
         pooled.append(fm.max(axis=0))
     plane = np.stack(pooled)
-    mk = params.mix_kernels.data
+    mk = params["mix.kernels"].data
     m, kh, kw = mk.shape
     rr, cc = plane.shape[0] - kh + 1, plane.shape[1] - kw + 1
-    mixed = np.zeros((m, rr, cc)) + params.mix_bias.data[:, None, None]
+    mixed = np.zeros((m, rr, cc)) + params["mix.bias"].data[:, None, None]
     for a in range(kh):
         for b in range(kw):
             mixed += mk[:, a, b][:, None, None] * plane[a:a + rr, b:b + cc]
@@ -71,11 +71,11 @@ def oracle_encode(x, params, kernel_sizes):
 
 def oracle_decode(z, indices, n, params, kernel_sizes):
     """Embedding vector -> N x d reconstruction, unpooling at `indices`."""
-    dk = params.demix_kernels.data
+    dk = params["demix.kernels"].data
     m, kh, kw = dk.shape
     planes = z.reshape(m, 1, -1)
     rr, cc = planes.shape[1:]
-    restored = np.full((rr + kh - 1, cc + kw - 1), float(params.demix_bias.data[0]))
+    restored = np.full((rr + kh - 1, cc + kw - 1), float(params["demix.bias"].data[0]))
     for a in range(kh):
         for b in range(kw):
             restored[a:a + rr, b:b + cc] += np.einsum("o,orc->rc", dk[:, a, b], planes)
@@ -85,8 +85,8 @@ def oracle_decode(z, indices, n, params, kernel_sizes):
         p = n - ks + 1
         unpooled = np.zeros((p, c))
         unpooled[indices[ks], np.arange(c)] = restored[row]
-        k = params.dec_kernels[ks].data
-        tokens = np.tile(params.dec_bias[ks].data, (n, 1))
+        k = params[f"dec.k{ks}.kernels"].data
+        tokens = np.tile(params[f"dec.k{ks}.bias"].data, (n, 1))
         for j in range(ks):
             tokens[j:j + p] += unpooled @ k[:, j, :]
         total = total + tokens

@@ -20,7 +20,7 @@ from sarcse.corpus import FrequencyTable, Vocab, make_batch
 from sarcse.embeddings import init_table
 from sarcse.evaluation import alignment, spearman, uniformity
 from sarcse.losses import info_nce, reconstruction_loss, token_weight, token_weights
-from sarcse.model import KERNEL_SIZES, encode, forward_pair, init_params
+from sarcse.model import KERNEL_SIZES, encode, forward_pair, init_params, param_shapes
 from sarcse.trainer import TrainConfig, objective
 
 TOY_TRAIN_ARGS = [
@@ -36,7 +36,7 @@ TOY_TRAIN_ARGS = [
 def _feature_map_gap(x_data, params):
     gaps = []
     for ks in KERNEL_SIZES:
-        fm = conv1d_valid(Tensor(x_data), params.enc_kernels[ks], params.enc_bias[ks]).data
+        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"]).data
         if fm.shape[1] < 2:
             continue
         srt = np.sort(fm, axis=1)
@@ -47,8 +47,6 @@ def _feature_map_gap(x_data, params):
 def _objective_point():
     """Full-objective check point: B=3 sentences of 6 tokens, away from
     pooling ties under both dropout views."""
-    from test_model import _params_from_arrays  # shared layout helper
-
     embed_dim, enc_channels, mix_channels = 4, 6, 2
     cfg = TrainConfig(embed_dim=embed_dim, enc_channels=enc_channels, mix_channels=mix_channels, dropout=0.1)
     vocab = Vocab([f"w{i}" for i in range(10)])
@@ -59,16 +57,11 @@ def _objective_point():
     freq = FrequencyTable(freq_raw / freq_raw.sum())
     dropout_seed = 1234
 
-    def build(table_arr, param_arrays):
-        from sarcse.embeddings import EmbeddingTable
+    names = list(param_shapes(embed_dim, enc_channels, mix_channels))
 
-        table = EmbeddingTable(table_arr if isinstance(table_arr, Tensor) else Tensor(table_arr))
-        params = _params_from_arrays(list(param_arrays), embed_dim, enc_channels, mix_channels)
-        return table, params
-
-    def loss_of(table_t, *param_tensors):
+    def loss_of(table, *param_tensors):
         """The trainer's own objective at this point."""
-        table, params = build(table_t, param_tensors)
+        params = dict(zip(names, param_tensors))
         loss, _ = objective(cfg, batch, table, params, freq, np.random.default_rng(dropout_seed))
         return loss
 
@@ -80,7 +73,7 @@ def _objective_point():
         view, view_aug = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
         gap = min(_feature_map_gap(g.inputs.data, params) for g in view + view_aug)
         if gap > 1e-3:
-            arrays = [table.weights.data] + [t.data for _, t in params.named()]
+            arrays = [table.data] + [params[name].data for name in names]
             return loss_of, arrays
     raise RuntimeError("no tie-free initialization found")
 

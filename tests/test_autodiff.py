@@ -196,7 +196,6 @@ class TestBackward:
         x = t([1.0], grad=True)
         y = t([1.0], grad=True)
         grads = backward(x.sum())
-        assert y not in grads
         np.testing.assert_array_equal(grads.wrt(y), [0.0])
 
     def test_reused_node_accumulates(self):

@@ -118,6 +118,8 @@ class TestResolveConfig:
         "tau=nan", "lam=nan", "lr=nan", "lr=inf",
         "lr=-1", "lr=0", "weight_decay=-5", "eval_every=-1", "max_steps=-3",
         "enc_channels=0", "enc_channels=1", "embed_dim=0", "mix_channels=0", "min_count=0",
+        "init_scale=-0.1", "adam_beta1=1", "adam_beta1=-0.5", "adam_beta2=1", "adam_eps=-1e-8",
+        "adam_eps=0",
     ])
     def test_out_of_range_value_is_usage_error(self, data, tmp_path, capsys, setting):
         out = tmp_path / "run"

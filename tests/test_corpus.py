@@ -87,14 +87,14 @@ class TestFrequency:
         path = write(tmp_path, "c.txt", "a a b\n")
         vocab = build_vocab(path)
         table = token_frequency(path, vocab)
-        assert table.of_id(vocab.id_of("a")) == pytest.approx(2 / 3)
-        assert table.of_id(vocab.id_of("b")) == pytest.approx(1 / 3)
+        assert table.freq[vocab.id_of("a")] == pytest.approx(2 / 3)
+        assert table.freq[vocab.id_of("b")] == pytest.approx(1 / 3)
 
     def test_single_token_corpus(self, tmp_path):
         path = write(tmp_path, "c.txt", "zap\n")
         vocab = build_vocab(path)
         table = token_frequency(path, vocab)
-        assert table.of_id(vocab.id_of("zap")) == 1.0
+        assert table.freq[vocab.id_of("zap")] == 1.0
 
     def test_sums_to_one_and_pad_zero(self, tmp_path):
         path = write(tmp_path, "c.txt", "the cat sat on the mat .\nthe dog ran .\n")
@@ -108,7 +108,7 @@ class TestFrequency:
         path = write(tmp_path, "c.txt", "a a a b\n")
         vocab = build_vocab(path, min_count=2)      # only "a" survives
         table = token_frequency(path, vocab)
-        assert table.of_id(UNK_ID) == pytest.approx(1 / 4)
+        assert table.freq[UNK_ID] == pytest.approx(1 / 4)
         assert abs(table.freq.sum() - 1.0) < 1e-9
 
     def test_checksum_mismatch_warns(self, tmp_path):
@@ -170,12 +170,12 @@ class TestBatching:
 
     def test_padding_rule(self, vocab):
         batch = make_batch(["a b", "a b c d e f"], vocab)
-        assert batch.padded_len == 6
+        assert batch.ids.shape[1] == 6
         np.testing.assert_array_equal(batch.lengths, [2, 6])
 
     def test_minimum_length_five(self, vocab):
         batch = make_batch(["a b c"], vocab)
-        assert batch.padded_len == 5
+        assert batch.ids.shape[1] == 5
         assert batch.mask[0].tolist() == [True, True, True, False, False]
 
     def test_all_oov_sentence(self, vocab):
@@ -204,7 +204,7 @@ class TestBatching:
         batch = make_batch(sentences, vocab)
         for i, sentence in enumerate(sentences):
             expected = vocab.encode(tokenize(sentence))
-            assert batch.token_ids(i).tolist() == expected
+            assert batch.ids[i, :batch.lengths[i]].tolist() == expected
 
 
 class TestLoadCorpus:

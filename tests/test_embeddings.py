@@ -17,7 +17,7 @@ def test_rate_zero_is_pure_lookup(vocab):
     batch = make_batch(["man runs fast dog sits"], vocab)
     out = embed(batch, table, 0.0, np.random.default_rng(1))
     for j in range(5):
-        np.testing.assert_array_equal(out.data[0, j], table.weights.data[batch.ids[0, j]])
+        np.testing.assert_array_equal(out.data[0, j], table.data[batch.ids[0, j]])
 
 
 def test_pad_rows_zero_at_any_rate(vocab):
@@ -46,13 +46,13 @@ def test_fixed_rng_state_reproducible(vocab):
 
 def test_init_scale_zero_gives_zero_table(vocab):
     table = init_table(vocab, 3, 0.0, np.random.default_rng(0))
-    np.testing.assert_array_equal(table.weights.data, 0.0)
+    np.testing.assert_array_equal(table.data, 0.0)
 
 
 def test_fixed_rng_state_same_table(vocab):
     a = init_table(vocab, 6, 0.2, np.random.default_rng(11))
     b = init_table(vocab, 6, 0.2, np.random.default_rng(11))
-    np.testing.assert_array_equal(a.weights.data, b.weights.data)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_pretrained_overlay_exact(vocab, tmp_path):
@@ -60,10 +60,10 @@ def test_pretrained_overlay_exact(vocab, tmp_path):
     vec_file.write_text("man 0.25 -1.5 3.0\nunknown 1 2 3\n", encoding="utf-8")
     table = init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
     np.testing.assert_array_almost_equal(
-        table.weights.data[vocab.id_of("man")], [0.25, -1.5, 3.0]
+        table.data[vocab.id_of("man")], [0.25, -1.5, 3.0]
     )
     drawn = init_table(vocab, 3, 0.5, np.random.default_rng(0))
-    np.testing.assert_array_equal(table.weights.data[UNK_ID], drawn.weights.data[UNK_ID])
+    np.testing.assert_array_equal(table.data[UNK_ID], drawn.data[UNK_ID])
 
 
 def test_pretrained_width_mismatch(vocab, tmp_path):
@@ -87,6 +87,6 @@ def test_pad_row_gets_no_gradient(vocab):
     out = embed(batch, table, 0.0, np.random.default_rng(0))
     loss = (out * out).sum()
     grads = backward(loss)
-    g = grads.wrt(table.weights)
+    g = grads.wrt(table)
     np.testing.assert_array_equal(g[PAD_ID], 0.0)
     assert np.abs(g[vocab.id_of("man")]).sum() > 0.0

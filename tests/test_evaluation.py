@@ -25,7 +25,7 @@ from sarcse.evaluation import (
     token_report,
     uniformity,
 )
-from sarcse.losses import LossConfig, ZeroNormError
+from sarcse.losses import ZeroNormError
 from sarcse.model import init_params
 
 from oracles import oracle_spearman, oracle_uniformity, oracle_variance
@@ -148,6 +148,10 @@ class TestUniformity:
         row = np.random.default_rng(seed).normal(size=width)
         assert uniformity([row.copy() for _ in range(n)]) == 0.0
 
+    def test_mostly_repeated_rows_match_oracle(self):
+        rows = np.random.default_rng(6).normal(size=(3, 189))[np.arange(300) % 3]
+        assert abs(uniformity(rows) - oracle_uniformity(rows)) <= 1e-12
+
     def test_memory_is_blocked(self):
         # An n x n float64 distance matrix alone would be 30.5 MiB here.
         rows = list(np.random.default_rng(2).normal(size=(2000, 189)))
@@ -235,7 +239,7 @@ def report_rows(pairs, vocab, table, params, freq):
     token_mse = {}
     sides = [toks for pair in pairs for toks in (pair.sentence_a, pair.sentence_b)]
     encode_tokens(sides, vocab, table, params, token_mse=token_mse)
-    return token_report(pairs, vocab, LossConfig(), freq, token_mse)
+    return token_report(pairs, vocab, freq, token_mse, 0.1, 50.0)
 
 
 class TestEvaluatePairs:
@@ -311,7 +315,7 @@ class TestEvaluatePairs:
         report = evaluate_pairs(pairs, vocab, table, params, token_mse=token_mse)
         assert report == evaluate_pairs(pairs, vocab, table, params)
         assert set(token_mse) == {tuple(t) for p in pairs for t in (p.sentence_a, p.sentence_b)}
-        rows = token_report(pairs, vocab, LossConfig(), freq, token_mse)
+        rows = token_report(pairs, vocab, freq, token_mse, 0.1, 50.0)
         assert rows == report_rows(pairs, vocab, table, params, freq)
 
 

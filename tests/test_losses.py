@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 from sarcse.autodiff import Tensor, backward
 from sarcse.corpus import FrequencyTable
 from sarcse.losses import (
-    LossConfig,
     info_nce,
     reconstruction_loss,
     token_weight,
     token_weights,
     total_loss,
 )
+from sarcse.trainer import TrainConfig
 
 
 class TestTokenWeight:
@@ -51,7 +51,7 @@ class TestTokenWeight:
     def test_vectorized_matches_scalar(self):
         table = FrequencyTable(np.array([0.0, 0.0, 0.004, 0.018, 0.5]))
         ids = np.array([2, 3, 4])
-        expected = [token_weight(table.of_id(i), 0.1, 50.0) for i in ids]
+        expected = [token_weight(float(table.freq[i]), 0.1, 50.0) for i in ids]
         np.testing.assert_allclose(token_weights(ids, table, 0.1, 50.0), expected, atol=1e-15)
 
 
@@ -197,23 +197,21 @@ class TestInfoNce:
 
 class TestTotalLoss:
     def test_hand_weighted_sum(self):
-        cfg = LossConfig(alpha=1.0, beta=2.5e-4, gamma=2.5e-4)
-        out = total_loss(Tensor(0.5), Tensor(2.0), Tensor(4.0), cfg)
+        out = total_loss(Tensor(0.5), Tensor(2.0), Tensor(4.0), 1.0, 2.5e-4, 2.5e-4)
         assert out.item() == pytest.approx(0.5015, abs=1e-12)
 
     def test_zero_mixing_weights_leave_contrastive_only(self):
-        cfg = LossConfig(beta=0.0, gamma=0.0)
-        out = total_loss(Tensor(0.75), Tensor(123.0), Tensor(55.0), cfg)
+        out = total_loss(Tensor(0.75), Tensor(123.0), Tensor(55.0), 1.0, 0.0, 0.0)
         assert out.item() == pytest.approx(0.75, abs=1e-15)
 
     def test_all_zero(self):
-        cfg = LossConfig()
-        assert total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), cfg).item() == 0.0
+        cfg = TrainConfig()
+        assert total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), cfg.alpha, cfg.beta, cfg.gamma).item() == 0.0
 
 
 class TestLossConfigValidation:
     def test_defaults_valid(self):
-        cfg = LossConfig()
+        cfg = TrainConfig()
         assert cfg.theta == 0.1 and cfg.lam == 50.0 and cfg.tau == 0.05
         assert cfg.alpha == 1.0 and cfg.beta == 2.5e-4 and cfg.gamma == 2.5e-4
 
@@ -222,4 +220,4 @@ class TestLossConfigValidation:
     )
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            LossConfig(**kwargs)
+            TrainConfig(**kwargs)

@@ -11,7 +11,6 @@ from sarcse.losses import reconstruction_loss
 from sarcse.model import (
     KERNEL_SIZES,
     EncodeState,
-    ModelParams,
     decode,
     encode,
     forward_pair,
@@ -23,12 +22,12 @@ def random_params(embed_dim, enc_channels, mix_channels, seed=0, dtype=np.float6
     rng = np.random.default_rng(seed)
     params = init_params(embed_dim, enc_channels, mix_channels, rng, dtype=dtype)
     if zero_bias:
-        for name, tensor in params.named():
+        for name, tensor in params.items():
             if name.endswith("bias"):
                 tensor.data[...] = 0.0
     else:
         # nonzero biases so linear structure bugs cannot hide
-        for name, tensor in params.named():
+        for name, tensor in params.items():
             if name.endswith("bias"):
                 tensor.data[...] = rng.normal(size=tensor.shape) * 0.1
     return params
@@ -94,7 +93,7 @@ class TestDecode:
         params = random_params(4, 6, 2, zero_bias=True)
         x = random_sentence(7, 4)
         _, state = encode(x, params)
-        zero_z = Tensor(np.zeros((1, params.embedding_size)))
+        zero_z = Tensor(np.zeros((1, 2 * (6 - 1))))
         recon = decode(zero_z, state, params)
         np.testing.assert_array_equal(recon.data, 0.0)
 
@@ -117,45 +116,13 @@ class TestDecode:
             decode(Tensor(np.zeros((1, 3))), state, params)
 
 
-def _params_from_arrays(arrays, embed_dim, enc_channels, mix_channels):
-    """Rebuild ModelParams from arrays laid out in `named()` order."""
-    it = iter(arrays)
-
-    def nxt():
-        return next(it)
-
-    enc_kernels, enc_bias = {}, {}
-    for ks in KERNEL_SIZES:
-        enc_kernels[ks] = nxt()
-        enc_bias[ks] = nxt()
-    mix_kernels, mix_bias = nxt(), nxt()
-    demix_kernels, demix_bias = nxt(), nxt()
-    dec_kernels, dec_bias = {}, {}
-    for ks in KERNEL_SIZES:
-        dec_kernels[ks] = nxt()
-        dec_bias[ks] = nxt()
-    return ModelParams(
-        embed_dim=embed_dim,
-        enc_channels=enc_channels,
-        mix_channels=mix_channels,
-        enc_kernels=enc_kernels,
-        enc_bias=enc_bias,
-        mix_kernels=mix_kernels,
-        mix_bias=mix_bias,
-        demix_kernels=demix_kernels,
-        demix_bias=demix_bias,
-        dec_kernels=dec_kernels,
-        dec_bias=dec_bias,
-    )
-
-
 def _pool_gaps(x_data, params):
     """Smallest per-column gap between the top two feature-map values."""
     from sarcse.autodiff import conv1d_valid
 
     gaps = []
     for ks in KERNEL_SIZES:
-        fm = conv1d_valid(Tensor(x_data), params.enc_kernels[ks], params.enc_bias[ks]).data
+        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"]).data
         if fm.shape[1] == 1:
             continue
         srt = np.sort(fm, axis=1)
@@ -170,11 +137,11 @@ class TestAutoencoderGradients:
         x_data = np.random.default_rng(11).normal(size=(1, n, embed_dim))
         assert _pool_gaps(x_data, base) > 1e-3
 
-        names = [name for name, _ in base.named()]
-        arrays = [tensor.data for _, tensor in base.named()]
+        names = list(base)
+        arrays = [tensor.data for tensor in base.values()]
 
         def objective(x, *param_tensors):
-            params = _params_from_arrays(list(param_tensors), embed_dim, enc_channels, mix_channels)
+            params = dict(zip(names, param_tensors))
             z, state = encode(x, params)
             recon = decode(z, state, params)
             return reconstruction_loss(x, recon, np.ones((1, n)), np.ones((1, n), bool)).sum()
@@ -212,8 +179,8 @@ class TestForwardPair:
     def test_one_embedding_per_sentence_per_view(self, setup):
         _, table, params, batch = setup
         view, view_aug = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
-        assert _embeddings(view).shape == (3, params.embedding_size)
-        assert _embeddings(view_aug).shape == (3, params.embedding_size)
+        assert _embeddings(view).shape == (3, 2 * (6 - 1))
+        assert _embeddings(view_aug).shape == (3, 2 * (6 - 1))
         assert sum(g.recons.shape[0] for g in view) == 3
 
     def test_short_sentence_uses_effective_length_five(self, setup):

@@ -29,8 +29,7 @@ from sarcse.corpus import (
     token_frequency,
 )
 from sarcse.embeddings import init_table
-from sarcse.losses import LossConfig
-from sarcse.model import init_params
+from sarcse.model import init_params, param_shapes
 from sarcse.trainer import AdamW, TrainConfig, objective, train, write_log
 
 
@@ -279,8 +278,8 @@ class TestCheckpointIO:
         sentences, dev, vocab, freq = toy_setup
         result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
         table, params = unpack_model(result.last)
-        assert table.weights.shape == (len(vocab), 8)
-        assert params.embedding_size == 2 * (8 - 1)
+        assert table.shape == (len(vocab), 8)
+        assert {name: t.shape for name, t in params.items()} == param_shapes(8, 8, 2)
 
 
     def test_failed_save_keeps_previous_file(self, toy_setup, tmp_path, monkeypatch):
@@ -372,9 +371,8 @@ def test_checkpoint_round_trip_any_config(
         assert got.keys() == want.keys()
         assert all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes() for k in want)
     table_back, params_back = unpack_model(loaded)
-    pairs = [(table.weights, table_back.weights)] + [
-        (a, b) for (_, a), (_, b) in zip(params.named(), params_back.named())
-    ]
+    assert params_back.keys() == params.keys()
+    pairs = [(table, table_back)] + [(params[name], params_back[name]) for name in params]
     for want, got in pairs:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.data.tobytes() == want.data.tobytes()
@@ -384,9 +382,9 @@ class TestTrainConfigFlat:
     def test_round_trip(self):
         cfg = TrainConfig(
             embed_dim=16, enc_channels=12, mix_channels=2, seed=9,
-            ablation="no_sal", loss=LossConfig(theta=0.3, lam=20.0, detach_targets=True),
+            ablation="no_sal", theta=0.3, lam=20.0, detach_targets=True,
         )
-        again = TrainConfig.from_flat(cfg.to_flat())
+        again = TrainConfig(**cfg.to_flat())
         assert again == cfg
 
     def test_flat_exposes_loss_keys(self):
