@@ -20,7 +20,6 @@ __all__ = [
     "GradientMap",
     "backward",
     "grad_check",
-    "concat",
     "stack_rows",
     "dropout",
     "embedding_lookup",
@@ -185,21 +184,6 @@ class Tensor:
 # -- module-level ops ------------------------------------------------------
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along an existing axis."""
-    tensors = list(tensors)
-    if not tensors:
-        raise ShapeError("concat: need at least one tensor")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=axis))
-
-    return Tensor._from_op(data, tensors, vjp)
-
-
 def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """Stack k tensors of shape B x c into one B x k x c tensor."""
     vectors = list(vectors)
@@ -238,10 +222,13 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 
 # -- convolution / pooling --------------------------------------------------
 #
-# Every primitive takes a leading batch axis. Forward GEMMs are np.matmul on
-# (B, M, K) stacks, one BLAS call per batch entry, so a sentence's bits never
-# depend on its batch-mates (BLAS rounds a row differently as M changes).
-# Kernel gradients carry no bitwise guarantee and flatten the batch.
+# The 1-d convs and the pooling pair take ragged batches packed back to back:
+# T x c rows plus the per-sentence `lengths` that split them. Each run of
+# equal consecutive lengths gets one np.matmul over a (count, n, K) stack,
+# one BLAS call per sentence, so a sentence's bits never depend on its
+# batch-mates (BLAS rounds a row differently as n changes). Kernel gradients
+# carry no bitwise guarantee and are one GEMM over all windows. The 2-d pair
+# takes a leading batch axis.
 #
 # The ops come in adjoint pairs (conv1d_valid and transposed_conv1d, the 2-d
 # pair, max_pool_time and max_unpool_time): a VJP's input adjoint is its
@@ -249,18 +236,49 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 # kernel gradients are one contraction with input and adjoint swapped.
 
 
-def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int) -> np.ndarray:
+def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int, *lengths) -> np.ndarray:
     """Input adjoint of a conv: the partner `op` run forward on `g`, zero bias, no graph."""
-    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype))).data
+    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype)), *lengths).data
 
 
-def _windows_1d(x: np.ndarray, ks: int) -> np.ndarray:
-    """Row-major im2col for B x P x d sequences: B x (P-ks+1) x (ks*d)."""
-    nb, p, d = x.shape
-    out = np.empty((nb, p - ks + 1, ks * d), dtype=x.dtype)
-    for j in range(ks):
-        out[:, :, j * d:(j + 1) * d] = x[:, j:p - ks + 1 + j]
+def _lengths(name: str, rows: int, lengths, shortest: int = 1) -> np.ndarray:
+    """Per-sentence lengths that split `rows` packed rows, each at least `shortest`."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1 or lengths.sum() != rows:
+        raise ShapeError(f"{name}: sentence lengths {lengths.tolist()} do not split {rows} packed rows")
+    if lengths.size and lengths.min() < shortest:
+        raise ShapeError(f"{name}: sequence shorter than {shortest} rows (P={lengths.min()})")
+    return lengths
+
+
+def _runs(lengths: np.ndarray):
+    """(first sentence, count, length, first row) of each run of equal consecutive lengths."""
+    first = row = 0
+    for n, run in itertools.groupby(lengths.tolist()):
+        count = sum(1 for _ in run)
+        yield first, count, n, row
+        first += count
+        row += count * n
+
+
+def _run_gemms(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Packed rows of `a` times `b`: one stacked np.matmul per run, so every
+    sentence gets the GEMM it would get alone."""
+    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
+    for _, count, n, row in _runs(lengths):
+        stop = row + count * n
+        np.matmul(a[row:stop].reshape(count, n, -1), b, out=out[row:stop].reshape(count, n, -1))
     return out
+
+
+def _windows_1d(x: np.ndarray, lengths: np.ndarray, ks: int) -> np.ndarray:
+    """Row-major im2col of packed sentences: the ks*d rows-window at every
+    start that fits inside its sentence, (T - S*(ks-1)) x (ks*d)."""
+    x = np.ascontiguousarray(x)
+    t, d = x.shape
+    every = np.lib.stride_tricks.as_strided(x, (t - ks + 1, ks * d), (x.strides[0], x.strides[1]))
+    position = np.arange(t - ks + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)[:t - ks + 1]
+    return every[position <= np.repeat(lengths - ks, lengths)[:t - ks + 1]]
 
 
 def _kernel_grad_2d(small: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -274,55 +292,58 @@ def _kernel_grad_2d(small: np.ndarray, big: np.ndarray) -> np.ndarray:
     return gk
 
 
-def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Valid stride-1 convolution of B x P x d sequences with c_out kernels
-    of shape ks x d: B x (P-ks+1) x c_out."""
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise ShapeError(f"conv1d_valid: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
-    nb, p, d = x.shape
-    c_out, ks, kd = kernels.shape
-    if kd != d:
-        raise ShapeError(f"conv1d_valid: kernel width {kd} does not match embedding width {d}")
+def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
+    """Valid stride-1 convolution of packed sentences (T x d rows split by
+    `lengths`) with c_out kernels of shape ks x d: each sentence of P rows
+    gives P-ks+1 rows of c_out channels, packed the same way."""
+    if x.data.ndim != 2 or kernels.data.ndim != 3:
+        raise ShapeError(f"conv1d_valid: expected 2-d packed rows and 3-d kernels, got {x.shape} and {kernels.shape}")
+    c_out, ks, d = kernels.shape
+    if x.shape[1] != d:
+        raise ShapeError(f"conv1d_valid: kernel width {d} does not match embedding width {x.shape[1]}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d_valid: bias shape {bias.shape} does not match {c_out} channels")
-    if p < ks:
-        raise ShapeError(f"conv1d_valid: sequence shorter than kernel (P={p} < ks={ks})")
+    lengths = _lengths("conv1d_valid", x.shape[0], lengths, ks)
 
-    win = _windows_1d(x.data, ks)               # B x (P-ks+1) x (ks*d)
-    out = win @ kernels.data.reshape(c_out, ks * d).T + bias.data
+    win = _windows_1d(x.data, lengths, ks)              # T_out x (ks*d)
+    out = _run_gemms(win, kernels.data.reshape(c_out, ks * d).T, lengths - ks + 1)
+    out += bias.data
 
     def vjp(g):
-        gk = g.reshape(-1, c_out).T @ win.reshape(-1, ks * d)
-        return (_partner(transposed_conv1d, g, kernels, d), gk.reshape(c_out, ks, d), g.sum(axis=(0, 1)))
+        gk = g.T @ win
+        gx = _partner(transposed_conv1d, g, kernels, d, lengths - ks + 1)
+        return (gx, gk.reshape(c_out, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
-def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
-    """Adjoint of conv1d_valid as a forward op: B x P x c_in -> B x (P+ks-1) x d,
-    one GEMM then an overlap-add of its ks column blocks onto the bias."""
-    if x.data.ndim != 3 or kernels.data.ndim != 3:
-        raise ShapeError(f"transposed_conv1d: expected a 3-d batched input and 3-d kernels, got {x.shape} and {kernels.shape}")
-    nb, p, c_in = x.shape
+def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
+    """Adjoint of conv1d_valid as a forward op: each packed sentence of P rows
+    of c_in channels gives P+ks-1 rows of width d. One GEMM per run, then an
+    overlap-add of its ks column blocks onto the bias."""
+    if x.data.ndim != 2 or kernels.data.ndim != 3:
+        raise ShapeError(f"transposed_conv1d: expected 2-d packed rows and 3-d kernels, got {x.shape} and {kernels.shape}")
+    t, c_in = x.shape
     kc, ks, d = kernels.shape
     if kc != c_in:
         raise ShapeError(f"transposed_conv1d: input channels {c_in} do not match kernel channels {kc}")
     if bias.shape != (d,):
         raise ShapeError(f"transposed_conv1d: bias shape {bias.shape} does not match width {d}")
+    lengths = _lengths("transposed_conv1d", t, lengths)
 
-    cols = x.data @ kernels.data.reshape(c_in, ks * d)      # B x P x (ks*d)
-    out = np.empty((nb, p + ks - 1, d), dtype=x.dtype)
+    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), lengths)     # T x (ks*d)
+    dest = np.arange(t) + np.repeat(np.arange(len(lengths)) * (ks - 1), lengths)
+    out = np.empty((t + len(lengths) * (ks - 1), d), dtype=cols.dtype)
     out[:] = bias.data
     for j in range(ks):
-        out[:, j:j + p] += cols[:, :, j * d:(j + 1) * d]
+        out[dest + j] += cols[:, j * d:(j + 1) * d]
 
     def vjp(g):
-        gk = x.data.reshape(-1, c_in).T @ _windows_1d(g, ks).reshape(-1, ks * d)
-        return (_partner(conv1d_valid, g, kernels, c_in), gk.reshape(c_in, ks, d), g.sum(axis=(0, 1)))
+        gk = x.data.T @ _windows_1d(g, lengths + ks - 1, ks)
+        gx = _partner(conv1d_valid, g, kernels, c_in, lengths + ks - 1)
+        return (gx, gk.reshape(c_in, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
-
-
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid cross-correlation of B planes R x C: B x c_out x (R-kh+1) x (C-kw+1)."""
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -372,32 +393,41 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
 
-def max_pool_time(t: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Max over positions of B x P x c feature maps; ties go to the lowest index.
+def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
+    """Max over each packed sentence's rows of T x c feature maps; ties go to
+    the lowest index.
 
-    Returns the B x c pooled values and the B x c integer argmax positions.
-    The adjoint is max_unpool_time: it routes g only to the argmax entries.
+    Returns the S x c pooled values and the S x c integer argmax positions,
+    counted from each sentence's first row. The adjoint is max_unpool_time:
+    it routes g only to the argmax entries.
     """
-    if t.data.ndim != 3:
-        raise ShapeError(f"max_pool_time: expected a 3-d batched input, got shape {t.shape}")
-    nb, length, c = t.shape
-    indices = t.data.argmax(axis=1)
-    values = t.data[np.arange(nb)[:, None], indices, np.arange(c)]
-    return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, length).data,)), indices
+    if t.data.ndim != 2:
+        raise ShapeError(f"max_pool_time: expected 2-d packed rows, got shape {t.shape}")
+    lengths = _lengths("max_pool_time", t.shape[0], lengths)
+    c = t.shape[1]
+    indices = np.empty((len(lengths), c), dtype=np.intp)
+    for first, count, n, row in _runs(lengths):
+        indices[first:first + count] = t.data[row:row + count * n].reshape(count, n, c).argmax(axis=1)
+    values = t.data[indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(c)]
+    return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,)), indices
 
 
-def max_unpool_time(values: Tensor, indices: np.ndarray, length: int) -> Tensor:
-    """Place B x c values back at recorded positions of B x length x c maps, zeros elsewhere."""
+def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
+    """Place S x c values back at recorded positions of packed T x c maps
+    (sentence i spans lengths[i] rows), zeros elsewhere."""
     if values.data.ndim != 2:
-        raise ShapeError(f"max_unpool_time: expected a 2-d batched input, got shape {values.shape}")
+        raise ShapeError(f"max_unpool_time: expected 2-d pooled rows, got shape {values.shape}")
     indices = np.asarray(indices)
     if indices.shape != values.shape:
         raise ShapeError(f"max_unpool_time: values shape {values.shape} but indices shape {indices.shape}")
-    if indices.size and (indices.min() < 0 or indices.max() >= length):
-        raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for length {length}")
-    nb, c = values.shape
-    at = (np.arange(nb)[:, None], indices, np.arange(c))
-    out = np.zeros((nb, length, c), dtype=values.dtype)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != values.shape[:1]:
+        raise ShapeError(f"max_unpool_time: {lengths.size} lengths for {values.shape[0]} sentences")
+    if indices.size and (indices.min() < 0 or (indices >= lengths[:, None]).any()):
+        raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for lengths {lengths.tolist()}")
+    c = values.shape[1]
+    at = (indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(c))
+    out = np.zeros((int(lengths.sum()), c), dtype=values.dtype)
     out[at] = values.data
 
     def vjp(g):

@@ -176,13 +176,6 @@ class SentenceBatch:
     mask: np.ndarray       # B x L bool, True = real token
     lengths: np.ndarray    # B int64
 
-    def length_groups(self) -> list[tuple[np.ndarray, int]]:
-        """(rows, n) for each effective length n = max(length, MIN_SENTENCE_LEN),
-        ascending in n, rows ascending. Sentences shorter than the largest
-        kernel keep their first zero-pad rows up to that length."""
-        eff = np.maximum(self.lengths, MIN_SENTENCE_LEN)
-        return [(np.flatnonzero(eff == n), int(n)) for n in np.unique(eff)]
-
 
 def make_batch(
     sentences: Iterable[str],

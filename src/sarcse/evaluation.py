@@ -14,7 +14,7 @@ from .autodiff import Tensor
 from .corpus import ScoredPair, Vocab, make_batch_tokens
 from .embeddings import embed
 from .losses import ZeroNormError, token_weights
-from .model import decode, encode
+from .model import decode, encode, pack
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
 
@@ -174,7 +174,7 @@ def encode_tokens(
     """Embed tokenized sentences with dropout off; returns an n x |z| matrix.
 
     Each distinct sentence is computed once, `batch_size` distinct sentences
-    at a time and each length group at once, so duplicates are bitwise equal.
+    at a time in one packed pass, so duplicates are bitwise equal.
     Given a dict `token_mse`, the same pass also decodes every distinct
     sentence and stores its per-token reconstruction MSE under its tokens.
     """
@@ -185,15 +185,15 @@ def encode_tokens(
     for start in range(0, len(unique), batch_size):
         chunk = unique[start:start + batch_size]
         batch = make_batch_tokens(chunk, vocab)
-        x_full = embed(batch, frozen, 0.0, rng)
-        for rows, n in batch.length_groups():
-            x = x_full[rows, :n]
-            z, state = encode(x, params)
-            diff = None if token_mse is None else x.data - decode(z, state, params).data
-            for j, i in enumerate(rows):
-                cache[chunk[i]] = z.data[j]
-                if diff is not None:
-                    token_mse[chunk[i]] = (diff[j] * diff[j]).mean(axis=1)
+        packing = pack(batch)
+        x = embed(batch, frozen, 0.0, rng)[packing.index]
+        z, state = encode(x, packing.lengths, params)
+        sentences = [chunk[i] for i in packing.order]
+        cache.update(zip(sentences, z.data))
+        if token_mse is not None:
+            diff = x.data - decode(z, state, params).data
+            mse = (diff * diff).mean(axis=1)
+            token_mse.update(zip(sentences, np.split(mse, np.cumsum(packing.lengths)[:-1])))
     return np.stack([cache[tuple(t)] for t in token_lists])
 
 

@@ -28,27 +28,33 @@ def reconstruction_loss(
     x_recon: Tensor,
     weights: np.ndarray,
     mask: np.ndarray,
+    lengths: np.ndarray,
     detach_target: bool = False,
 ) -> Tensor:
-    """B sentence losses: each the weighted mean of per-token MSE over the
-    sentence's masked-true rows, for B x N x d inputs and B x N weights and
-    mask. Per token the MSE averages over the embedding width. One graph
-    node; with detach_target the target `x` gets no adjoint."""
+    """S sentence losses for packed T x d inputs split by `lengths`, with T
+    weights and mask entries: each the weighted mean of per-token MSE over
+    the sentence's masked-true rows. Per token the MSE averages over the
+    embedding width. One graph node; with detach_target the target `x` gets
+    no adjoint."""
     if x.shape != x_recon.shape:
         raise ValueError(f"reconstruction_loss: shapes differ, {x.shape} vs {x_recon.shape}")
+    lengths = np.asarray(lengths)
+    if lengths.sum() != x.shape[0]:
+        raise ValueError(f"reconstruction_loss: sentence lengths do not split {x.shape[0]} rows")
+    starts = np.cumsum(lengths) - lengths
     mask = np.asarray(mask, dtype=bool)
-    n_real = mask.sum(axis=1)
+    n_real = np.add.reduceat(mask, starts, dtype=np.int64)
     if not n_real.all():
         raise ValueError("reconstruction_loss: mask selects no tokens")
-    d = x.shape[2]
+    d = x.shape[1]
     diff = x.data - x_recon.data
-    per_token = (diff * diff).sum(axis=2) * (1.0 / d)
+    per_token = (diff * diff).sum(axis=1) * (1.0 / d)
     w = np.where(mask, np.asarray(weights, dtype=np.float64), 0.0).astype(x.dtype)
     inv_n = (1.0 / n_real).astype(x.dtype)
-    out = (per_token * w).sum(axis=1) * inv_n
+    out = np.add.reduceat(per_token * w, starts) * inv_n
 
     def vjp(g):
-        g_recon = ((g * inv_n)[:, None] * w)[:, :, None] * diff * (-2.0 / d)
+        g_recon = (np.repeat(g * inv_n, lengths) * w)[:, None] * diff * (-2.0 / d)
         return (g_recon,) if detach_target else (-g_recon, g_recon)
 
     return Tensor._from_op(out, (x_recon,) if detach_target else (x, x_recon), vjp)

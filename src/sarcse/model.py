@@ -8,11 +8,14 @@ mix_channels * (enc_channels - 1). The decoder runs the same pipeline
 backwards: transposed 2-d convolution, unpooling at the recorded argmax
 positions, transposed 1-d convolutions, and an elementwise mean over scales.
 
-The layout is batch-first. The unit of computation is a length group: the
-sentences of a batch that share an effective length n
-(`SentenceBatch.length_groups`), stacked as B_g x n x d with no padding
-beyond the zero rows of sentences shorter than 5 tokens. Each sentence keeps
-the BLAS shapes it would have alone, so its bits never depend on its batch.
+The layout is packed: a dropout view (or an evaluation chunk) is one T x d
+array holding its S sentences back to back, each at its effective length
+n = max(length, 5), in ascending n with ties in batch order (`pack`).
+Sentences shorter than the largest kernel keep their first zero-pad rows.
+The 1-d convs and the pooling pair take the per-sentence lengths beside the
+rows and give each sentence the BLAS shapes it would have alone, so its bits
+never depend on its batch. Pooled vectors, the 2-d mix and the embeddings
+have one row per sentence, in packed order.
 
 The parameters are one dict from checkpoint name (`enc.k3.kernels`,
 `mix.bias`, ...) to Tensor, laid out by `param_shapes`.
@@ -36,7 +39,7 @@ from .autodiff import (
     transposed_conv1d,
     transposed_conv2d,
 )
-from .corpus import SentenceBatch
+from .corpus import MIN_SENTENCE_LEN, SentenceBatch
 from .embeddings import embed
 
 KERNEL_SIZES = (3, 4, 5)
@@ -85,34 +88,35 @@ def init_params(
 
 @dataclass
 class EncodeState:
-    """Everything the decoder needs to mirror one encoded length group."""
+    """Everything the decoder needs to mirror one encoded packed batch."""
 
-    length: int                                 # effective token count fed to the convs
-    pool_indices: dict[int, np.ndarray] = field(default_factory=dict)   # B x enc_channels
+    lengths: np.ndarray                         # S effective token counts fed to the convs
+    pool_indices: dict[int, np.ndarray] = field(default_factory=dict)   # S x enc_channels
 
 
-def encode(x: Tensor, params: dict[str, Tensor]) -> tuple[Tensor, EncodeState]:
-    """Encode B x N x d sentences into B x |z| embeddings, |z| = mix_channels * (enc_channels - 1).
+def encode(x: Tensor, lengths, params: dict[str, Tensor]) -> tuple[Tensor, EncodeState]:
+    """Encode packed sentences (T x d rows split by `lengths`) into S x |z|
+    embeddings, |z| = mix_channels * (enc_channels - 1).
 
-    N must be at least the largest kernel width (batching pads to 5).
+    Each length must be at least the largest kernel width (batching pads to 5).
     """
-    n = x.shape[1]
-    if n < max(KERNEL_SIZES):
-        raise ShapeError(f"encode: sentence length {n} is below the minimum {max(KERNEL_SIZES)}")
-    state = EncodeState(length=n)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.min() < max(KERNEL_SIZES):
+        raise ShapeError(f"encode: sentence length {lengths.min()} is below the minimum {max(KERNEL_SIZES)}")
+    state = EncodeState(lengths=lengths)
     pooled = []
     for ks in KERNEL_SIZES:
-        feature_map = conv1d_valid(x, params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"])
-        values, indices = max_pool_time(feature_map)
+        feature_map = conv1d_valid(x, params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"], lengths)
+        values, indices = max_pool_time(feature_map, lengths - ks + 1)
         state.pool_indices[ks] = indices
         pooled.append(values)
-    plane = stack_rows(pooled)                                  # B x 3 x enc_channels
+    plane = stack_rows(pooled)                                  # S x 3 x enc_channels
     mixed = conv2d_valid(plane, params["mix.kernels"], params["mix.bias"])
-    return mixed.reshape(x.shape[0], -1), state
+    return mixed.reshape(len(lengths), -1), state
 
 
 def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
-    """Reconstruct B x N x d token representations from B x |z| embeddings."""
+    """Reconstruct packed T x d token representations from S x |z| embeddings."""
     mix_channels, enc_channels = params["demix.kernels"].shape[0], params["dec.k3.kernels"].shape[0]
     width = mix_channels * (enc_channels - 1)
     if z.shape[1:] != (width,):
@@ -124,22 +128,40 @@ def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
     restored = transposed_conv2d(planes, params["demix.kernels"], params["demix.bias"])
     scales: Optional[Tensor] = None
     for row, ks in enumerate(KERNEL_SIZES):
-        unpooled = max_unpool_time(
-            restored[:, row], state.pool_indices[ks], state.length - ks + 1
-        )
-        tokens = transposed_conv1d(unpooled, params[f"dec.k{ks}.kernels"], params[f"dec.k{ks}.bias"])
+        positions = state.lengths - ks + 1
+        unpooled = max_unpool_time(restored[:, row], state.pool_indices[ks], positions)
+        tokens = transposed_conv1d(unpooled, params[f"dec.k{ks}.kernels"], params[f"dec.k{ks}.bias"], positions)
         scales = tokens if scales is None else scales + tokens
     return scales * (1.0 / len(KERNEL_SIZES))
 
 
 @dataclass
-class LengthGroup:
-    """One length group of one dropout view."""
+class Packing:
+    """Where each row of a packed batch comes from."""
 
-    rows: np.ndarray                # the group's rows in the batch, ascending
-    inputs: Tensor                  # B_g x n x d slice of the embedded batch
-    embeddings: Tensor              # B_g x |z|
-    recons: Optional[Tensor]        # B_g x n x d; None when the decoder is disabled
+    order: np.ndarray       # S batch rows by ascending effective length, ties in batch order
+    lengths: np.ndarray     # S effective lengths max(length, MIN_SENTENCE_LEN), ascending
+    index: tuple[np.ndarray, np.ndarray]    # (batch row, position) of each of the T packed rows
+
+
+def pack(batch: SentenceBatch) -> Packing:
+    """Pack a padded batch: each sentence's first n = max(length, MIN_SENTENCE_LEN)
+    rows, sentences in a stable argsort of n."""
+    eff = np.maximum(batch.lengths, MIN_SENTENCE_LEN)
+    order = np.argsort(eff, kind="stable")
+    lengths = eff[order]
+    rows = np.repeat(order, lengths)
+    positions = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return Packing(order, lengths, (rows, positions))
+
+
+@dataclass
+class View:
+    """One dropout view of a packed batch."""
+
+    inputs: Tensor                  # T x d packed rows of the embedded batch
+    embeddings: Tensor              # S x |z|, in packed order
+    recons: Optional[Tensor]        # T x d; None when the decoder is disabled
 
 
 def forward_pair(
@@ -149,20 +171,17 @@ def forward_pair(
     dropout_rate: float,
     rng: np.random.Generator,
     run_decoder: bool = True,
-) -> tuple[list[LengthGroup], list[LengthGroup]]:
+) -> tuple[Packing, View, View]:
     """Run the autoencoder over a batch under two independent dropout draws.
 
-    Each view embeds the whole padded batch once, then encodes (and decodes)
-    it one length group at a time; both views list the groups in the same
-    order.
+    Each view embeds the whole padded batch once, gathers its packed rows in
+    one node, and encodes (and decodes) them in one pass; both views share
+    the batch's packing.
     """
+    packing = pack(batch)
     views = []
     for _ in range(2):
-        x_full = embed(batch, table, dropout_rate, rng)
-        groups = []
-        for rows, n in batch.length_groups():
-            x = x_full[rows, :n]
-            z, st = encode(x, params)
-            groups.append(LengthGroup(rows, x, z, decode(z, st, params) if run_decoder else None))
-        views.append(groups)
-    return views[0], views[1]
+        x = embed(batch, table, dropout_rate, rng)[packing.index]
+        z, state = encode(x, packing.lengths, params)
+        views.append(View(x, z, decode(z, state, params) if run_decoder else None))
+    return packing, views[0], views[1]

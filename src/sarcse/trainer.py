@@ -9,7 +9,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .autodiff import GradientMap, Tensor, backward, concat
+from .autodiff import GradientMap, Tensor, backward
 from .checkpoint import Checkpoint, pack_model
 from .corpus import PAD_ID, FrequencyTable, ScoredPair, SentenceBatch, Vocab, make_batch
 from .embeddings import init_table
@@ -221,12 +221,10 @@ def objective(
     """Loss of one batch and its log row (step 0): InfoNCE over two dropout
     views plus each view's SAL-weighted reconstruction loss averaged over
     sentences; exact zeros without the decoder. Sentences enter both terms
-    in length-group order, the same in both views."""
+    in packed order, the same in both views."""
     run_decoder = cfg.ablation != "no_sal_no_decoder"
-    view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
-    l_info = info_nce(
-        concat([g.embeddings for g in view]), concat([g.embeddings for g in view_aug]), cfg.tau
-    )
+    packing, view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
+    l_info = info_nce(view.embeddings, view_aug.embeddings, cfg.tau)
     l_recon = l_recon_aug = Tensor(np.zeros(()))
     weight_mean = 1.0
     if run_decoder:
@@ -235,16 +233,11 @@ def objective(
         else:
             w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
         weight_mean = float(w[batch.mask].mean())
-        terms = []
-        for groups in (view, view_aug):
-            per_sentence = []
-            for g in groups:
-                n = g.inputs.shape[1]
-                per_sentence.append(reconstruction_loss(
-                    g.inputs, g.recons, w[g.rows, :n], batch.mask[g.rows, :n], cfg.detach_targets
-                ))
-            terms.append(concat(per_sentence).mean())
-        l_recon, l_recon_aug = terms
+        w, mask = w[packing.index], batch.mask[packing.index]
+        l_recon, l_recon_aug = (
+            reconstruction_loss(v.inputs, v.recons, w, mask, packing.lengths, cfg.detach_targets).mean()
+            for v in (view, view_aug)
+        )
 
     loss = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)
     row = LogRow(

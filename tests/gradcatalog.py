@@ -2,14 +2,15 @@
 
 Each case is (name, f, arrays): `f` maps one Tensor per array to a scalar and
 is deterministic, with inputs chosen away from pooling ties so central
-differences are valid. The batched primitives run at batch size 2.
+differences are valid. The packed primitives run over ragged lengths
+[5, 5, 7, 9] (one run of two equal lengths, two runs of one), the 2-d convs
+at batch size 2.
 """
 
 import numpy as np
 
 from sarcse.autodiff import (
     Tensor,
-    concat,
     conv1d_valid,
     conv2d_valid,
     dropout,
@@ -29,10 +30,14 @@ def _n(*shape):
     return _rng.normal(size=shape)
 
 
-def _spread_columns(b, p, c):
-    """B x P x c maps whose per-column max has a comfortable gap (no pooling ties)."""
-    x = _rng.normal(size=(b, p, c))
-    x[np.arange(b)[:, None], _rng.integers(0, p, size=(b, c)), np.arange(c)] += 3.0
+LENGTHS = np.array([5, 5, 7, 9])
+
+
+def _spread_columns(lengths, c):
+    """Packed maps whose per-sentence, per-column max has a comfortable gap (no pooling ties)."""
+    x = _rng.normal(size=(lengths.sum(), c))
+    peaks = (_rng.random(size=(len(lengths), c)) * lengths[:, None]).astype(int)
+    x[peaks + (np.cumsum(lengths) - lengths)[:, None], np.arange(c)] += 3.0
     return x
 
 
@@ -47,7 +52,6 @@ def primitive_cases():
     case("multiply", lambda a, b: (a * b).sum(), a23, b23)
     case("scalar_scale", lambda a: (a * 2.5).sum(), a23)
     case("reshape", lambda a: (a.reshape(6) * np.arange(1.0, 7.0)).sum(), a23)
-    case("concat", lambda a, b: (concat([a, b], axis=0) * 0.5).sum(), a23, _n(1, 3))
     case("sum_axis", lambda a: (a.sum(axis=1) * np.array([1.0, -2.0])).sum(), a23)
     case("mean", lambda a: a.mean() * 3.0, a23)
     case("mean_axis", lambda a: (a.mean(axis=0) * np.arange(1.0, 4.0)).sum(), a23)
@@ -65,15 +69,16 @@ def primitive_cases():
 
     case("dropout", drop, a23)
 
+    n_rows = LENGTHS.sum()
     case(
         "conv1d_valid",
-        lambda x, k, b: (conv1d_valid(x, k, b) * 0.5).sum(),
-        _n(2, 7, 3), _n(4, 3, 3), _n(4),
+        lambda x, k, b: (conv1d_valid(x, k, b, LENGTHS) * 0.5).sum(),
+        _n(n_rows, 3), _n(4, 3, 3), _n(4),
     )
     case(
         "transposed_conv1d",
-        lambda x, k, b: (transposed_conv1d(x, k, b) * 0.5).sum(),
-        _n(2, 5, 4), _n(4, 3, 3), _n(3),
+        lambda x, k, b: (transposed_conv1d(x, k, b, LENGTHS) * 0.5).sum(),
+        _n(n_rows, 4), _n(4, 3, 3), _n(3),
     )
     case(
         "conv2d_valid",
@@ -86,21 +91,22 @@ def primitive_cases():
         _n(2, 2, 1, 7), _n(2, 3, 2), _n(1),
     )
 
-    pool_in = _spread_columns(2, 6, 4)
-    weights = _n(2, 4)
+    pool_in = _spread_columns(LENGTHS, 4)
+    weights = _n(len(LENGTHS), 4)
 
     def pool(a):
-        values, _ = max_pool_time(a)
+        values, _ = max_pool_time(a, LENGTHS)
         return (values * weights).sum()
 
     case("max_pool_time", pool, pool_in)
 
-    unpool_idx = np.array([[0, 3, 1], [4, 0, 0]])
+    unpool_idx = np.array([[0, 3, 1], [4, 0, 0], [6, 2, 5], [8, 0, 3]])
+    unpool_w = _n(n_rows, 3)
 
     def unpool(v):
-        return (max_unpool_time(v, unpool_idx, 5) * 0.5).sum()
+        return (max_unpool_time(v, unpool_idx, LENGTHS) * unpool_w).sum()
 
-    case("max_unpool_time", unpool, _n(2, 3))
+    case("max_unpool_time", unpool, _n(len(LENGTHS), 3))
 
     case(
         "stack_rows",
@@ -111,19 +117,20 @@ def primitive_cases():
 
     # non-uniform weights and a masked pad row (row 3 of sentence 1); the
     # detached variant differentiates the reconstruction only
-    recon_w = _rng.uniform(0.1, 1.0, size=(2, 4))
-    recon_mask = np.array([[True] * 4, [True, True, True, False]])
+    recon_lengths = np.array([4, 4])
+    recon_w = _rng.uniform(0.1, 1.0, size=8)
+    recon_mask = np.array([True] * 4 + [True, True, True, False])
     scale = np.array([1.0, -2.0])
-    target = _n(2, 4, 3)
+    target = _n(8, 3)
     case(
         "reconstruction_loss",
-        lambda x, r: (reconstruction_loss(x, r, recon_w, recon_mask) * scale).sum(),
-        target, _n(2, 4, 3),
+        lambda x, r: (reconstruction_loss(x, r, recon_w, recon_mask, recon_lengths) * scale).sum(),
+        target, _n(8, 3),
     )
     case(
         "reconstruction_loss_detach",
-        lambda r: (reconstruction_loss(Tensor(target), r, recon_w, recon_mask, True) * scale).sum(),
-        _n(2, 4, 3),
+        lambda r: (reconstruction_loss(Tensor(target), r, recon_w, recon_mask, recon_lengths, True) * scale).sum(),
+        _n(8, 3),
     )
 
     return cases

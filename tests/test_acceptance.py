@@ -33,14 +33,16 @@ TOY_TRAIN_ARGS = [
 # -- criterion 1: gradient fidelity -------------------------------------------
 
 
-def _feature_map_gap(x_data, params):
+def _feature_map_gap(x_data, lengths, params):
     gaps = []
+    starts = np.cumsum(lengths) - lengths
     for ks in KERNEL_SIZES:
-        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"]).data
-        if fm.shape[1] < 2:
-            continue
-        srt = np.sort(fm, axis=1)
-        gaps.append(float((srt[:, -1] - srt[:, -2]).min()))
+        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"], lengths).data
+        for start, n in zip(starts - np.arange(len(lengths)) * (ks - 1), lengths - ks + 1):
+            if n < 2:
+                continue
+            srt = np.sort(fm[start:start + n], axis=0)
+            gaps.append(float((srt[-1] - srt[-2]).min()))
     return min(gaps) if gaps else np.inf
 
 
@@ -70,8 +72,8 @@ def _objective_point():
         rng = np.random.default_rng(seed)
         table = init_table(vocab, embed_dim, 0.6, rng, dtype=np.float64)
         params = init_params(embed_dim, enc_channels, mix_channels, rng, dtype=np.float64)
-        view, view_aug = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
-        gap = min(_feature_map_gap(g.inputs.data, params) for g in view + view_aug)
+        packing, *views = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
+        gap = min(_feature_map_gap(v.inputs.data, packing.lengths, params) for v in views)
         if gap > 1e-3:
             arrays = [table.data] + [params[name].data for name in names]
             return loss_of, arrays
@@ -92,15 +94,15 @@ def test_criterion_01_gradient_fidelity():
 
 def test_criterion_02_embedding_length_law():
     rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(1, 8, 3)))
+    x = Tensor(rng.normal(size=(8, 3)))
     for _ in range(25):
         enc_channels = int(rng.integers(2, 65))
         mix_channels = int(rng.integers(1, 5))
         params = init_params(3, enc_channels, mix_channels, np.random.default_rng(1), dtype=np.float64)
-        z, _ = encode(x, params)
+        z, _ = encode(x, [8], params)
         assert z.shape == (1, mix_channels * (enc_channels - 1))
     reference = init_params(3, 500, 3, np.random.default_rng(2), dtype=np.float64)
-    z, _ = encode(x, reference)
+    z, _ = encode(x, [8], reference)
     assert z.shape == (1, 1497)
 
 
@@ -153,11 +155,11 @@ def test_criterion_05_adjoint_identity():
         d = int(rng.integers(1, 6))
         ks = int(rng.integers(1, 6))
         c = int(rng.integers(1, 8))
-        u = rng.normal(size=(1, p, d))
-        v = rng.normal(size=(1, p - ks + 1, c))
+        u = rng.normal(size=(p, d))
+        v = rng.normal(size=(p - ks + 1, c))
         k = rng.normal(size=(c, ks, d))
-        lhs = float((conv1d_valid(Tensor(u), Tensor(k), Tensor(np.zeros(c))).data * v).sum())
-        rhs = float((transposed_conv1d(Tensor(v), Tensor(k), Tensor(np.zeros(d))).data * u).sum())
+        lhs = float((conv1d_valid(Tensor(u), Tensor(k), Tensor(np.zeros(c)), [p]).data * v).sum())
+        rhs = float((transposed_conv1d(Tensor(v), Tensor(k), Tensor(np.zeros(d)), [p - ks + 1]).data * u).sum())
         assert abs(lhs - rhs) <= 1e-10
 
 
@@ -223,13 +225,12 @@ def test_criterion_08_padding_invariance():
         padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 9)))
         outputs = []
         for batch in (plain, padded):
-            (group,), _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-            n_eff = group.inputs.shape[1]
-            w = token_weights(batch.ids[group.rows, :n_eff], freq, 0.1, 50.0)
+            packing, view, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+            w = token_weights(batch.ids[packing.index], freq, 0.1, 50.0)
             loss = reconstruction_loss(
-                group.inputs, group.recons, w, batch.mask[group.rows, :n_eff]
+                view.inputs, view.recons, w, batch.mask[packing.index], packing.lengths
             )
-            outputs.append((group.embeddings.data.tobytes(), loss.data.tobytes()))
+            outputs.append((view.embeddings.data.tobytes(), loss.data.tobytes()))
         assert outputs[0][0] == outputs[1][0], "embedding changed under extra padding"
         assert outputs[0][1] == outputs[1][1], "reconstruction loss changed under extra padding"
 

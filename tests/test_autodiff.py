@@ -8,7 +8,6 @@ from sarcse.autodiff import (
     ShapeError,
     Tensor,
     backward,
-    concat,
     conv1d_valid,
     conv2d_valid,
     dropout,
@@ -36,36 +35,49 @@ class TestElementwise:
 
 class TestConv1d:
     def test_hand_convolution(self):
-        out = conv1d_valid(t([[[1.0], [2.0], [3.0]]]), t([[[1.0], [1.0]]]), t([0.0]))
-        np.testing.assert_array_equal(out.data, [[[3.0], [5.0]]])
+        out = conv1d_valid(t([[1.0], [2.0], [3.0]]), t([[[1.0], [1.0]]]), t([0.0]), [3])
+        np.testing.assert_array_equal(out.data, [[3.0], [5.0]])
 
     def test_identity_kernel(self):
-        x = t(np.random.default_rng(2).normal(size=(1, 4, 1)))
-        out = conv1d_valid(x, t([[[1.0]]]), t([0.0]))
+        x = t(np.random.default_rng(2).normal(size=(4, 1)))
+        out = conv1d_valid(x, t([[[1.0]]]), t([0.0]), [4])
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_rule(self):
-        out = conv1d_valid(t(np.ones((1, 5, 2))), t(np.ones((7, 3, 2))), t(np.zeros(7)))
-        assert out.shape == (1, 3, 7)
+        out = conv1d_valid(t(np.ones((5, 2))), t(np.ones((7, 3, 2))), t(np.zeros(7)), [5])
+        assert out.shape == (3, 7)
 
     def test_too_short_sequence(self):
-        with pytest.raises(ShapeError, match="sequence shorter than kernel"):
-            conv1d_valid(t(np.ones((1, 2, 1))), t(np.ones((1, 3, 1))), t(np.zeros(1)))
+        with pytest.raises(ShapeError, match="sequence shorter than 3"):
+            conv1d_valid(t(np.ones((7, 1))), t(np.ones((1, 3, 1))), t(np.zeros(1)), [5, 2])
+
+    def test_lengths_must_split_the_rows(self):
+        with pytest.raises(ShapeError, match="do not split 7 packed rows"):
+            conv1d_valid(t(np.ones((7, 1))), t(np.ones((1, 3, 1))), t(np.zeros(1)), [5, 3])
+
+    def test_ragged_hand_convolution(self):
+        x = t([[1.0], [2.0], [3.0], [10.0], [20.0]])
+        out = conv1d_valid(x, t([[[1.0], [1.0]]]), t([0.5]), [3, 2])
+        np.testing.assert_array_equal(out.data, [[3.5], [5.5], [30.5]])
 
 
 class TestTransposedConv1d:
     def test_hand_scatter_add(self):
-        out = transposed_conv1d(t([[[1.0], [1.0]]]), t([[[1.0], [1.0]]]), t([0.0]))
-        np.testing.assert_array_equal(out.data, [[[1.0], [2.0], [1.0]]])
+        out = transposed_conv1d(t([[1.0], [1.0]]), t([[[1.0], [1.0]]]), t([0.0]), [2])
+        np.testing.assert_array_equal(out.data, [[1.0], [2.0], [1.0]])
 
     def test_identity_kernel(self):
-        x = t(np.random.default_rng(3).normal(size=(1, 4, 1)))
-        out = transposed_conv1d(x, t([[[1.0]]]), t([0.0]))
+        x = t(np.random.default_rng(3).normal(size=(4, 1)))
+        out = transposed_conv1d(x, t([[[1.0]]]), t([0.0]), [4])
         np.testing.assert_array_equal(out.data, x.data)
 
     def test_shape_rule(self):
-        out = transposed_conv1d(t(np.ones((1, 3, 6))), t(np.ones((6, 3, 8))), t(np.zeros(8)))
-        assert out.shape == (1, 5, 8)
+        out = transposed_conv1d(t(np.ones((3, 6))), t(np.ones((6, 3, 8))), t(np.zeros(8)), [3])
+        assert out.shape == (5, 8)
+
+    def test_ragged_hand_scatter_add(self):
+        out = transposed_conv1d(t([[1.0], [1.0], [5.0]]), t([[[1.0], [2.0]]]), t([0.0]), [2, 1])
+        np.testing.assert_array_equal(out.data, [[1.0], [3.0], [2.0], [5.0], [10.0]])
 
     def test_adjoint_of_conv(self):
         rng = np.random.default_rng(4)
@@ -74,13 +86,51 @@ class TestTransposedConv1d:
             d = rng.integers(1, 5)
             ks = rng.integers(1, min(6, p + 1))
             c = rng.integers(1, 7)
-            u = rng.normal(size=(1, p, d))
-            v = rng.normal(size=(1, p - ks + 1, c))
+            u = rng.normal(size=(p, d))
+            v = rng.normal(size=(p - ks + 1, c))
             k = rng.normal(size=(c, ks, d))
             zero_c, zero_d = t(np.zeros(c)), t(np.zeros(d))
-            lhs = float((conv1d_valid(t(u), t(k), zero_c).data * v).sum())
-            rhs = float((transposed_conv1d(t(v), t(k), zero_d).data * u).sum())
+            lhs = float((conv1d_valid(t(u), t(k), zero_c, [p]).data * v).sum())
+            rhs = float((transposed_conv1d(t(v), t(k), zero_d, [p - ks + 1]).data * u).sum())
             assert abs(lhs - rhs) < 1e-10
+
+
+class TestPackedConv1d:
+    def test_adjoint_identity_over_ragged_lengths(self):
+        rng = np.random.default_rng(13)
+        for _ in range(300):
+            d = int(rng.integers(1, 6))
+            ks = int(rng.integers(1, 6))
+            c = int(rng.integers(1, 8))
+            lengths = np.sort(rng.integers(max(ks, 5), 13, size=int(rng.integers(1, 6))))
+            u = rng.normal(size=(lengths.sum(), d))
+            v = rng.normal(size=((lengths - ks + 1).sum(), c))
+            k = rng.normal(size=(c, ks, d))
+            lhs = float((conv1d_valid(t(u), t(k), t(np.zeros(c)), lengths).data * v).sum())
+            rhs = float((transposed_conv1d(t(v), t(k), t(np.zeros(d)), lengths - ks + 1).data * u).sum())
+            assert abs(lhs - rhs) <= 1e-10
+
+    def test_rows_equal_sentence_alone_at_paper_width(self):
+        # enc_channels=500 in float32, where BLAS rounds a row differently
+        # as the GEMM's row count changes
+        rng = np.random.default_rng(21)
+        lengths = np.array([5, 5, 5, 7, 9, 9, 12, 31])
+        d, c, ks = 32, 500, 4
+        x = rng.normal(size=(lengths.sum(), d)).astype(np.float32)
+        h = rng.normal(size=(lengths.sum(), c)).astype(np.float32)
+        k = Tensor(rng.normal(size=(c, ks, d)).astype(np.float32))
+        conv_bias, tconv_bias = Tensor(np.zeros(c, np.float32)), Tensor(np.zeros(d, np.float32))
+        conv = conv1d_valid(Tensor(x), k, conv_bias, lengths).data
+        tconv = transposed_conv1d(Tensor(h), k, tconv_bias, lengths).data
+        start = 0
+        for i, n in enumerate(lengths):
+            alone = conv1d_valid(Tensor(x[start:start + n]), k, conv_bias, [n]).data
+            rows = conv[start - i * (ks - 1):][:n - ks + 1]
+            assert rows.tobytes() == alone.tobytes()
+            alone = transposed_conv1d(Tensor(h[start:start + n]), k, tconv_bias, [n]).data
+            rows = tconv[start + i * (ks - 1):][:n + ks - 1]
+            assert rows.tobytes() == alone.tobytes()
+            start += n
 
 
 class TestConv2d:
@@ -121,34 +171,39 @@ class TestConv2d:
 
 class TestPooling:
     def test_hand_pool(self):
-        values, idx = max_pool_time(t([[[1.0, 5.0], [3.0, 2.0]]]))
+        values, idx = max_pool_time(t([[1.0, 5.0], [3.0, 2.0]]), [2])
         np.testing.assert_array_equal(values.data, [[3.0, 5.0]])
         np.testing.assert_array_equal(idx, [[1, 0]])
 
     def test_single_row(self):
-        values, idx = max_pool_time(t([[[2.0, -1.0, 0.5]]]))
+        values, idx = max_pool_time(t([[2.0, -1.0, 0.5]]), [1])
         np.testing.assert_array_equal(values.data, [[2.0, -1.0, 0.5]])
         np.testing.assert_array_equal(idx, [[0, 0, 0]])
 
     def test_tie_takes_lowest_index(self):
-        _, idx = max_pool_time(t([[[2.0], [2.0]]]))
+        _, idx = max_pool_time(t([[2.0], [2.0]]), [2])
         assert idx[0, 0] == 0
 
+    def test_ragged_positions_count_from_each_sentence(self):
+        values, idx = max_pool_time(t([[1.0], [3.0], [9.0], [2.0], [7.0]]), [2, 1, 2])
+        np.testing.assert_array_equal(values.data, [[3.0], [9.0], [7.0]])
+        np.testing.assert_array_equal(idx, [[1], [0], [1]])
+
     def test_unpool_inverse_of_pool(self):
-        values, idx = max_pool_time(t([[[1.0, 5.0], [3.0, 2.0]]]))
-        restored = max_unpool_time(values, idx, 2)
-        np.testing.assert_array_equal(restored.data, [[[0.0, 5.0], [3.0, 0.0]]])
-        values2, idx2 = max_pool_time(restored)
+        values, idx = max_pool_time(t([[1.0, 5.0], [3.0, 2.0]]), [2])
+        restored = max_unpool_time(values, idx, [2])
+        np.testing.assert_array_equal(restored.data, [[0.0, 5.0], [3.0, 0.0]])
+        values2, idx2 = max_pool_time(restored, [2])
         np.testing.assert_array_equal(values2.data, values.data)
         np.testing.assert_array_equal(idx2, idx)
 
     def test_unpool_single_position(self):
-        out = max_unpool_time(t([[4.0, 7.0]]), np.array([[0, 0]]), 1)
-        np.testing.assert_array_equal(out.data, [[[4.0, 7.0]]])
+        out = max_unpool_time(t([[4.0, 7.0]]), np.array([[0, 0]]), [1])
+        np.testing.assert_array_equal(out.data, [[4.0, 7.0]])
 
     def test_unpool_index_out_of_range(self):
         with pytest.raises(IndexError):
-            max_unpool_time(t([[1.0]]), np.array([[3]]), 2)
+            max_unpool_time(t([[1.0], [1.0]]), np.array([[1], [3]]), [2, 3])
 
 
 class TestDropout:
@@ -214,12 +269,12 @@ class TestGradCheck:
         assert grad_check(f, arrays) <= 1e-4, name
 
     def test_pool_near_strict_max(self):
-        x = np.zeros((1, 4, 2))
-        x[0, 1, 0] = 1.0
-        x[0, 3, 1] = 2.0
+        x = np.zeros((4, 2))
+        x[1, 0] = 1.0
+        x[3, 1] = 2.0
 
         def f(a):
-            values, _ = max_pool_time(a)
+            values, _ = max_pool_time(a, [4])
             return (values * np.array([[1.0, 2.0]])).sum()
 
         assert grad_check(f, [x]) <= 1e-4
@@ -229,24 +284,22 @@ class TestShapeFuzz:
     def test_thousand_random_shapes(self):
         rng = np.random.default_rng(7)
         for _ in range(1000):
-            p = int(rng.integers(1, 12))
+            ks = int(rng.integers(1, 8))
+            lengths = np.sort(rng.integers(ks, 12, size=int(rng.integers(1, 5))))
             d = int(rng.integers(1, 6))
-            ks = int(rng.integers(1, p + 1))
             c = int(rng.integers(1, 7))
-            x = Tensor(rng.normal(size=(1, p, d)))
+            x = Tensor(rng.normal(size=(lengths.sum(), d)))
             k = Tensor(rng.normal(size=(c, ks, d)))
-            out = conv1d_valid(x, k, Tensor(np.zeros(c, dtype=np.float64)))
-            assert out.shape == (1, p - ks + 1, c)
-            back = transposed_conv1d(out, k, Tensor(np.zeros(d, dtype=np.float64)))
-            assert back.shape == (1, p, d)
-            values, idx = max_pool_time(out)
-            assert values.shape == (1, c) and idx.shape == (1, c)
-            restored = max_unpool_time(values, idx, out.shape[1])
+            out = conv1d_valid(x, k, Tensor(np.zeros(c, dtype=np.float64)), lengths)
+            assert out.shape == ((lengths - ks + 1).sum(), c)
+            back = transposed_conv1d(out, k, Tensor(np.zeros(d, dtype=np.float64)), lengths - ks + 1)
+            assert back.shape == x.shape
+            values, idx = max_pool_time(out, lengths - ks + 1)
+            assert values.shape == (len(lengths), c) and idx.shape == (len(lengths), c)
+            restored = max_unpool_time(values, idx, lengths - ks + 1)
             assert restored.shape == out.shape
             flat = out.reshape(-1)
-            assert flat.shape == ((p - ks + 1) * c,)
-            both = concat([x, x], axis=1)
-            assert both.shape == (1, 2 * p, d)
+            assert flat.shape == ((lengths - ks + 1).sum() * c,)
 
     def test_conv2d_shape_fuzz(self):
         rng = np.random.default_rng(8)
@@ -265,16 +318,16 @@ class TestShapeFuzz:
 
 
 class TestBatchAxis:
-    @pytest.mark.parametrize("call", [
-        lambda: conv1d_valid(t(np.ones((5, 2))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
-        lambda: transposed_conv1d(t(np.ones((5, 2))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
-        lambda: conv2d_valid(t(np.ones((3, 4))), t(np.ones((2, 3, 2))), t(np.zeros(2))),
-        lambda: transposed_conv2d(t(np.ones((2, 1, 3))), t(np.ones((2, 3, 2))), t(np.zeros(1))),
-        lambda: max_pool_time(t(np.ones((5, 2)))),
-        lambda: max_unpool_time(t(np.ones(2)), np.zeros(2, dtype=int), 3),
+    @pytest.mark.parametrize("call,match", [
+        (lambda: conv1d_valid(t(np.ones(5)), t(np.ones((2, 3, 2))), t(np.zeros(2)), [5]), "packed rows"),
+        (lambda: transposed_conv1d(t(np.ones(5)), t(np.ones((2, 3, 2))), t(np.zeros(2)), [5]), "packed rows"),
+        (lambda: conv2d_valid(t(np.ones((3, 4))), t(np.ones((2, 3, 2))), t(np.zeros(2))), "batched input"),
+        (lambda: transposed_conv2d(t(np.ones((2, 1, 3))), t(np.ones((2, 3, 2))), t(np.zeros(1))), "batched input"),
+        (lambda: max_pool_time(t(np.ones(5)), [5]), "packed rows"),
+        (lambda: max_unpool_time(t(np.ones(2)), np.zeros(2, dtype=int), [3]), "pooled rows"),
     ], ids=["conv1d", "transposed_conv1d", "conv2d", "transposed_conv2d", "pool", "unpool"])
-    def test_unbatched_input_rejected(self, call):
-        with pytest.raises(ShapeError, match="batched input"):
+    def test_unbatched_input_rejected(self, call, match):
+        with pytest.raises(ShapeError, match=match):
             call()
 
 
@@ -285,8 +338,8 @@ class TestDeterminism:
         k = rng.normal(size=(5, 3, 4)).astype(np.float32)
 
         def run():
-            out = conv1d_valid(Tensor(x), Tensor(k), Tensor(np.zeros(5, dtype=np.float32)))
-            values, _ = max_pool_time(out)
+            out = conv1d_valid(Tensor(x[0]), Tensor(k), Tensor(np.zeros(5, dtype=np.float32)), [6])
+            values, _ = max_pool_time(out, [4])
             return (values * 2.0).sum().data.tobytes()
 
         assert run() == run()

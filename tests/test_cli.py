@@ -13,7 +13,7 @@ from sarcse.cli import (
     read_config_file,
     resolve_config,
 )
-from sarcse.corpus import load_sts_pairs, make_batch_tokens, tokenize
+from sarcse.corpus import load_sts_pairs, tokenize
 from sarcse.evaluation import encode_tokens
 
 
@@ -248,22 +248,17 @@ class TestEval:
         calls = []
         real_encode = evaluation.encode
 
-        def counting_encode(x, params):
-            calls.append(x.shape[0])
-            return real_encode(x, params)
+        def counting_encode(x, lengths, params):
+            calls.append(len(lengths))
+            return real_encode(x, lengths, params)
 
         monkeypatch.setattr(evaluation, "encode", counting_encode)
         out = tmp_path / "eval"
         assert main(["eval", str(ckpt_path), str(pairs_path), "--out", str(out), "--token-report"]) == EXIT_OK
         pairs = load_sts_pairs(pairs_path)
-        vocab = load_checkpoint(ckpt_path).vocab
         unique = list(dict.fromkeys(tuple(t) for t in [p.sentence_a for p in pairs] + [p.sentence_b for p in pairs]))
-        groups = sum(
-            len(make_batch_tokens(unique[start:start + 64], vocab).length_groups())
-            for start in range(0, len(unique), 64)
-        )
         assert len(unique) > 64
-        assert len(calls) == groups
+        assert len(calls) == -(-len(unique) // 64)     # one packed pass per chunk of 64
         assert sum(calls) == len(unique)
 
     def test_empty_pair_sentence_names_line(self, trained, tmp_path, capsys):

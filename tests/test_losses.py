@@ -57,72 +57,73 @@ class TestTokenWeight:
 
 class TestReconstructionLoss:
     def test_perfect_reconstruction(self):
-        x = Tensor(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        loss = reconstruction_loss(x, Tensor(x.data.copy()), np.ones((1, 2)), np.ones((1, 2), bool))
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        loss = reconstruction_loss(x, Tensor(x.data.copy()), np.ones(2), np.ones(2, bool), [2])
         assert loss.data[0] == 0.0
 
     def test_hand_case(self):
-        x = Tensor(np.array([[[0.0, 0.0]]]))
-        recon = Tensor(np.array([[[2.0, 0.0]]]))
-        loss = reconstruction_loss(x, recon, np.ones((1, 1)), np.ones((1, 1), bool))
+        x = Tensor(np.array([[0.0, 0.0]]))
+        recon = Tensor(np.array([[2.0, 0.0]]))
+        loss = reconstruction_loss(x, recon, np.ones(1), np.ones(1, bool), [1])
         assert loss.data[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_linear_in_weights(self):
         rng = np.random.default_rng(0)
-        x = Tensor(rng.normal(size=(1, 4, 3)))
-        recon = Tensor(rng.normal(size=(1, 4, 3)))
-        mask = np.ones((1, 4), bool)
-        base = reconstruction_loss(x, recon, np.ones((1, 4)), mask).data[0]
-        scaled = reconstruction_loss(x, recon, np.full((1, 4), 0.1), mask).data[0]
+        x = Tensor(rng.normal(size=(4, 3)))
+        recon = Tensor(rng.normal(size=(4, 3)))
+        mask = np.ones(4, bool)
+        base = reconstruction_loss(x, recon, np.ones(4), mask, [4]).data[0]
+        scaled = reconstruction_loss(x, recon, np.full(4, 0.1), mask, [4]).data[0]
         assert scaled == pytest.approx(0.1 * base, rel=1e-9)
 
     def test_masked_rows_do_not_contribute(self):
         rng = np.random.default_rng(1)
-        x = rng.normal(size=(1, 5, 3))
-        recon = rng.normal(size=(1, 5, 3))
-        mask = np.array([[True, True, True, False, False]])
+        x = rng.normal(size=(5, 3))
+        recon = rng.normal(size=(5, 3))
+        mask = np.array([True, True, True, False, False])
         trimmed = reconstruction_loss(
-            Tensor(x[:, :3]), Tensor(recon[:, :3]), np.ones((1, 3)), np.ones((1, 3), bool)
+            Tensor(x[:3]), Tensor(recon[:3]), np.ones(3), np.ones(3, bool), [3]
         ).data[0]
         padded_recon = recon.copy()
-        padded_recon[:, 3:] = rng.normal(size=(1, 2, 3)) * 100
-        full = reconstruction_loss(Tensor(x), Tensor(padded_recon), np.ones((1, 5)), mask).data[0]
+        padded_recon[3:] = rng.normal(size=(2, 3)) * 100
+        full = reconstruction_loss(Tensor(x), Tensor(padded_recon), np.ones(5), mask, [5]).data[0]
         assert full == pytest.approx(trimmed, rel=1e-12)
 
     def test_permutation_equivariant(self):
         rng = np.random.default_rng(2)
-        x = rng.normal(size=(1, 6, 4))
-        recon = rng.normal(size=(1, 6, 4))
-        w = rng.uniform(0.1, 1.0, size=(1, 6))
-        mask = np.array([[True, True, False, True, True, True]])
+        x = rng.normal(size=(6, 4))
+        recon = rng.normal(size=(6, 4))
+        w = rng.uniform(0.1, 1.0, size=6)
+        mask = np.array([True, True, False, True, True, True])
         perm = rng.permutation(6)
-        a = reconstruction_loss(Tensor(x), Tensor(recon), w, mask).data[0]
-        b = reconstruction_loss(
-            Tensor(x[:, perm]), Tensor(recon[:, perm]), w[:, perm], mask[:, perm]
-        ).data[0]
+        a = reconstruction_loss(Tensor(x), Tensor(recon), w, mask, [6]).data[0]
+        b = reconstruction_loss(Tensor(x[perm]), Tensor(recon[perm]), w[perm], mask[perm], [6]).data[0]
         assert a == pytest.approx(b, rel=1e-12)
 
     def test_one_loss_per_sentence_each_as_if_alone(self):
         rng = np.random.default_rng(8)
-        x = rng.normal(size=(3, 5, 4))
-        recon = rng.normal(size=(3, 5, 4))
-        w = rng.uniform(0.1, 1.0, size=(3, 5))
-        mask = np.array([[True] * 5, [True, True, True, False, False], [True] * 5])
-        batched = reconstruction_loss(Tensor(x), Tensor(recon), w, mask).data
-        assert batched.shape == (3,)
-        for i in range(3):
-            alone = reconstruction_loss(Tensor(x[i:i + 1]), Tensor(recon[i:i + 1]), w[i:i + 1], mask[i:i + 1])
-            assert alone.data.tobytes() == batched[i:i + 1].tobytes()
+        lengths = np.array([5, 5, 7])
+        x = rng.normal(size=(17, 4))
+        recon = rng.normal(size=(17, 4))
+        w = rng.uniform(0.1, 1.0, size=17)
+        mask = np.ones(17, bool)
+        mask[8:10] = False
+        packed = reconstruction_loss(Tensor(x), Tensor(recon), w, mask, lengths).data
+        assert packed.shape == (3,)
+        for i, (start, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+            rows = slice(start, start + n)
+            alone = reconstruction_loss(Tensor(x[rows]), Tensor(recon[rows]), w[rows], mask[rows], [n])
+            assert alone.data.tobytes() == packed[i:i + 1].tobytes()
 
     def test_empty_mask_rejected(self):
-        x = Tensor(np.ones((1, 2, 2)))
+        x = Tensor(np.ones((4, 2)))
         with pytest.raises(ValueError, match="no tokens"):
-            reconstruction_loss(x, x, np.ones((1, 2)), np.zeros((1, 2), bool))
+            reconstruction_loss(x, x, np.ones(4), np.array([True, True, False, False]), [2, 2])
 
     def test_detached_target_blocks_gradient(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(1, 3, 2)), requires_grad=True)
-        recon = Tensor(np.random.default_rng(4).normal(size=(1, 3, 2)), requires_grad=True)
-        loss = reconstruction_loss(x, recon, np.ones((1, 3)), np.ones((1, 3), bool), detach_target=True)
+        x = Tensor(np.random.default_rng(3).normal(size=(3, 2)), requires_grad=True)
+        recon = Tensor(np.random.default_rng(4).normal(size=(3, 2)), requires_grad=True)
+        loss = reconstruction_loss(x, recon, np.ones(3), np.ones(3, bool), [3], detach_target=True)
         grads = backward(loss.sum())
         np.testing.assert_array_equal(grads.wrt(x), 0.0)
         assert np.abs(grads.wrt(recon)).sum() > 0

@@ -15,6 +15,7 @@ from sarcse.model import (
     encode,
     forward_pair,
     init_params,
+    pack,
 )
 
 
@@ -34,8 +35,8 @@ def random_params(embed_dim, enc_channels, mix_channels, seed=0, dtype=np.float6
 
 
 def random_sentence(n, d, seed=1, dtype=np.float64):
-    """A length group of one n x d sentence."""
-    return Tensor(np.random.default_rng(seed).normal(size=(1, n, d)).astype(dtype))
+    """One n x d sentence, packed: its rows and its length."""
+    return Tensor(np.random.default_rng(seed).normal(size=(n, d)).astype(dtype)), [n]
 
 
 class TestEmbeddingLengthLaw:
@@ -45,17 +46,17 @@ class TestEmbeddingLengthLaw:
             enc_channels = int(rng.integers(2, 65))
             mix_channels = int(rng.integers(1, 5))
             params = random_params(3, enc_channels, mix_channels, seed=int(rng.integers(1e6)))
-            z, _ = encode(random_sentence(7, 3), params)
+            z, _ = encode(*random_sentence(7, 3), params)
             assert z.shape == (1, mix_channels * (enc_channels - 1))
 
     def test_reference_dimensions(self):
         params = random_params(4, 500, 3)
-        z, _ = encode(random_sentence(6, 4), params)
+        z, _ = encode(*random_sentence(6, 4), params)
         assert z.shape == (1, 1497)
 
     def test_desk_scale_dimensions(self):
         params = random_params(4, 64, 3)
-        z, _ = encode(random_sentence(9, 4), params)
+        z, _ = encode(*random_sentence(9, 4), params)
         assert z.shape == (1, 189)
 
 
@@ -63,20 +64,20 @@ class TestEncode:
     def test_too_short_sentence(self):
         params = random_params(4, 6, 2)
         with pytest.raises(ShapeError, match="length 4"):
-            encode(random_sentence(4, 4), params)
+            encode(*random_sentence(4, 4), params)
 
     def test_pool_indices_in_range(self):
         params = random_params(4, 6, 2)
         n = 9
-        _, state = encode(random_sentence(n, 4), params)
+        _, state = encode(*random_sentence(n, 4), params)
         for ks in KERNEL_SIZES:
             assert state.pool_indices[ks].max() <= n - ks
 
     def test_deterministic(self):
         params = random_params(4, 6, 2)
         x = random_sentence(8, 4)
-        z1, _ = encode(x, params)
-        z2, _ = encode(x, params)
+        z1, _ = encode(*x, params)
+        z2, _ = encode(*x, params)
         np.testing.assert_array_equal(z1.data, z2.data)
 
 
@@ -84,23 +85,20 @@ class TestDecode:
     def test_output_shape(self):
         params = random_params(5, 8, 3)
         for n in (5, 6, 11):
-            x = random_sentence(n, 5, seed=n)
-            z, state = encode(x, params)
+            z, state = encode(*random_sentence(n, 5, seed=n), params)
             recon = decode(z, state, params)
-            assert recon.shape == (1, n, 5)
+            assert recon.shape == (n, 5)
 
     def test_zero_embedding_zero_biases_gives_zeros(self):
         params = random_params(4, 6, 2, zero_bias=True)
-        x = random_sentence(7, 4)
-        _, state = encode(x, params)
+        _, state = encode(*random_sentence(7, 4), params)
         zero_z = Tensor(np.zeros((1, 2 * (6 - 1))))
         recon = decode(zero_z, state, params)
         np.testing.assert_array_equal(recon.data, 0.0)
 
     def test_linearity_in_embedding(self):
         params = random_params(4, 7, 2, zero_bias=True)
-        x = random_sentence(8, 4)
-        z, state = encode(x, params)
+        z, state = encode(*random_sentence(8, 4), params)
         rng = np.random.default_rng(3)
         z1 = Tensor(rng.normal(size=z.shape))
         z2 = Tensor(rng.normal(size=z.shape))
@@ -111,7 +109,7 @@ class TestDecode:
 
     def test_wrong_embedding_length(self):
         params = random_params(4, 6, 2)
-        state = EncodeState(length=6, pool_indices={ks: np.zeros((1, 6), dtype=int) for ks in KERNEL_SIZES})
+        state = EncodeState(lengths=np.array([6]), pool_indices={ks: np.zeros((1, 6), dtype=int) for ks in KERNEL_SIZES})
         with pytest.raises(ShapeError, match="embedding length"):
             decode(Tensor(np.zeros((1, 3))), state, params)
 
@@ -122,11 +120,11 @@ def _pool_gaps(x_data, params):
 
     gaps = []
     for ks in KERNEL_SIZES:
-        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"]).data
-        if fm.shape[1] == 1:
+        fm = conv1d_valid(Tensor(x_data), params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"], [len(x_data)]).data
+        if fm.shape[0] == 1:
             continue
-        srt = np.sort(fm, axis=1)
-        gaps.append((srt[:, -1] - srt[:, -2]).min())
+        srt = np.sort(fm, axis=0)
+        gaps.append((srt[-1] - srt[-2]).min())
     return min(gaps) if gaps else np.inf
 
 
@@ -134,7 +132,7 @@ class TestAutoencoderGradients:
     def test_reconstruction_objective_matches_finite_differences(self):
         embed_dim, enc_channels, mix_channels, n = 4, 6, 2, 6
         base = random_params(embed_dim, enc_channels, mix_channels, seed=10)
-        x_data = np.random.default_rng(11).normal(size=(1, n, embed_dim))
+        x_data = np.random.default_rng(11).normal(size=(n, embed_dim))
         assert _pool_gaps(x_data, base) > 1e-3
 
         names = list(base)
@@ -142,17 +140,12 @@ class TestAutoencoderGradients:
 
         def objective(x, *param_tensors):
             params = dict(zip(names, param_tensors))
-            z, state = encode(x, params)
+            z, state = encode(x, [n], params)
             recon = decode(z, state, params)
-            return reconstruction_loss(x, recon, np.ones((1, n)), np.ones((1, n), bool)).sum()
+            return reconstruction_loss(x, recon, np.ones(n), np.ones(n, bool), [n]).sum()
 
         err = grad_check(objective, [x_data] + arrays)
         assert err <= 1e-4, f"worst relative error {err} over {names}"
-
-
-def _embeddings(view):
-    """A view's embeddings, one row per sentence in length-group order."""
-    return np.concatenate([g.embeddings.data for g in view])
 
 
 class TestForwardPair:
@@ -166,30 +159,31 @@ class TestForwardPair:
 
     def test_no_dropout_views_identical(self, setup):
         _, table, params, batch = setup
-        view, view_aug = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(_embeddings(view), _embeddings(view_aug))
+        _, view, view_aug = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        np.testing.assert_array_equal(view.embeddings.data, view_aug.embeddings.data)
 
     def test_fixed_rng_reproducible(self, setup):
         _, table, params, batch = setup
-        a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        np.testing.assert_array_equal(_embeddings(a[0]), _embeddings(b[0]))
-        np.testing.assert_array_equal(_embeddings(a[1]), _embeddings(b[1]))
+        _, *a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        _, *b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        np.testing.assert_array_equal(a[0].embeddings.data, b[0].embeddings.data)
+        np.testing.assert_array_equal(a[1].embeddings.data, b[1].embeddings.data)
 
     def test_one_embedding_per_sentence_per_view(self, setup):
         _, table, params, batch = setup
-        view, view_aug = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
-        assert _embeddings(view).shape == (3, 2 * (6 - 1))
-        assert _embeddings(view_aug).shape == (3, 2 * (6 - 1))
-        assert sum(g.recons.shape[0] for g in view) == 3
+        packing, view, view_aug = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
+        assert view.embeddings.shape == (3, 2 * (6 - 1))
+        assert view_aug.embeddings.shape == (3, 2 * (6 - 1))
+        assert view.recons.shape == (packing.lengths.sum(), 4)
 
     def test_short_sentence_uses_effective_length_five(self, setup):
         _, table, params, batch = setup
-        view, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        (short,) = [g for g in view if 1 in g.rows]
-        assert short.inputs.shape[1] == 5
-        assert short.recons.shape == (1, 5, 4)
-        assert batch.mask[short.rows, :5].tolist() == [[True, True, True, False, False]]
+        packing, view, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        assert packing.order.tolist() == [1, 0, 2]
+        assert packing.lengths.tolist() == [5, 6, 7]
+        assert view.inputs.shape == (18, 4)
+        np.testing.assert_array_equal(view.inputs.data[3:5], 0.0)
+        assert batch.mask[packing.index][:5].tolist() == [True, True, True, False, False]
 
 
 class TestPadInvariance:
@@ -203,36 +197,41 @@ class TestPadInvariance:
             words = " ".join(f"w{rng.integers(0, 30)}" for _ in range(n))
             short = make_batch([words], vocab)
             padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 7)))
-            view_short, _ = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
-            view_padded, _ = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
-            assert _embeddings(view_short).tobytes() == _embeddings(view_padded).tobytes()
+            _, view_short, _ = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
+            _, view_padded, _ = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
+            assert view_short.embeddings.data.tobytes() == view_padded.embeddings.data.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 6), st.integers(5, 14), st.integers(0, 2**32 - 1))
-def test_batched_autoencoder_matches_per_sentence_oracle(b, n, seed):
+@given(st.lists(st.integers(5, 14), min_size=1, max_size=6), st.integers(0, 2**32 - 1))
+def test_batched_autoencoder_matches_per_sentence_oracle(lengths, seed):
     rng = np.random.default_rng(seed)
     embed_dim, enc_channels, mix_channels = int(rng.integers(1, 6)), int(rng.integers(2, 10)), int(rng.integers(1, 4))
     params = random_params(embed_dim, enc_channels, mix_channels, seed=seed)
-    x = rng.normal(size=(b, n, embed_dim))
-    z, state = encode(Tensor(x), params)
+    lengths = np.sort(lengths)
+    x = rng.normal(size=(lengths.sum(), embed_dim))
+    z, state = encode(Tensor(x), lengths, params)
     recon = decode(z, state, params).data
-    for i in range(b):
-        oz, oidx = oracle_encode(x[i], params, KERNEL_SIZES)
+    starts = np.cumsum(lengths) - lengths
+    for i, (start, n) in enumerate(zip(starts, lengths)):
+        oz, oidx = oracle_encode(x[start:start + n], params, KERNEL_SIZES)
         np.testing.assert_allclose(z.data[i], oz, rtol=1e-12)
         for ks in KERNEL_SIZES:
             np.testing.assert_array_equal(state.pool_indices[ks][i], oidx[ks])
-        np.testing.assert_allclose(recon[i], oracle_decode(oz, oidx, n, params, KERNEL_SIZES), rtol=1e-12)
+        np.testing.assert_allclose(recon[start:start + n], oracle_decode(oz, oidx, n, params, KERNEL_SIZES), rtol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(1, 20), min_size=1, max_size=30))
-def test_length_groups_cover_every_row_once_ascending(lengths):
+def test_pack_covers_every_row_once_ascending(lengths):
     batch = make_batch_tokens([["a"] * n for n in lengths], Vocab(["a"]))
-    groups = batch.length_groups()
-    rows = np.concatenate([r for r, _ in groups])
-    assert sorted(rows.tolist()) == list(range(len(lengths)))
-    ns = [n for _, n in groups]
-    assert ns == sorted(set(ns))
-    for r, n in groups:
-        assert all(max(lengths[i], 5) == n for i in r)
+    packing = pack(batch)
+    assert sorted(packing.order.tolist()) == list(range(len(lengths)))
+    eff = [max(n, 5) for n in lengths]
+    assert packing.lengths.tolist() == [eff[i] for i in packing.order]
+    assert packing.lengths.tolist() == sorted(eff)
+    for a, b in zip(packing.order, packing.order[1:]):
+        assert eff[a] < eff[b] or a < b, "ties keep batch order"
+    rows, positions = packing.index
+    expected = [(i, p) for i in packing.order for p in range(eff[i])]
+    assert list(zip(rows.tolist(), positions.tolist())) == expected

@@ -199,26 +199,36 @@ class TestTrainLoop:
         assert len(lines) == 5
 
 
-def test_objective_graph_size(toy_data_dir):
-    """The first step of the reproduce configuration (bundled corpus, batch
-    16, width 64, seed 7) builds at most 300 graph nodes, counted as
-    `backward` visits them: the loss and every requires_grad ancestor."""
-    corpus = toy_data_dir / "toy_corpus.txt"
-    sentences, vocab = load_corpus(corpus), build_vocab(corpus)
-    freq = token_frequency(corpus, vocab)
-    cfg = TrainConfig(embed_dim=32, enc_channels=64, mix_channels=3, batch_size=16, seed=7)
-    rng = np.random.default_rng(cfg.seed)     # the draw order of train()
-    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng)
-    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
-    first = [sentences[i] for i in rng.permutation(len(sentences))[:cfg.batch_size]]
-    loss, _ = objective(cfg, make_batch(first, vocab), table, params, freq, rng)
+def _graph_nodes(loss):
+    """Nodes `backward(loss)` visits: the loss and every requires_grad ancestor."""
     seen, stack = {id(loss)}, [loss]
     while stack:
         for parent in stack.pop()._parents:
             if parent.requires_grad and id(parent) not in seen:
                 seen.add(id(parent))
                 stack.append(parent)
-    assert len(seen) <= 300
+    return len(seen)
+
+
+def test_objective_graph_size(toy_data_dir):
+    """One step of the reproduce configuration (bundled corpus, batch 16,
+    width 64, seed 7) builds one packed graph per view: 16 sentences of 8
+    distinct effective lengths give as many nodes as 16 of one length, and
+    at most 100."""
+    corpus = toy_data_dir / "toy_corpus.txt"
+    vocab = build_vocab(corpus)
+    freq = token_frequency(corpus, vocab)
+    cfg = TrainConfig(embed_dim=32, enc_channels=64, mix_channels=3, batch_size=16, seed=7)
+    words = vocab.tokens[:12]
+    counts = []
+    for lengths in ([5, 6, 7, 8, 9, 10, 11, 12] * 2, [9] * 16):
+        rng = np.random.default_rng(cfg.seed)     # the draw order of train()
+        table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng)
+        params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+        batch = make_batch([" ".join(words[:n]) for n in lengths], vocab)
+        loss, _ = objective(cfg, batch, table, params, freq, rng)
+        counts.append(_graph_nodes(loss))
+    assert counts[0] == counts[1] <= 100
 
 class TestCheckpointIO:
     def test_round_trip_bitwise(self, toy_setup, tmp_path):
