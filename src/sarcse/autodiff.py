@@ -9,8 +9,9 @@ checking in float64; ops preserve the dtype of their inputs.
 
 from __future__ import annotations
 
+import functools
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -241,44 +242,55 @@ def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int, *lengths) -> np.nd
     return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype)), *lengths).data
 
 
-def _lengths(name: str, rows: int, lengths, shortest: int = 1) -> np.ndarray:
-    """Per-sentence lengths that split `rows` packed rows, each at least `shortest`."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1 or lengths.sum() != rows:
-        raise ShapeError(f"{name}: sentence lengths {lengths.tolist()} do not split {rows} packed rows")
-    if lengths.size and lengths.min() < shortest:
-        raise ShapeError(f"{name}: sequence shorter than {shortest} rows (P={lengths.min()})")
-    return lengths
+class _Layout(NamedTuple):
+    """Index arrays of S packed sentences of n_i rows each (the narrow side of
+    a width-ks kernel; on the wide side each spans n_i + ks - 1 rows)."""
+
+    rows: int                   # sum of n_i
+    wide_rows: int              # sum of n_i + ks - 1
+    runs: list                  # (first sentence, count, n, first row) per run of equal n
+    starts: np.ndarray          # S first rows
+    windows: np.ndarray         # rows x ks: the wide-side rows under each row's window
 
 
-def _runs(lengths: np.ndarray):
-    """(first sentence, count, length, first row) of each run of equal consecutive lengths."""
-    first = row = 0
+@functools.lru_cache(maxsize=64)
+def _layout(key: bytes, ks: int) -> _Layout:
+    lengths = np.frombuffer(key, dtype=np.int64)
+    runs, first, row = [], 0, 0
     for n, run in itertools.groupby(lengths.tolist()):
         count = sum(1 for _ in run)
-        yield first, count, n, row
-        first += count
-        row += count * n
+        runs.append((first, count, n, row))
+        first, row = first + count, row + count * n
+    wide = np.arange(row) + np.repeat(np.arange(first) * (ks - 1), lengths)
+    windows = wide[:, None] + np.arange(ks)
+    windows.flags.writeable = False
+    return _Layout(row, row + first * (ks - 1), runs, np.cumsum(lengths) - lengths, windows)
 
 
-def _run_gemms(a: np.ndarray, b: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def _packed(name: str, rows: int, lengths, ks: int = 1, wide: bool = False) -> _Layout:
+    """The layout of packed sentences of `lengths` rows, checked to split
+    `rows` rows; with `wide`, the lengths count the wide side of a width-ks
+    kernel. Layouts are cached: one step asks for the same few many times."""
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.ndim != 1:
+        raise ShapeError(f"{name}: expected 1-d sentence lengths, got shape {lengths.shape}")
+    narrow = lengths - (ks - 1) if wide else lengths
+    if lengths.size and narrow.min() < 1:
+        raise ShapeError(f"{name}: sequence shorter than {ks if wide else 1} rows (P={lengths.min()})")
+    lay = _layout(narrow.tobytes(), ks)
+    if (lay.wide_rows if wide else lay.rows) != rows:
+        raise ShapeError(f"{name}: sentence lengths {lengths.tolist()} do not split {rows} packed rows")
+    return lay
+
+
+def _run_gemms(a: np.ndarray, b: np.ndarray, runs: list) -> np.ndarray:
     """Packed rows of `a` times `b`: one stacked np.matmul per run, so every
     sentence gets the GEMM it would get alone."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    for _, count, n, row in _runs(lengths):
+    for _, count, n, row in runs:
         stop = row + count * n
         np.matmul(a[row:stop].reshape(count, n, -1), b, out=out[row:stop].reshape(count, n, -1))
     return out
-
-
-def _windows_1d(x: np.ndarray, lengths: np.ndarray, ks: int) -> np.ndarray:
-    """Row-major im2col of packed sentences: the ks*d rows-window at every
-    start that fits inside its sentence, (T - S*(ks-1)) x (ks*d)."""
-    x = np.ascontiguousarray(x)
-    t, d = x.shape
-    every = np.lib.stride_tricks.as_strided(x, (t - ks + 1, ks * d), (x.strides[0], x.strides[1]))
-    position = np.arange(t - ks + 1) - np.repeat(np.cumsum(lengths) - lengths, lengths)[:t - ks + 1]
-    return every[position <= np.repeat(lengths - ks, lengths)[:t - ks + 1]]
 
 
 def _kernel_grad_2d(small: np.ndarray, big: np.ndarray) -> np.ndarray:
@@ -303,15 +315,17 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
         raise ShapeError(f"conv1d_valid: kernel width {d} does not match embedding width {x.shape[1]}")
     if bias.shape != (c_out,):
         raise ShapeError(f"conv1d_valid: bias shape {bias.shape} does not match {c_out} channels")
-    lengths = _lengths("conv1d_valid", x.shape[0], lengths, ks)
+    lay = _packed("conv1d_valid", x.shape[0], lengths, ks, wide=True)
 
-    win = _windows_1d(x.data, lengths, ks)              # T_out x (ks*d)
-    out = _run_gemms(win, kernels.data.reshape(c_out, ks * d).T, lengths - ks + 1)
+    # a contiguous (ks*d) x c_out kernel: OpenBLAS runs the transposed view's
+    # NT sgemm 2-3.5x slower at width 500
+    win = np.take(x.data, lay.windows, axis=0).reshape(lay.rows, ks * d)   # im2col
+    out = _run_gemms(win, np.ascontiguousarray(kernels.data.reshape(c_out, ks * d).T), lay.runs)
     out += bias.data
 
     def vjp(g):
         gk = g.T @ win
-        gx = _partner(transposed_conv1d, g, kernels, d, lengths - ks + 1)
+        gx = _partner(transposed_conv1d, g, kernels, d, np.asarray(lengths) - (ks - 1))
         return (gx, gk.reshape(c_out, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
@@ -329,21 +343,22 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tens
         raise ShapeError(f"transposed_conv1d: input channels {c_in} do not match kernel channels {kc}")
     if bias.shape != (d,):
         raise ShapeError(f"transposed_conv1d: bias shape {bias.shape} does not match width {d}")
-    lengths = _lengths("transposed_conv1d", t, lengths)
+    lay = _packed("transposed_conv1d", t, lengths, ks)
 
-    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), lengths)     # T x (ks*d)
-    dest = np.arange(t) + np.repeat(np.arange(len(lengths)) * (ks - 1), lengths)
-    out = np.empty((t + len(lengths) * (ks - 1), d), dtype=cols.dtype)
+    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), lay.runs)     # T x (ks*d)
+    out = np.empty((lay.wide_rows, d), dtype=cols.dtype)
     out[:] = bias.data
     for j in range(ks):
-        out[dest + j] += cols[:, j * d:(j + 1) * d]
+        out[lay.windows[:, j]] += cols[:, j * d:(j + 1) * d]
 
     def vjp(g):
-        gk = x.data.T @ _windows_1d(g, lengths + ks - 1, ks)
-        gx = _partner(conv1d_valid, g, kernels, c_in, lengths + ks - 1)
+        gk = x.data.T @ np.take(g, lay.windows, axis=0).reshape(t, ks * d)
+        gx = _partner(conv1d_valid, g, kernels, c_in, np.asarray(lengths) + (ks - 1))
         return (gx, gk.reshape(c_in, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
+
+
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     """Valid cross-correlation of B planes R x C: B x c_out x (R-kh+1) x (C-kw+1)."""
     if x.data.ndim != 3 or kernels.data.ndim != 3:
@@ -403,12 +418,12 @@ def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
     """
     if t.data.ndim != 2:
         raise ShapeError(f"max_pool_time: expected 2-d packed rows, got shape {t.shape}")
-    lengths = _lengths("max_pool_time", t.shape[0], lengths)
+    lay = _packed("max_pool_time", t.shape[0], lengths)
     c = t.shape[1]
-    indices = np.empty((len(lengths), c), dtype=np.intp)
-    for first, count, n, row in _runs(lengths):
+    indices = np.empty((len(lay.starts), c), dtype=np.intp)
+    for first, count, n, row in lay.runs:
         indices[first:first + count] = t.data[row:row + count * n].reshape(count, n, c).argmax(axis=1)
-    values = t.data[indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(c)]
+    values = t.data[indices + lay.starts[:, None], np.arange(c)]
     return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,)), indices
 
 
@@ -425,9 +440,9 @@ def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
         raise ShapeError(f"max_unpool_time: {lengths.size} lengths for {values.shape[0]} sentences")
     if indices.size and (indices.min() < 0 or (indices >= lengths[:, None]).any()):
         raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for lengths {lengths.tolist()}")
-    c = values.shape[1]
-    at = (indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(c))
-    out = np.zeros((int(lengths.sum()), c), dtype=values.dtype)
+    lay = _layout(lengths.tobytes(), 1)
+    at = (indices + lay.starts[:, None], np.arange(values.shape[1]))
+    out = np.zeros((lay.rows, values.shape[1]), dtype=values.dtype)
     out[at] = values.data
 
     def vjp(g):
