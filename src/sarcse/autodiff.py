@@ -4,33 +4,18 @@ Tensors are eager: the forward value is computed on construction and each
 op registers a closure that maps the output adjoint to the input adjoints.
 `backward` walks the graph once in reverse topological order and returns a
 `GradientMap` keyed by tensor node id. Training runs in float32, gradient
-checking in float64; ops preserve the dtype of their inputs.
+checking in float64; ops preserve the dtype of their inputs. The 1-d conv
+and pooling primitives take ragged batches packed back to back: T x c rows
+plus the per-sentence lengths that split them.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-
-__all__ = [
-    "ShapeError",
-    "Tensor",
-    "GradientMap",
-    "backward",
-    "grad_check",
-    "stack_rows",
-    "dropout",
-    "embedding_lookup",
-    "conv1d_valid",
-    "transposed_conv1d",
-    "conv2d_valid",
-    "transposed_conv2d",
-    "max_pool_time",
-    "max_unpool_time",
-]
 
 _node_ids = itertools.count()
 
@@ -242,50 +227,32 @@ def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int, *lengths) -> np.nd
     return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype)), *lengths).data
 
 
-class _Layout(NamedTuple):
-    """Index arrays of S packed sentences of n_i rows each (the narrow side of
-    a width-ks kernel; on the wide side each spans n_i + ks - 1 rows)."""
-
-    rows: int                   # sum of n_i
-    wide_rows: int              # sum of n_i + ks - 1
-    runs: list                  # (first sentence, count, n, first row) per run of equal n
-    starts: np.ndarray          # S first rows
-    windows: np.ndarray         # rows x ks: the wide-side rows under each row's window
-
-
 @functools.lru_cache(maxsize=64)
-def _layout(key: bytes, ks: int) -> _Layout:
+def _layout(key: bytes, ks: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """Cached index arrays of packed sentences of int64 lengths `key`: runs of
+    equal lengths as (first sentence, count, length, first row), each
+    sentence's first row, and each row's ks-row window once ks-1 rows follow
+    every sentence."""
     lengths = np.frombuffer(key, dtype=np.int64)
-    runs, first, row = [], 0, 0
-    for n, run in itertools.groupby(lengths.tolist()):
-        count = sum(1 for _ in run)
-        runs.append((first, count, n, row))
-        first, row = first + count, row + count * n
-    wide = np.arange(row) + np.repeat(np.arange(first) * (ks - 1), lengths)
-    windows = wide[:, None] + np.arange(ks)
-    windows.flags.writeable = False
-    return _Layout(row, row + first * (ks - 1), runs, np.cumsum(lengths) - lengths, windows)
+    bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
+    starts = np.cumsum(lengths) - lengths
+    runs = [(a, b - a, int(lengths[a]), int(starts[a])) for a, b in zip(bounds, bounds[1:])]
+    spread = np.arange(lengths.sum()) + np.repeat(np.arange(len(lengths)) * (ks - 1), lengths)
+    return runs, starts, spread[:, None] + np.arange(ks)
 
 
-def _packed(name: str, rows: int, lengths, ks: int = 1, wide: bool = False) -> _Layout:
-    """The layout of packed sentences of `lengths` rows, checked to split
-    `rows` rows; with `wide`, the lengths count the wide side of a width-ks
-    kernel. Layouts are cached: one step asks for the same few many times."""
+def _packed(name: str, rows: int, lengths, ks: int = 1, wide: bool = False):
+    """`_layout` of 1-d `lengths` that split `rows` packed rows; with `wide`
+    they count the wide side of a width-ks kernel, ks-1 rows more each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.ndim != 1:
-        raise ShapeError(f"{name}: expected 1-d sentence lengths, got shape {lengths.shape}")
     narrow = lengths - (ks - 1) if wide else lengths
-    if lengths.size and narrow.min() < 1:
-        raise ShapeError(f"{name}: sequence shorter than {ks if wide else 1} rows (P={lengths.min()})")
-    lay = _layout(narrow.tobytes(), ks)
-    if (lay.wide_rows if wide else lay.rows) != rows:
-        raise ShapeError(f"{name}: sentence lengths {lengths.tolist()} do not split {rows} packed rows")
-    return lay
+    if lengths.ndim != 1 or lengths.sum() != rows or (lengths.size and narrow.min() < 1):
+        raise ShapeError(f"{name}: lengths {lengths.tolist()} must split {rows} rows, each at least {ks if wide else 1}")
+    return _layout(narrow.tobytes(), ks)
 
 
 def _run_gemms(a: np.ndarray, b: np.ndarray, runs: list) -> np.ndarray:
-    """Packed rows of `a` times `b`: one stacked np.matmul per run, so every
-    sentence gets the GEMM it would get alone."""
+    """Packed rows of `a` times `b`, one stacked np.matmul per run: the GEMM each sentence gets alone."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     for _, count, n, row in runs:
         stop = row + count * n
@@ -311,22 +278,19 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
     if x.data.ndim != 2 or kernels.data.ndim != 3:
         raise ShapeError(f"conv1d_valid: expected 2-d packed rows and 3-d kernels, got {x.shape} and {kernels.shape}")
     c_out, ks, d = kernels.shape
-    if x.shape[1] != d:
-        raise ShapeError(f"conv1d_valid: kernel width {d} does not match embedding width {x.shape[1]}")
-    if bias.shape != (c_out,):
-        raise ShapeError(f"conv1d_valid: bias shape {bias.shape} does not match {c_out} channels")
-    lay = _packed("conv1d_valid", x.shape[0], lengths, ks, wide=True)
+    if x.shape[1] != d or bias.shape != (c_out,):
+        raise ShapeError(f"conv1d_valid: rows of width {x.shape[1]} or bias {bias.shape} do not fit kernels {kernels.shape}")
+    runs, _, windows = _packed("conv1d_valid", x.shape[0], lengths, ks, wide=True)
 
     # a contiguous (ks*d) x c_out kernel: OpenBLAS runs the transposed view's
     # NT sgemm 2-3.5x slower at width 500
-    win = np.take(x.data, lay.windows, axis=0).reshape(lay.rows, ks * d)   # im2col
-    out = _run_gemms(win, np.ascontiguousarray(kernels.data.reshape(c_out, ks * d).T), lay.runs)
+    win = np.take(x.data, windows, axis=0).reshape(len(windows), ks * d)    # im2col
+    out = _run_gemms(win, np.ascontiguousarray(kernels.data.reshape(c_out, ks * d).T), runs)
     out += bias.data
 
     def vjp(g):
-        gk = g.T @ win
         gx = _partner(transposed_conv1d, g, kernels, d, np.asarray(lengths) - (ks - 1))
-        return (gx, gk.reshape(c_out, ks, d), g.sum(axis=0))
+        return (gx, (g.T @ win).reshape(c_out, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
@@ -339,20 +303,18 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tens
         raise ShapeError(f"transposed_conv1d: expected 2-d packed rows and 3-d kernels, got {x.shape} and {kernels.shape}")
     t, c_in = x.shape
     kc, ks, d = kernels.shape
-    if kc != c_in:
-        raise ShapeError(f"transposed_conv1d: input channels {c_in} do not match kernel channels {kc}")
-    if bias.shape != (d,):
-        raise ShapeError(f"transposed_conv1d: bias shape {bias.shape} does not match width {d}")
-    lay = _packed("transposed_conv1d", t, lengths, ks)
+    if kc != c_in or bias.shape != (d,):
+        raise ShapeError(f"transposed_conv1d: {c_in} input channels or bias {bias.shape} do not fit kernels {kernels.shape}")
+    runs, starts, windows = _packed("transposed_conv1d", t, lengths, ks)
 
-    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), lay.runs)     # T x (ks*d)
-    out = np.empty((lay.wide_rows, d), dtype=cols.dtype)
+    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), runs)     # T x (ks*d)
+    out = np.empty((t + len(starts) * (ks - 1), d), dtype=cols.dtype)
     out[:] = bias.data
     for j in range(ks):
-        out[lay.windows[:, j]] += cols[:, j * d:(j + 1) * d]
+        out[windows[:, j]] += cols[:, j * d:(j + 1) * d]
 
     def vjp(g):
-        gk = x.data.T @ np.take(g, lay.windows, axis=0).reshape(t, ks * d)
+        gk = x.data.T @ np.take(g, windows, axis=0).reshape(t, ks * d)
         gx = _partner(conv1d_valid, g, kernels, c_in, np.asarray(lengths) + (ks - 1))
         return (gx, gk.reshape(c_in, ks, d), g.sum(axis=0))
 
@@ -409,8 +371,7 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
 
 
 def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
-    """Max over each packed sentence's rows of T x c feature maps; ties go to
-    the lowest index.
+    """Max over each packed sentence's rows of T x c maps; ties go to the lowest index.
 
     Returns the S x c pooled values and the S x c integer argmax positions,
     counted from each sentence's first row. The adjoint is max_unpool_time:
@@ -418,12 +379,12 @@ def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
     """
     if t.data.ndim != 2:
         raise ShapeError(f"max_pool_time: expected 2-d packed rows, got shape {t.shape}")
-    lay = _packed("max_pool_time", t.shape[0], lengths)
+    runs, starts, _ = _packed("max_pool_time", t.shape[0], lengths)
     c = t.shape[1]
-    indices = np.empty((len(lay.starts), c), dtype=np.intp)
-    for first, count, n, row in lay.runs:
+    indices = np.empty((len(starts), c), dtype=np.intp)
+    for first, count, n, row in runs:
         indices[first:first + count] = t.data[row:row + count * n].reshape(count, n, c).argmax(axis=1)
-    values = t.data[indices + lay.starts[:, None], np.arange(c)]
+    values = t.data[indices + starts[:, None], np.arange(c)]
     return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,)), indices
 
 
@@ -432,17 +393,14 @@ def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
     (sentence i spans lengths[i] rows), zeros elsewhere."""
     if values.data.ndim != 2:
         raise ShapeError(f"max_unpool_time: expected 2-d pooled rows, got shape {values.shape}")
-    indices = np.asarray(indices)
-    if indices.shape != values.shape:
-        raise ShapeError(f"max_unpool_time: values shape {values.shape} but indices shape {indices.shape}")
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != values.shape[:1]:
-        raise ShapeError(f"max_unpool_time: {lengths.size} lengths for {values.shape[0]} sentences")
+    indices, lengths = np.asarray(indices), np.asarray(lengths, dtype=np.int64)
+    if indices.shape != values.shape or lengths.shape != values.shape[:1]:
+        raise ShapeError(f"max_unpool_time: values {values.shape}, indices {indices.shape} and lengths {lengths.shape} do not match")
     if indices.size and (indices.min() < 0 or (indices >= lengths[:, None]).any()):
         raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for lengths {lengths.tolist()}")
-    lay = _layout(lengths.tobytes(), 1)
-    at = (indices + lay.starts[:, None], np.arange(values.shape[1]))
-    out = np.zeros((lay.rows, values.shape[1]), dtype=values.dtype)
+    _, starts, _ = _packed("max_unpool_time", lengths.sum(), lengths)
+    at = (indices + starts[:, None], np.arange(values.shape[1]))
+    out = np.zeros((lengths.sum(), values.shape[1]), dtype=values.dtype)
     out[at] = values.data
 
     def vjp(g):

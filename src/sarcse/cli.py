@@ -206,10 +206,8 @@ def cmd_eval(args) -> int:
     if args.token_report:
         rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse,
                             float(ckpt.config["theta"]), float(ckpt.config["lam"]))
-        with open(out_dir / "token_report.csv", "w", encoding="utf-8") as fh:
-            fh.write("pair,side,position,token,recon_mse,weight\n")
-            for pi, side, pos, tok, mse, w in rows:
-                fh.write(f"{pi},{side},{pos},{tok},{mse!r},{w!r}\n")
+        text = "".join(f"{pi},{side},{pos},{tok},{mse!r},{w!r}\n" for pi, side, pos, tok, mse, w in rows)
+        (out_dir / "token_report.csv").write_text("pair,side,position,token,recon_mse,weight\n" + text, encoding="utf-8")
     rho = "undefined" if report.spearman_rho is None else f"{report.spearman_rho:.4f}"
     print(f"evaluated {report.pair_count} pairs; spearman {rho} -> {out_dir}")
     return EXIT_OK

@@ -36,11 +36,9 @@ def reconstruction_loss(
     the sentence's masked-true rows. Per token the MSE averages over the
     embedding width. One graph node; with detach_target the target `x` gets
     no adjoint."""
-    if x.shape != x_recon.shape:
-        raise ValueError(f"reconstruction_loss: shapes differ, {x.shape} vs {x_recon.shape}")
     lengths = np.asarray(lengths)
-    if lengths.sum() != x.shape[0]:
-        raise ValueError(f"reconstruction_loss: sentence lengths do not split {x.shape[0]} rows")
+    if x.shape != x_recon.shape or lengths.sum() != x.shape[0]:
+        raise ValueError(f"reconstruction_loss: {x.shape} vs {x_recon.shape} rows split by lengths {lengths.tolist()}")
     starts = np.cumsum(lengths) - lengths
     mask = np.asarray(mask, dtype=bool)
     n_real = np.add.reduceat(mask, starts, dtype=np.int64)

@@ -95,14 +95,9 @@ class EncodeState:
 
 
 def encode(x: Tensor, lengths, params: dict[str, Tensor]) -> tuple[Tensor, EncodeState]:
-    """Encode packed sentences (T x d rows split by `lengths`) into S x |z|
-    embeddings, |z| = mix_channels * (enc_channels - 1).
-
-    Each length must be at least the largest kernel width (batching pads to 5).
-    """
+    """Encode packed sentences (T x d rows split by `lengths`, each at least
+    the largest kernel width) into S x |z| embeddings, |z| = mix_channels * (enc_channels - 1)."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.min() < max(KERNEL_SIZES):
-        raise ShapeError(f"encode: sentence length {lengths.min()} is below the minimum {max(KERNEL_SIZES)}")
     state = EncodeState(lengths=lengths)
     pooled = []
     for ks in KERNEL_SIZES:
@@ -120,10 +115,8 @@ def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
     mix_channels, enc_channels = params["demix.kernels"].shape[0], params["dec.k3.kernels"].shape[0]
     width = mix_channels * (enc_channels - 1)
     if z.shape[1:] != (width,):
-        raise ShapeError(
-            f"decode: embeddings of shape {z.shape} do not have the embedding length "
-            f"mix_channels*(enc_channels-1) = {width}"
-        )
+        raise ShapeError(f"decode: embeddings of shape {z.shape} do not have the embedding length "
+                         f"mix_channels*(enc_channels-1) = {width}")
     planes = z.reshape(z.shape[0], mix_channels, 1, enc_channels - 1)
     restored = transposed_conv2d(planes, params["demix.kernels"], params["demix.bias"])
     scales: Optional[Tensor] = None
@@ -145,8 +138,7 @@ class Packing:
 
 
 def pack(batch: SentenceBatch) -> Packing:
-    """Pack a padded batch: each sentence's first n = max(length, MIN_SENTENCE_LEN)
-    rows, sentences in a stable argsort of n."""
+    """Pack a padded batch: each sentence's first n = max(length, MIN_SENTENCE_LEN) rows, stably sorted by n."""
     eff = np.maximum(batch.lengths, MIN_SENTENCE_LEN)
     order = np.argsort(eff, kind="stable")
     lengths = eff[order]
@@ -173,11 +165,8 @@ def forward_pair(
     run_decoder: bool = True,
 ) -> tuple[Packing, View, View]:
     """Run the autoencoder over a batch under two independent dropout draws.
-
-    Each view embeds the whole padded batch once, gathers its packed rows in
-    one node, and encodes (and decodes) them in one pass; both views share
-    the batch's packing.
-    """
+    Each view embeds the whole padded batch, gathers its packed rows in one
+    node and encodes (and decodes) them in one pass."""
     packing = pack(batch)
     views = []
     for _ in range(2):

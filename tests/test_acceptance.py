@@ -267,6 +267,22 @@ def test_criterion_10_smoke_convergence(toy_runs, toy_data_dir):
     assert reduction >= margin, f"loss fell {reduction:.1%}, gate is {margin:.0%}"
 
 
+def test_tracked_reference_outputs(toy_runs, toy_data_dir, tmp_path):
+    """The committed runs/ outputs are what scripts/reproduce_toy.sh gives:
+    its training log, `eval --token-report` on its best checkpoint, and the
+    sample embeddings. Regenerate them with that script when a change moves
+    output bits."""
+    runs, best = toy_data_dir.parent / "runs", toy_runs[0] / "best.ckpt"
+    assert (toy_runs[0] / "train_log.csv").read_bytes() == (runs / "train" / "train_log.csv").read_bytes()
+    out = tmp_path / "eval"
+    assert main(["eval", str(best), str(toy_data_dir / "toy_sts_test.tsv"), "--out", str(out), "--token-report"]) == 0
+    for name in ("metrics.csv", "density.csv", "token_report.csv", "summary.txt"):
+        assert (out / name).read_bytes() == (runs / "eval" / name).read_bytes(), name
+    embeddings = tmp_path / "sample_embeddings.tsv"
+    assert main(["embed", str(best), str(runs / "sample_sentences.txt"), "--out", str(embeddings)]) == 0
+    assert embeddings.read_bytes() == (runs / "sample_embeddings.tsv").read_bytes()
+
+
 # -- criterion 11: ablation harness ------------------------------------------------
 
 

@@ -63,7 +63,7 @@ class TestEmbeddingLengthLaw:
 class TestEncode:
     def test_too_short_sentence(self):
         params = random_params(4, 6, 2)
-        with pytest.raises(ShapeError, match="length 4"):
+        with pytest.raises(ShapeError, match="at least 5"):
             encode(*random_sentence(4, 4), params)
 
     def test_pool_indices_in_range(self):
