@@ -228,30 +228,34 @@ def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int, *lengths) -> np.nd
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(key: bytes, ks: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """Cached index arrays of packed sentences of int64 lengths `key`: runs of
-    equal lengths as (first sentence, count, length, first row), each
-    sentence's first row, and each row's ks-row window once ks-1 rows follow
-    every sentence."""
-    lengths = np.frombuffer(key, dtype=np.int64)
+def _layout(key: bytes, ks: int, shift: int):
+    """Cached, read-only index arrays of packed sentences of int64 lengths `key`
+    less `shift` (None if one is below 1): the total of `key`, runs of equal
+    lengths as (first sentence, count, length, first row), first rows, and
+    each row's ks-row window once ks-1 rows follow every sentence."""
+    lengths = np.frombuffer(key, dtype=np.int64) - shift
+    if lengths.size and lengths.min() < 1:
+        return None
     bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
     starts = np.cumsum(lengths) - lengths
-    runs = [(a, b - a, int(lengths[a]), int(starts[a])) for a, b in zip(bounds, bounds[1:])]
+    runs = tuple((a, b - a, int(lengths[a]), int(starts[a])) for a, b in zip(bounds, bounds[1:]))
     spread = np.arange(lengths.sum()) + np.repeat(np.arange(len(lengths)) * (ks - 1), lengths)
-    return runs, starts, spread[:, None] + np.arange(ks)
+    windows = spread[:, None] + np.arange(ks)
+    starts.flags.writeable = windows.flags.writeable = False
+    return int(lengths.sum()) + shift * len(lengths), runs, starts, windows
 
 
 def _packed(name: str, rows: int, lengths, ks: int = 1, wide: bool = False):
     """`_layout` of 1-d `lengths` that split `rows` packed rows; with `wide`
     they count the wide side of a width-ks kernel, ks-1 rows more each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    narrow = lengths - (ks - 1) if wide else lengths
-    if lengths.ndim != 1 or lengths.sum() != rows or (lengths.size and narrow.min() < 1):
+    layout = _layout(lengths.tobytes(), ks, ks - 1 if wide else 0) if lengths.ndim == 1 else None
+    if layout is None or layout[0] != rows:
         raise ShapeError(f"{name}: lengths {lengths.tolist()} must split {rows} rows, each at least {ks if wide else 1}")
-    return _layout(narrow.tobytes(), ks)
+    return layout[1:]
 
 
-def _run_gemms(a: np.ndarray, b: np.ndarray, runs: list) -> np.ndarray:
+def _run_gemms(a: np.ndarray, b: np.ndarray, runs: tuple) -> np.ndarray:
     """Packed rows of `a` times `b`, one stacked np.matmul per run: the GEMM each sentence gets alone."""
     out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
     for _, count, n, row in runs:
@@ -398,8 +402,7 @@ def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
         raise ShapeError(f"max_unpool_time: values {values.shape}, indices {indices.shape} and lengths {lengths.shape} do not match")
     if indices.size and (indices.min() < 0 or (indices >= lengths[:, None]).any()):
         raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for lengths {lengths.tolist()}")
-    _, starts, _ = _packed("max_unpool_time", lengths.sum(), lengths)
-    at = (indices + starts[:, None], np.arange(values.shape[1]))
+    at = (indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(values.shape[1]))
     out = np.zeros((lengths.sum(), values.shape[1]), dtype=values.dtype)
     out[at] = values.data
 

@@ -141,10 +141,8 @@ def pack(batch: SentenceBatch) -> Packing:
     """Pack a padded batch: each sentence's first n = max(length, MIN_SENTENCE_LEN) rows, stably sorted by n."""
     eff = np.maximum(batch.lengths, MIN_SENTENCE_LEN)
     order = np.argsort(eff, kind="stable")
-    lengths = eff[order]
-    rows = np.repeat(order, lengths)
-    positions = np.arange(rows.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return Packing(order, lengths, (rows, positions))
+    sentence, positions = np.nonzero(np.arange(eff.max()) < eff[order][:, None])
+    return Packing(order, eff[order], (order[sentence], positions))
 
 
 @dataclass
