@@ -211,10 +211,9 @@ def _graph_nodes(loss):
 
 
 def test_objective_graph_size(toy_data_dir):
-    """One step of the reproduce configuration (bundled corpus, batch 16,
-    width 64, seed 7) builds one packed graph per view: 16 sentences of 8
-    distinct effective lengths give as many nodes as 16 of one length, and
-    at most 100."""
+    """A step of the toy configuration (bundled vocabulary, batch 16, width
+    64, seed 7) builds one packed graph per view: 16 sentences of 8 distinct
+    effective lengths give as many nodes as 16 of one length, at most 100."""
     corpus = toy_data_dir / "toy_corpus.txt"
     vocab = build_vocab(corpus)
     freq = token_frequency(corpus, vocab)
