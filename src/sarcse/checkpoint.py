@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -116,22 +117,36 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _spec(entry, path) -> tuple[str, np.dtype, tuple[int, ...], int]:
+    """(name, dtype, shape, offset) of one directory entry; a malformed one is a CheckpointError."""
+    try:
+        name, shape, offset = entry["name"], tuple(entry["shape"]), entry["offset"]
+        dtype = np.dtype(entry["dtype"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"{path}: malformed directory entry {entry!r}") from exc
+    if not (isinstance(name, str) and isinstance(entry["dtype"], str) and dtype.kind in "biufc"):
+        raise CheckpointError(f"{path}: malformed directory entry {entry!r}")
+    if not all(type(n) is int and n >= 0 for n in (offset, *shape)):
+        raise CheckpointError(f"{path}: tensor {name} has a negative or non-integer offset or dimension")
+    return name, dtype, shape, offset
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    blob = Path(path).read_bytes()
-    if len(blob) < len(MAGIC) + 2 + 8:
+    view = memoryview(Path(path).read_bytes())
+    if len(view) < len(MAGIC) + 2 + 8:
         raise TruncatedError(f"{path}: file too short to be a checkpoint")
-    if blob[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {blob[:4]!r}")
-    body, digest = blob[:-8], blob[-8:]
-    if hashlib.blake2b(body, digest_size=8).digest() != digest:
+    if view[:4] != MAGIC:
+        raise BadMagicError(f"{path}: bad magic {bytes(view[:4])!r}")
+    body = view[:-8]
+    if hashlib.blake2b(body, digest_size=8).digest() != view[-8:]:
         raise ChecksumMismatchError(f"{path}: checksum mismatch (corrupt or truncated payload)")
-    (version,) = struct.unpack_from("<H", blob, 4)
+    (version,) = struct.unpack_from("<H", view, 4)
     if version != VERSION:
         raise VersionMismatchError(f"{path}: format version {version}, expected {VERSION}")
 
     pos = 6
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(body):
             raise TruncatedError(f"{path}: truncated at byte {pos}")
@@ -140,9 +155,14 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         return chunk
 
     (header_len,) = struct.unpack("<I", take(4))
-    header = json.loads(take(header_len).decode("utf-8"))
+    header = json.loads(str(take(header_len), "utf-8"))
+    if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
+            and isinstance(header.get("vocab"), list)):
+        raise CheckpointError(f"{path}: header is not an object with a config object and a vocab list")
     (dir_len,) = struct.unpack("<I", take(4))
-    directory = json.loads(take(dir_len).decode("utf-8"))
+    directory = json.loads(str(take(dir_len), "utf-8"))
+    if not isinstance(directory, list):
+        raise CheckpointError(f"{path}: directory is not a list")
     payload = body[pos:]
 
     tensors: dict[str, np.ndarray] = {}
@@ -150,14 +170,13 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     opt_v: dict[str, np.ndarray] = {}
     freq_arr: Optional[np.ndarray] = None
     for entry in directory:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape, dtype=np.int64)) if shape else dtype.itemsize
-        start = entry["offset"]
+        name, dtype, shape, start = _spec(entry, path)
+        nbytes = dtype.itemsize * math.prod(shape)
         if start + nbytes > len(payload):
-            raise TruncatedError(f"{path}: tensor {entry['name']} extends past end of payload")
+            raise TruncatedError(f"{path}: tensor {name} extends past end of payload")
+        # The one copy of each tensor: callers get writable arrays that alias
+        # neither the file's bytes nor each other.
         arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape).copy()
-        name = entry["name"]
         if name == _FREQ_KEY:
             freq_arr = arr
         elif name.startswith(_MOMENT_M):
@@ -190,14 +209,14 @@ def pack_model(table: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray
 
 
 def unpack_model(ckpt: Checkpoint) -> tuple[Tensor, dict[str, Tensor]]:
-    """Rebuild the embedding table and conv parameters from stored tensors,
-    each of the shape the header config and vocabulary imply."""
-    cfg = ckpt.config
-    embed_dim = int(cfg["embed_dim"])
-    shapes = {
-        "embedding.weights": (len(ckpt.vocab), embed_dim),
-        **param_shapes(embed_dim, int(cfg["enc_channels"]), int(cfg["mix_channels"])),
-    }
+    """Wrap the stored embedding table and conv parameters, each of the shape
+    the header config and vocabulary imply, as Tensors. They share memory
+    with `ckpt.tensors`, which `load_checkpoint` fills with private copies."""
+    try:
+        embed_dim, enc, mix = (int(ckpt.config[k]) for k in ("embed_dim", "enc_channels", "mix_channels"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config has no valid model size: {exc!r}") from exc
+    shapes = {"embedding.weights": (len(ckpt.vocab), embed_dim), **param_shapes(embed_dim, enc, mix)}
     tensors = {}
     for name, shape in shapes.items():
         if name not in ckpt.tensors:
@@ -207,5 +226,5 @@ def unpack_model(ckpt: Checkpoint) -> tuple[Tensor, dict[str, Tensor]]:
             raise CheckpointError(
                 f"checkpoint tensor {name} has shape {arr.shape}, but the header implies {shape}"
             )
-        tensors[name] = Tensor(arr.copy())
+        tensors[name] = Tensor(arr)
     return tensors.pop("embedding.weights"), tensors

@@ -8,6 +8,7 @@ errors, 4 numeric failures.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -301,7 +302,9 @@ def _add_common(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--seed", type=int, default=None, help="override the seed config key")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; `parse_args` keeps no state in it."""
     parser = _Parser(prog="sarcse", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -356,9 +359,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except ConfigError as exc:
         print(f"sarcse: {exc}", file=sys.stderr)

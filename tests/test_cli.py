@@ -9,6 +9,7 @@ from sarcse.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     EXIT_USAGE,
+    build_parser,
     main,
     read_config_file,
     resolve_config,
@@ -322,6 +323,29 @@ class TestEmbed:
         code = main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(tmp_path / "e.tsv")])
         assert code == EXIT_IO
         assert f"{sentences}: holds no sentences" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_reused_parser_leaks_no_state(self, trained, tmp_path, capsys):
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the dog eats the food .\n", encoding="utf-8")
+        ckpt = str(trained / "best.ckpt")
+
+        def embed(*extra):
+            return main(["embed", ckpt, str(sentences), *extra])
+
+        build_parser.cache_clear()
+        assert embed("--out", str(tmp_path / "bogus.tsv"), "--set", "bogus=1") == EXIT_USAGE
+        assert build_parser().parse_args(["embed", "c", "s", "--out", "o"]).set == []
+        capsys.readouterr()
+        assert embed() == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: sarcse embed") and "--out" in err
+        assert embed("--out", str(tmp_path / "reused.tsv")) == EXIT_OK
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()      # a clean embed as a fresh parser's first call
+        assert embed("--out", str(tmp_path / "first.tsv")) == EXIT_OK
+        assert (tmp_path / "reused.tsv").read_bytes() == (tmp_path / "first.tsv").read_bytes()
 
 
 class TestHarnesses:

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import pathlib
+import struct
 import tempfile
 
 import numpy as np
@@ -19,6 +22,7 @@ from sarcse.checkpoint import (
     save_checkpoint,
     unpack_model,
 )
+from sarcse.cli import EXIT_IO, main
 from sarcse.corpus import (
     FrequencyTable,
     Vocab,
@@ -229,6 +233,25 @@ def test_objective_graph_size(toy_data_dir):
         counts.append(_graph_nodes(loss))
     assert counts[0] == counts[1] <= 100
 
+
+def _resealed(src, dst, edit):
+    """Write checkpoint `src` to `dst` with `edit(header, directory)` applied
+    to its two JSON blocks, then re-seal the checksum."""
+    blob = src.read_bytes()
+    (header_len,) = struct.unpack_from("<I", blob, 6)
+    (dir_len,) = struct.unpack_from("<I", blob, 10 + header_len)
+    payload_at = 14 + header_len + dir_len
+    header, directory = edit(json.loads(blob[10:10 + header_len]), json.loads(blob[14 + header_len:payload_at]))
+    header, directory = json.dumps(header).encode(), json.dumps(directory).encode()
+    body = (blob[:6] + struct.pack("<I", len(header)) + header
+            + struct.pack("<I", len(directory)) + directory + blob[payload_at:-8])
+    dst.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+
+
+def _edit_entry(name, **changes):
+    return lambda h, d: (h, [{**e, **changes} if e["name"] == name else e for e in d])
+
+
 class TestCheckpointIO:
     def test_round_trip_bitwise(self, toy_setup, tmp_path):
         sentences, dev, vocab, freq = toy_setup
@@ -277,6 +300,35 @@ class TestCheckpointIO:
         with pytest.raises(VersionMismatchError):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit,match", [
+        (lambda h, d: ({k: v for k, v in h.items() if k != "vocab"}, d), "header is not an object"),
+        (lambda h, d: ({k: v for k, v in h.items() if k != "config"}, d), "header is not an object"),
+        (lambda h, d: (list(h), d), "header is not an object"),
+        (lambda h, d: (h, {"entries": d}), "directory is not a list"),
+        (lambda h, d: (h, [list(e.values()) for e in d]), "malformed directory entry"),
+        (_edit_entry("dec.k3.bias", dtype="<x9"), "malformed directory entry"),
+        (_edit_entry("dec.k3.bias", dtype="|O"), "malformed directory entry"),
+        (_edit_entry("dec.k3.bias", offset=-400), "tensor dec.k3.bias has a negative"),
+        (_edit_entry("dec.k3.kernels", shape=[-64, 3, -32]), "tensor dec.k3.kernels has a negative"),
+    ], ids=["no-vocab", "no-config", "header-list", "directory-object", "entry-list",
+            "unknown-dtype", "object-dtype", "negative-offset", "negative-dimension"])
+    def test_malformed_header_or_directory(self, toy_data_dir, tmp_path, edit, match):
+        src, path = toy_data_dir / "toy_untrained.ckpt", tmp_path / "bad.ckpt"
+        _resealed(src, path, lambda h, d: (h, d))
+        assert path.read_bytes() == src.read_bytes()     # the edit is the only change
+        _resealed(src, path, edit)
+        with pytest.raises(CheckpointError, match=match):
+            load_checkpoint(path)
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the dog eats .\n", encoding="utf-8")
+        assert main(["embed", str(path), str(sentences), "--out", str(tmp_path / "e.tsv")]) == EXIT_IO
+
+    def test_config_without_model_size(self, toy_data_dir):
+        ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
+        ckpt.config = {k: v for k, v in ckpt.config.items() if k != "enc_channels"}
+        with pytest.raises(CheckpointError, match="enc_channels"):
+            unpack_model(ckpt)
+
     def test_truncation(self, toy_setup, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"SA")
@@ -290,6 +342,28 @@ class TestCheckpointIO:
         assert table.shape == (len(vocab), 8)
         assert {name: t.shape for name, t in params.items()} == param_shapes(8, 8, 2)
 
+
+    def test_loaded_arrays_are_private_copies(self, toy_setup, tmp_path):
+        sentences, dev, vocab, freq = toy_setup
+        result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
+        first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        save_checkpoint(result.last, first)
+        ckpt = load_checkpoint(first)
+        table, params = unpack_model(ckpt)
+        # unpack_model wraps the loaded arrays: one copy per tensor in total
+        assert table.data is ckpt.tensors["embedding.weights"]
+        assert all(t.data is ckpt.tensors[name] for name, t in params.items())
+
+        def arrays(c):
+            return [c.freq.freq, *c.tensors.values(), *c.opt_m.values(), *c.opt_v.values()]
+
+        loaded, again = arrays(ckpt), arrays(load_checkpoint(first))
+        assert len(loaded) == 1 + 3 * len(ckpt.tensors)      # freq, each tensor and its two moments
+        for i, arr in enumerate(loaded):
+            assert arr.flags.c_contiguous and arr.flags.writeable
+            assert not any(np.shares_memory(arr, other) for other in loaded[i + 1:] + again)
+        save_checkpoint(ckpt, second)
+        assert second.read_bytes() == first.read_bytes()
 
     def test_failed_save_keeps_previous_file(self, toy_setup, tmp_path, monkeypatch):
         sentences, dev, vocab, freq = toy_setup
