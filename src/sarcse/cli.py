@@ -192,11 +192,21 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _sal_settings(config: dict) -> tuple[float, float]:
+    """The checkpoint config's `theta` and `lam`; each must be a finite number."""
+    for key in ("theta", "lam"):
+        value = config.get(key)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ckpt_io.CheckpointError(f"checkpoint config has no finite number {key!r}: {value!r}")
+    return float(config["theta"]), float(config["lam"])
+
+
 def cmd_eval(args) -> int:
     cfg = resolve_config(args.config, args.set, args.seed)
     out_dir = _prepare_out(cfg, args.out, [args.checkpoint, args.pairs])
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
+    sal = _sal_settings(ckpt.config) if args.token_report else None
     pairs = corpus_io.load_sts_pairs(args.pairs)
     token_mse = {} if args.token_report else None     # filled by the one encode pass
     report = evaluate_pairs(pairs, ckpt.vocab, table, params,
@@ -205,8 +215,7 @@ def cmd_eval(args) -> int:
     write_density_csv(report, out_dir / "density.csv")
     write_summary(report, out_dir / "summary.txt")
     if args.token_report:
-        rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse,
-                            float(ckpt.config["theta"]), float(ckpt.config["lam"]))
+        rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse, *sal)
         text = "".join(f"{pi},{side},{pos},{tok},{mse!r},{w!r}\n" for pi, side, pos, tok, mse, w in rows)
         (out_dir / "token_report.csv").write_text("pair,side,position,token,recon_mse,weight\n" + text, encoding="utf-8")
     rho = "undefined" if report.spearman_rho is None else f"{report.spearman_rho:.4f}"
@@ -231,9 +240,13 @@ def cmd_embed(args) -> int:
     embs = encode_tokens(token_lists, ckpt.vocab, table, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
+    keys = [tuple(toks) for toks in token_lists]
+    line_of = {}                    # duplicates have bitwise-equal rows: format each once
+    for key, row in zip(keys, embs):
+        if key not in line_of:
+            line_of[key] = "\t".join(map(repr, row.tolist())) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
-        for row in embs:
-            fh.write("\t".join(map(repr, row.tolist())) + "\n")
+        fh.writelines(line_of[key] for key in keys)
     print(f"embedded {len(token_lists)} sentences -> {out_path}")
     return EXIT_OK
 

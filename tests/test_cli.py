@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -262,6 +264,22 @@ class TestEval:
         assert len(calls) == -(-len(unique) // 64)     # one packed pass per chunk of 64
         assert sum(calls) == len(unique)
 
+    @pytest.mark.parametrize("key,value", [("theta", None), ("lam", "fifty")], ids=["theta-missing", "lam-string"])
+    def test_token_report_refuses_bad_sal_settings_before_writing(self, data, trained, tmp_path, capsys, key, value):
+        ckpt = load_checkpoint(trained / "best.ckpt")
+        if value is None:
+            del ckpt.config[key]
+        else:
+            ckpt.config[key] = value
+        path = tmp_path / "bad.ckpt"
+        save_checkpoint(ckpt, path)
+        out = tmp_path / "eval"
+        assert main(["eval", str(path), data["test"], "--out", str(out), "--token-report"]) == EXIT_IO
+        assert f"checkpoint config has no finite number '{key}'" in capsys.readouterr().err
+        for name in ("metrics.csv", "density.csv", "summary.txt", "token_report.csv"):
+            assert not (out / name).exists()
+        assert main(["eval", str(path), data["test"], "--out", str(tmp_path / "plain")]) == EXIT_OK
+
     def test_empty_pair_sentence_names_line(self, trained, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("5.0\tthe dog eats .\tthe dog eats .\n1.0\t \tthe cat sees .\n", encoding="utf-8")
@@ -323,6 +341,59 @@ class TestEmbed:
         code = main(["embed", str(trained / "best.ckpt"), str(sentences), "--out", str(tmp_path / "e.tsv")])
         assert code == EXIT_IO
         assert f"{sentences}: holds no sentences" in capsys.readouterr().err
+
+
+def old_embed_format(lines, ckpt_path):
+    """One `repr`-per-value line per input line, formatted row by row."""
+    ckpt = load_checkpoint(ckpt_path)
+    table, params = unpack_model(ckpt)
+    embs = encode_tokens([tokenize(line) for line in lines], ckpt.vocab, table, params)
+    return "".join("\t".join(repr(float(v)) for v in row) + "\n" for row in embs)
+
+
+def embed_lines(ckpt_path, lines, tmp_path, name):
+    sentences, out = tmp_path / f"{name}.txt", tmp_path / f"{name}.tsv"
+    sentences.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["embed", str(ckpt_path), str(sentences), "--out", str(out)]) == EXIT_OK
+    return out.read_text(encoding="utf-8")
+
+
+def distinct_sentences(n):
+    nouns = ["dog", "cat", "man", "woman", "bird", "chef", "child", "farmer"]
+    verbs = ["eats", "sees", "likes", "holds"]
+    objs = ["food", "rice", "bread", "water", "sticks"]
+    return [f"the {noun} {verb} the {obj} ." for noun, verb, obj in itertools.product(nouns, verbs, objs)][:n]
+
+
+class TestEmbedRepeats:
+    def test_repeats_match_row_formatter_and_lone_requests(self, trained, tmp_path):
+        ckpt_path = trained / "best.ckpt"
+        base = distinct_sentences(20)
+        spaced = [("  " + s.replace(" ", "   ") + " ", s.replace(" ", "\t")) for s in base]
+        rng = np.random.default_rng(11)
+        lines = list(base)
+        for _ in range(180):
+            i, form = int(rng.integers(20)), int(rng.integers(3))
+            lines.append(base[i] if form == 0 else spaced[i][form - 1])
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        keys = [tuple(tokenize(line)) for line in lines]
+        assert len(set(keys)) == 20 and len(set(lines)) > 20     # spacing variants tokenize equal
+        out = embed_lines(ckpt_path, lines, tmp_path, "mixed")
+        assert out == old_embed_format(lines, ckpt_path)
+        alone = {tuple(tokenize(s)): embed_lines(ckpt_path, [s], tmp_path, f"alone{i}") for i, s in enumerate(base)}
+        assert out.splitlines(keepends=True) == [alone[key] for key in keys]
+
+    def test_distinct_lines_match_row_formatter(self, trained, tmp_path):
+        ckpt_path, lines = trained / "best.ckpt", distinct_sentences(50)
+        assert len({tuple(tokenize(line)) for line in lines}) == 50
+        assert embed_lines(ckpt_path, lines, tmp_path, "distinct") == old_embed_format(lines, ckpt_path)
+
+    @pytest.mark.parametrize("k", [2, 7])
+    def test_repeated_line_gives_copies_of_its_lone_line(self, trained, tmp_path, k):
+        line = "the farmer holds the water ."
+        one = embed_lines(trained / "best.ckpt", [line], tmp_path, "one")
+        assert one.count("\n") == 1
+        assert embed_lines(trained / "best.ckpt", [line] * k, tmp_path, "many") == one * k
 
 
 class TestParserReuse:
