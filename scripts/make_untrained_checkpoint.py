@@ -43,8 +43,6 @@ def main() -> None:
         vocab=vocab,
         freq=freq,
         tensors=pack_model(table, params),
-        opt_m={},
-        opt_v={},
         step=0,
         best_dev=None,
     )

@@ -19,14 +19,14 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import FrequencyTable, Vocab
+from .corpus import Vocab
 from .model import param_shapes
 
 MAGIC = b"SARC"
@@ -59,14 +59,18 @@ class ChecksumMismatchError(CheckpointError):
 
 @dataclass
 class Checkpoint:
-    """A trained model with its vocabulary, token frequencies, and optimizer state."""
+    """A model with its vocabulary and corpus token frequencies.
+
+    Training saves no optimizer state, so `opt_m` and `opt_v` stay empty
+    unless a caller fills them; the format still stores and restores them.
+    """
 
     config: dict
     vocab: Vocab
-    freq: FrequencyTable
+    freq: np.ndarray    # float64 per vocab id, as `corpus.token_frequency` gives
     tensors: dict[str, np.ndarray]
-    opt_m: dict[str, np.ndarray]
-    opt_v: dict[str, np.ndarray]
+    opt_m: dict[str, np.ndarray] = field(default_factory=dict)
+    opt_v: dict[str, np.ndarray] = field(default_factory=dict)
     step: int = 0
     best_dev: Optional[float] = None
 
@@ -79,7 +83,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         "step": ckpt.step,
         "best_dev": ckpt.best_dev,
     }
-    entries: list[tuple[str, np.ndarray]] = [(_FREQ_KEY, ckpt.freq.freq)]
+    entries: list[tuple[str, np.ndarray]] = [(_FREQ_KEY, ckpt.freq)]
     entries += sorted(ckpt.tensors.items())
     entries += sorted((_MOMENT_M + k, v) for k, v in ckpt.opt_m.items())
     entries += sorted((_MOMENT_V + k, v) for k, v in ckpt.opt_v.items())
@@ -159,6 +163,9 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
             and isinstance(header.get("vocab"), list)):
         raise CheckpointError(f"{path}: header is not an object with a config object and a vocab list")
+    tokens = header["vocab"]
+    if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
+        raise CheckpointError(f"{path}: header vocab is not a list of distinct strings")
     (dir_len,) = struct.unpack("<I", take(4))
     directory = json.loads(str(take(dir_len), "utf-8"))
     if not isinstance(directory, list):
@@ -187,12 +194,16 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             tensors[name] = arr
     if freq_arr is None:
         raise CheckpointError(f"{path}: missing {_FREQ_KEY} tensor")
-
-    vocab = Vocab(header["vocab"], corpus_sha256=header.get("corpus_sha256"))
+    vocab = Vocab(tokens, corpus_sha256=header.get("corpus_sha256"))
+    if freq_arr.dtype.kind != "f" or freq_arr.shape != (len(vocab),):
+        raise CheckpointError(
+            f"{path}: {_FREQ_KEY} is {freq_arr.dtype} of shape {freq_arr.shape}, "
+            f"expected floats of shape ({len(vocab)},), one per vocab id"
+        )
     return Checkpoint(
         config=header["config"],
         vocab=vocab,
-        freq=FrequencyTable(freq_arr),
+        freq=freq_arr,
         tensors=tensors,
         opt_m=opt_m,
         opt_v=opt_v,

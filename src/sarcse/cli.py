@@ -18,7 +18,6 @@ from . import checkpoint as ckpt_io
 from . import corpus as corpus_io
 from .evaluation import (
     encode_tokens,
-    evaluate_checkpoint,
     evaluate_pairs,
     token_report,
     write_density_csv,
@@ -268,6 +267,7 @@ def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, ta
     cfg = resolve_config(args.config, args.set, args.seed)
     for value in values:
         _train_config({**cfg, key: value})
+    test_pairs = corpus_io.load_sts_pairs(args.test)
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     rows = []
     for label, value in zip(labels, values):
@@ -275,7 +275,8 @@ def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, ta
         sub = out_dir / f"{subdir_prefix}{label}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)
-        test = evaluate_checkpoint(result.best, args.test).spearman_rho
+        table, params = ckpt_io.unpack_model(result.best)
+        test = evaluate_pairs(test_pairs, result.best.vocab, table, params).spearman_rho
         rows.append(f"{label},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
     with open(out_dir / table_name, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg['seed']}\n")

@@ -104,19 +104,12 @@ def build_vocab(corpus_path: str | Path, min_count: int = 1) -> Vocab:
     return Vocab(kept, corpus_sha256=file_sha256(corpus_path))
 
 
-@dataclass
-class FrequencyTable:
-    """Per-vocab-id share of all corpus token occurrences.
+def token_frequency(corpus_path: str | Path, vocab: Vocab) -> np.ndarray:
+    """Per-vocab-id share of all corpus token occurrences, as float64.
 
-    UNK absorbs out-of-vocabulary occurrences, so the table sums to 1 over
+    UNK absorbs out-of-vocabulary occurrences, so the shares sum to 1 over
     ids >= 1 for any corpus; PAD never occurs and stays at 0.
     """
-
-    freq: np.ndarray    # float64, length == len(vocab)
-
-
-def token_frequency(corpus_path: str | Path, vocab: Vocab) -> FrequencyTable:
-    """Normalized token frequencies over the training corpus."""
     checksum = file_sha256(corpus_path)
     if vocab.corpus_sha256 is not None and vocab.corpus_sha256 != checksum:
         warnings.warn(
@@ -131,7 +124,7 @@ def token_frequency(corpus_path: str | Path, vocab: Vocab) -> FrequencyTable:
     total = counts.sum()
     if total == 0:
         raise ValueError(f"token_frequency: empty corpus {corpus_path}")
-    return FrequencyTable(counts.astype(np.float64) / total)
+    return counts.astype(np.float64) / total
 
 
 @dataclass
@@ -218,32 +211,11 @@ def save_vocab(vocab: Vocab, path: str | Path) -> None:
             fh.write(tok + "\n")
 
 
-def load_vocab(path: str | Path, corpus_sha256: str | None = None) -> Vocab:
-    with open(path, "r", encoding="utf-8") as fh:
-        tokens = [line.rstrip("\n") for line in fh if line.rstrip("\n")]
-    return Vocab(tokens, corpus_sha256=corpus_sha256)
-
-
-def save_frequency(table: FrequencyTable, vocab: Vocab, path: str | Path) -> None:
+def save_frequency(freq: np.ndarray, vocab: Vocab, path: str | Path) -> None:
     """Tab-separated `token\\tfreq` rows covering every vocab id."""
     with open(path, "w", encoding="utf-8") as fh:
         for idx in range(len(vocab)):
-            fh.write(f"{vocab.token_of(idx)}\t{float(table.freq[idx])!r}\n")
-
-
-def load_frequency(path: str | Path, vocab: Vocab) -> FrequencyTable:
-    freq = np.zeros(len(vocab), dtype=np.float64)
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.rstrip("\n").split("\t")
-            if len(fields) != 2:
-                raise ValueError(f"{path}:{lineno}: expected token\\tfreq")
-            if lineno - 1 >= len(vocab):
-                raise ValueError(f"{path}:{lineno}: more rows than vocabulary entries")
-            freq[lineno - 1] = float(fields[1])
-    return FrequencyTable(freq)
+            fh.write(f"{vocab.token_of(idx)}\t{float(freq[idx])!r}\n")
 
 
 def pretrained_vectors(path: str | Path) -> Iterator[tuple[str, np.ndarray]]:

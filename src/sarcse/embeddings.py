@@ -48,7 +48,4 @@ def embed(
     Two calls with independent rng draws give the two dropout views of the
     same batch; rate 0 is a pure lookup. PAD rows stay zero either way.
     """
-    out = embedding_lookup(table, batch.ids)
-    if dropout_rate > 0.0:
-        out = dropout(out, dropout_rate, rng)
-    return out
+    return dropout(embedding_lookup(table, batch.ids), dropout_rate, rng)

@@ -261,20 +261,10 @@ def evaluate_pairs(
     )
 
 
-def evaluate_checkpoint(checkpoint, pairs_path, pos_threshold: float = 4.0) -> EvalReport:
-    """`evaluate_pairs` over a loaded checkpoint and a pairs file."""
-    from .checkpoint import unpack_model
-    from .corpus import load_sts_pairs
-
-    table, params = unpack_model(checkpoint)
-    pairs = load_sts_pairs(pairs_path)
-    return evaluate_pairs(pairs, checkpoint.vocab, table, params, pos_threshold=pos_threshold)
-
-
 def token_report(
     pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    freq,
+    freq: np.ndarray,
     token_mse: dict[tuple[str, ...], np.ndarray],
     theta: float,
     lam: float,

@@ -6,7 +6,6 @@ from __future__ import annotations
 import numpy as np
 
 from .autodiff import Tensor
-from .corpus import FrequencyTable
 
 
 class ZeroNormError(FloatingPointError, ValueError):
@@ -18,9 +17,9 @@ def token_weight(freq: float, theta: float, lam: float) -> float:
     return max(theta, 1.0 - lam * freq)
 
 
-def token_weights(ids: np.ndarray, table: FrequencyTable, theta: float, lam: float) -> np.ndarray:
-    """Vectorized `token_weight` over an id array."""
-    return np.maximum(theta, 1.0 - lam * table.freq[ids])
+def token_weights(ids: np.ndarray, freq: np.ndarray, theta: float, lam: float) -> np.ndarray:
+    """Vectorized `token_weight` over an id array, reading each id's corpus frequency."""
+    return np.maximum(theta, 1.0 - lam * freq[ids])
 
 
 def reconstruction_loss(

@@ -11,7 +11,7 @@ import numpy as np
 
 from .autodiff import GradientMap, Tensor, backward
 from .checkpoint import Checkpoint, pack_model
-from .corpus import PAD_ID, FrequencyTable, ScoredPair, SentenceBatch, Vocab, make_batch
+from .corpus import PAD_ID, ScoredPair, SentenceBatch, Vocab, make_batch
 from .embeddings import init_table
 from .evaluation import UndefinedCorrelationError, cosine, encode_tokens, spearman
 from .losses import info_nce, reconstruction_loss, token_weights, total_loss
@@ -38,10 +38,8 @@ class TrainConfig:
     mix_channels: int = 3
     init_scale: float = 0.1
     pretrained_path: str = ""
-    freeze_table: bool = False
     batch_size: int = 64
-    epochs: int = 1
-    max_steps: int = 0          # 0 = run the full epoch budget
+    max_steps: int = 0          # 0 = one pass over the corpus
     seed: int = 0
     eval_every: int = 50
     dropout: float = 0.1
@@ -70,8 +68,6 @@ class TrainConfig:
             raise ValueError(f"init_scale must be >= 0, got {self.init_scale}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.max_steps < 0:
             raise ValueError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.eval_every < 0:
@@ -192,10 +188,10 @@ def dev_spearman(
 def _snapshot(
     cfg: TrainConfig,
     vocab: Vocab,
-    freq: FrequencyTable,
+    freq: np.ndarray,
     table: Tensor,
     params: dict[str, Tensor],
-    opt: AdamW,
+    step: int,
     best_dev: Optional[float],
 ) -> Checkpoint:
     return Checkpoint(
@@ -203,9 +199,7 @@ def _snapshot(
         vocab=vocab,
         freq=freq,
         tensors={k: v.copy() for k, v in pack_model(table, params).items()},
-        opt_m={k: v.copy() for k, v in opt.m.items()},
-        opt_v={k: v.copy() for k, v in opt.v.items()},
-        step=opt.step_count,
+        step=step,
         best_dev=best_dev,
     )
 
@@ -215,7 +209,7 @@ def objective(
     batch: SentenceBatch,
     table: Tensor,
     params: dict[str, Tensor],
-    freq: FrequencyTable,
+    freq: np.ndarray,
     rng: np.random.Generator,
 ) -> tuple[Tensor, LogRow]:
     """Loss of one batch and its log row (step 0): InfoNCE over two dropout
@@ -256,7 +250,7 @@ def train(
     sentences: Sequence[str],
     dev_pairs: Sequence[ScoredPair],
     vocab: Vocab,
-    freq: FrequencyTable,
+    freq: np.ndarray,
     on_log: Optional[Callable[[LogRow], None]] = None,
 ) -> TrainResult:
     """Optimize `objective` over shuffled batches.
@@ -281,12 +275,8 @@ def train(
         eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
     )
 
-    named = list(params.items())
-    if not cfg.freeze_table:
-        named = [("embedding.weights", table)] + named
-
-    steps_per_epoch = math.ceil(len(sentences) / cfg.batch_size)
-    budget = cfg.max_steps if cfg.max_steps > 0 else cfg.epochs * steps_per_epoch
+    named = [("embedding.weights", table), *params.items()]
+    budget = cfg.max_steps or math.ceil(len(sentences) / cfg.batch_size)
 
     log_rows: list[LogRow] = []
     best: Optional[Checkpoint] = None
@@ -300,7 +290,7 @@ def train(
         rho = dev_spearman(dev_pairs, vocab, table, params)
         if rho is not None and (best_dev is None or rho > best_dev):
             best_dev = rho
-            best = _snapshot(cfg, vocab, freq, table, params, opt, best_dev)
+            best = _snapshot(cfg, vocab, freq, table, params, step, best_dev)
         return rho
 
     while step < budget:
@@ -326,7 +316,7 @@ def train(
         if log_rows:
             log_rows[-1].dev_spearman = rho
 
-    last = _snapshot(cfg, vocab, freq, table, params, opt, best_dev)
+    last = _snapshot(cfg, vocab, freq, table, params, step, best_dev)
     if best is None:
         best = last
     return TrainResult(best=best, last=last, log_rows=log_rows, best_dev=best_dev)

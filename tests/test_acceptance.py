@@ -16,7 +16,7 @@ from gradcatalog import primitive_cases
 from oracles import oracle_spearman
 from sarcse.autodiff import Tensor, conv1d_valid, grad_check, transposed_conv1d
 from sarcse.cli import main
-from sarcse.corpus import FrequencyTable, Vocab, make_batch
+from sarcse.corpus import Vocab, make_batch
 from sarcse.embeddings import init_table
 from sarcse.evaluation import alignment, spearman, uniformity
 from sarcse.losses import info_nce, reconstruction_loss, token_weight, token_weights
@@ -56,7 +56,7 @@ def _objective_point():
     batch = make_batch(sentences, vocab)
     freq_raw = np.random.default_rng(3).uniform(0.0, 1.0, size=len(vocab))
     freq_raw[0] = 0.0
-    freq = FrequencyTable(freq_raw / freq_raw.sum())
+    freq = freq_raw / freq_raw.sum()
     dropout_seed = 1234
 
     names = list(param_shapes(embed_dim, enc_channels, mix_channels))
@@ -216,7 +216,7 @@ def test_criterion_08_padding_invariance():
     params = init_params(8, 10, 2, np.random.default_rng(7), dtype=np.float64)
     freq_raw = np.random.default_rng(8).uniform(0, 1, size=len(vocab))
     freq_raw[0] = 0.0
-    freq = FrequencyTable(freq_raw / freq_raw.sum())
+    freq = freq_raw / freq_raw.sum()
     rng = np.random.default_rng(9)
     for _ in range(100):
         n = int(rng.integers(5, 14))
@@ -269,14 +269,15 @@ def test_criterion_10_smoke_convergence(toy_runs, toy_data_dir):
 
 def test_tracked_reference_outputs(toy_runs, toy_data_dir, tmp_path):
     """The committed runs/ outputs are what scripts/reproduce_toy.sh gives:
-    its training log, `eval --token-report` on its best checkpoint, and the
-    sample embeddings. Regenerate them with that script when a change moves
-    output bits."""
+    its training log and resolved config, `eval --token-report` on its best
+    checkpoint, and the sample embeddings. Regenerate them with that script
+    when a change moves output bits or config keys."""
     runs, best = toy_data_dir.parent / "runs", toy_runs[0] / "best.ckpt"
-    assert (toy_runs[0] / "train_log.csv").read_bytes() == (runs / "train" / "train_log.csv").read_bytes()
+    for name in ("train_log.csv", "config.txt"):
+        assert (toy_runs[0] / name).read_bytes() == (runs / "train" / name).read_bytes(), name
     out = tmp_path / "eval"
     assert main(["eval", str(best), str(toy_data_dir / "toy_sts_test.tsv"), "--out", str(out), "--token-report"]) == 0
-    for name in ("metrics.csv", "density.csv", "token_report.csv", "summary.txt"):
+    for name in ("metrics.csv", "density.csv", "token_report.csv", "summary.txt", "config.txt"):
         assert (out / name).read_bytes() == (runs / "eval" / name).read_bytes(), name
     embeddings = tmp_path / "sample_embeddings.tsv"
     assert main(["embed", str(best), str(runs / "sample_sentences.txt"), "--out", str(embeddings)]) == 0

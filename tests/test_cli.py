@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,9 +87,12 @@ def trained(data, tmp_path_factory):
 
 class TestResolveConfig:
     def test_defaults_cover_all_documented_keys(self):
-        for key in ("theta", "lam", "tau", "alpha", "beta", "gamma", "batch_size",
-                    "epochs", "seed", "dropout", "lr", "min_count", "pos_threshold"):
-            assert key in DEFAULTS
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Configuration keys", 1)[1].split("\n\n", 2)[1]
+        rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| `")]
+        documented = [key for cell in rows for key in re.findall(r"`(\w+)`", cell)]
+        assert len(documented) == len(set(documented))
+        assert set(documented) == set(DEFAULTS)
 
     def test_reference_hyperparameters_load(self):
         cfg = resolve_config(None, [
@@ -445,6 +450,14 @@ class TestHarnesses:
         assert lines[1] == "theta,dev_spearman,test_spearman"
         assert [line.split(",")[0] for line in lines[2:]] == ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
         assert (out / "theta_0.3" / "best.ckpt").exists()
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep-theta"])
+    def test_bad_test_file_fails_before_training(self, data, tmp_path, command):
+        bad = tmp_path / "bad.tsv"
+        bad.write_text("4.0\tonly one sentence\n", encoding="utf-8")
+        out = tmp_path / "grid"
+        assert main([command, data["corpus"], data["dev"], str(bad), "--out", str(out), *FAST]) == EXIT_IO
+        assert [p for p in out.glob("*") if p.is_dir()] == []
 
     def test_sweep_rejects_bad_values(self, data, tmp_path):
         code = main([

@@ -9,9 +9,7 @@ from sarcse.corpus import (
     Vocab,
     build_vocab,
     load_corpus,
-    load_frequency,
     load_sts_pairs,
-    load_vocab,
     make_batch,
     save_frequency,
     save_vocab,
@@ -77,7 +75,7 @@ class TestVocab:
         vocab = build_vocab(path)
         out = tmp_path / "vocab.txt"
         save_vocab(vocab, out)
-        again = load_vocab(out)
+        again = Vocab(out.read_text(encoding="utf-8").splitlines())
         assert again.tokens == vocab.tokens
         assert again.id_of("green") == vocab.id_of("green")
 
@@ -86,30 +84,30 @@ class TestFrequency:
     def test_direct_counts(self, tmp_path):
         path = write(tmp_path, "c.txt", "a a b\n")
         vocab = build_vocab(path)
-        table = token_frequency(path, vocab)
-        assert table.freq[vocab.id_of("a")] == pytest.approx(2 / 3)
-        assert table.freq[vocab.id_of("b")] == pytest.approx(1 / 3)
+        freq = token_frequency(path, vocab)
+        assert freq[vocab.id_of("a")] == pytest.approx(2 / 3)
+        assert freq[vocab.id_of("b")] == pytest.approx(1 / 3)
 
     def test_single_token_corpus(self, tmp_path):
         path = write(tmp_path, "c.txt", "zap\n")
         vocab = build_vocab(path)
-        table = token_frequency(path, vocab)
-        assert table.freq[vocab.id_of("zap")] == 1.0
+        freq = token_frequency(path, vocab)
+        assert freq[vocab.id_of("zap")] == 1.0
 
     def test_sums_to_one_and_pad_zero(self, tmp_path):
         path = write(tmp_path, "c.txt", "the cat sat on the mat .\nthe dog ran .\n")
         vocab = build_vocab(path)
-        table = token_frequency(path, vocab)
-        assert abs(table.freq.sum() - 1.0) < 1e-9
-        assert abs(table.freq[2:].sum() - 1.0) < 1e-9   # no OOV at min_count=1
-        assert table.freq[PAD_ID] == 0.0
+        freq = token_frequency(path, vocab)
+        assert abs(freq.sum() - 1.0) < 1e-9
+        assert abs(freq[2:].sum() - 1.0) < 1e-9   # no OOV at min_count=1
+        assert freq[PAD_ID] == 0.0
 
     def test_unk_absorbs_oov(self, tmp_path):
         path = write(tmp_path, "c.txt", "a a a b\n")
         vocab = build_vocab(path, min_count=2)      # only "a" survives
-        table = token_frequency(path, vocab)
-        assert table.freq[UNK_ID] == pytest.approx(1 / 4)
-        assert abs(table.freq.sum() - 1.0) < 1e-9
+        freq = token_frequency(path, vocab)
+        assert freq[UNK_ID] == pytest.approx(1 / 4)
+        assert abs(freq.sum() - 1.0) < 1e-9
 
     def test_checksum_mismatch_warns(self, tmp_path):
         path = write(tmp_path, "c.txt", "a b\n")
@@ -121,11 +119,12 @@ class TestFrequency:
     def test_file_round_trip(self, tmp_path):
         path = write(tmp_path, "c.txt", "x y y z z z\n")
         vocab = build_vocab(path)
-        table = token_frequency(path, vocab)
+        freq = token_frequency(path, vocab)
         out = tmp_path / "freq.tsv"
-        save_frequency(table, vocab, out)
-        again = load_frequency(out, vocab)
-        np.testing.assert_array_equal(again.freq, table.freq)
+        save_frequency(freq, vocab, out)
+        rows = [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+        assert [tok for tok, _ in rows] == [vocab.token_of(i) for i in range(len(vocab))]
+        np.testing.assert_array_equal([float(f) for _, f in rows], freq)
 
 
 class TestStsPairs:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcse.corpus import FrequencyTable, ScoredPair, Vocab
+from sarcse.corpus import ScoredPair, Vocab
 from sarcse.embeddings import init_table
 from sarcse.evaluation import (
     GROUP_LABELS,
@@ -305,7 +305,7 @@ class TestEvaluatePairs:
 
     def test_eval_pass_token_mse_matches_a_separate_pass(self, tiny_model):
         vocab, table, params = tiny_model
-        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        freq = np.linspace(0.0, 0.1, len(vocab))
         pairs = [
             _pair(5.0, "w0 w1 w2 w3 w4", "w0 w1 w2 w3 w4"),
             _pair(2.0, "w5 w6 w7", "w0 w1 w2 w3 w4 w8 w9"),
@@ -332,7 +332,7 @@ class TestBatchIndependence:
     )
     def test_rows_and_token_mse_equal_sentence_alone(self, tiny_model, sentences, batch_size):
         vocab, table, params = tiny_model
-        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        freq = np.linspace(0.0, 0.1, len(vocab))
         embs = encode_tokens(sentences, vocab, table, params, batch_size=batch_size)
         for toks, row in zip(sentences, embs):
             alone = encode_tokens([toks], vocab, table, params, batch_size=1)[0]
@@ -358,7 +358,7 @@ class TestBatchIndependence:
         params = init_params(32, 500, 3, rng)
         sentences = [list(rng.choice(words, size=12)) for _ in range(16)]
         assert len({tuple(s) for s in sentences}) == 16
-        freq = FrequencyTable(np.linspace(0.0, 0.1, len(vocab)))
+        freq = np.linspace(0.0, 0.1, len(vocab))
         pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences[::2], sentences[1::2])]
         together = report_rows(pairs, vocab, table, params, freq)
         for pi, pair in enumerate(pairs):
@@ -371,15 +371,28 @@ class TestBatchIndependence:
 
 class TestEvaluateCheckpoint:
     def test_bundled_untrained_checkpoint(self, toy_data_dir):
-        from sarcse.checkpoint import load_checkpoint
-        from sarcse.evaluation import evaluate_checkpoint
+        from sarcse.checkpoint import load_checkpoint, unpack_model
+        from sarcse.corpus import load_sts_pairs
 
-        ckpt_path = toy_data_dir / "toy_untrained.ckpt"
-        report = evaluate_checkpoint(
-            load_checkpoint(ckpt_path), toy_data_dir / "toy_sts_test.tsv"
-        )
+        ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
+        table, params = unpack_model(ckpt)
+        pairs = load_sts_pairs(toy_data_dir / "toy_sts_test.tsv")
+        report = evaluate_pairs(pairs, ckpt.vocab, table, params)
         assert report.pair_count == 60
         assert report.uniformity is not None and report.uniformity <= 0.0
+
+    def test_script_reproduces_bundled_checkpoint(self, toy_data_dir, tmp_path, monkeypatch):
+        import importlib.util
+        import sys
+
+        script = toy_data_dir.parent / "scripts" / "make_untrained_checkpoint.py"
+        spec = importlib.util.spec_from_file_location("make_untrained_checkpoint", script)
+        mod = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(mod)
+        out = tmp_path / "untrained.ckpt"
+        monkeypatch.setattr(sys, "argv", [str(script), "--out", str(out)])
+        mod.main()
+        assert out.read_bytes() == (toy_data_dir / "toy_untrained.ckpt").read_bytes()
 
     def test_bundled_untrained_checkpoint_matches_bundled_corpus(self, toy_data_dir):
         """A stale checkpoint left behind after regenerating the corpus fails here.

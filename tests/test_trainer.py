@@ -24,7 +24,6 @@ from sarcse.checkpoint import (
 )
 from sarcse.cli import EXIT_IO, main
 from sarcse.corpus import (
-    FrequencyTable,
     Vocab,
     build_vocab,
     load_corpus,
@@ -134,7 +133,7 @@ def toy_setup(tmp_path_factory):
 def small_config(**overrides):
     base = dict(
         embed_dim=8, enc_channels=8, mix_channels=2, batch_size=8,
-        epochs=1, max_steps=8, eval_every=4, seed=3, dropout=0.1, lr=1e-2,
+        max_steps=8, eval_every=4, seed=3, dropout=0.1, lr=1e-2,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -262,12 +261,12 @@ class TestCheckpointIO:
         assert loaded.config == result.last.config
         assert loaded.vocab.tokens == vocab.tokens
         assert loaded.step == result.last.step
-        np.testing.assert_array_equal(loaded.freq.freq, freq.freq)
+        np.testing.assert_array_equal(loaded.freq, freq)
         for name, arr in result.last.tensors.items():
             assert loaded.tensors[name].tobytes() == arr.tobytes(), name
             assert loaded.tensors[name].dtype == arr.dtype
-        for name, arr in result.last.opt_m.items():
-            assert loaded.opt_m[name].tobytes() == arr.tobytes()
+        assert loaded.tensors.keys() == result.last.tensors.keys()
+        assert loaded.opt_m == {} and loaded.opt_v == {}     # training saves no optimizer state
 
     def test_corrupted_byte_raises_checksum_error(self, toy_setup, tmp_path):
         sentences, dev, vocab, freq = toy_setup
@@ -310,8 +309,15 @@ class TestCheckpointIO:
         (_edit_entry("dec.k3.bias", dtype="|O"), "malformed directory entry"),
         (_edit_entry("dec.k3.bias", offset=-400), "tensor dec.k3.bias has a negative"),
         (_edit_entry("dec.k3.kernels", shape=[-64, 3, -32]), "tensor dec.k3.kernels has a negative"),
+        (_edit_entry("corpus.freq", shape=[3]), "corpus.freq is float64 of shape \\(3,\\)"),
+        (lambda h, d: (h, [{**e, "shape": [1, *e["shape"]]} if e["name"] == "corpus.freq" else e for e in d]),
+         "corpus.freq is float64 of shape \\(1, "),
+        (_edit_entry("corpus.freq", dtype="<i8"), "corpus.freq is int64"),
+        (lambda h, d: ({**h, "vocab": [5, *h["vocab"][1:]]}, d), "vocab is not a list of distinct strings"),
+        (lambda h, d: ({**h, "vocab": [h["vocab"][1], *h["vocab"][1:]]}, d), "vocab is not a list of distinct strings"),
     ], ids=["no-vocab", "no-config", "header-list", "directory-object", "entry-list",
-            "unknown-dtype", "object-dtype", "negative-offset", "negative-dimension"])
+            "unknown-dtype", "object-dtype", "negative-offset", "negative-dimension",
+            "short-freq", "freq-2d", "integer-freq", "integer-token", "duplicate-token"])
     def test_malformed_header_or_directory(self, toy_data_dir, tmp_path, edit, match):
         src, path = toy_data_dir / "toy_untrained.ckpt", tmp_path / "bad.ckpt"
         _resealed(src, path, lambda h, d: (h, d))
@@ -347,6 +353,9 @@ class TestCheckpointIO:
         sentences, dev, vocab, freq = toy_setup
         result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+        # training saves no moments, but the format stores them: give it some
+        result.last.opt_m = {k: v * 0.5 for k, v in result.last.tensors.items()}
+        result.last.opt_v = {k: v * v for k, v in result.last.tensors.items()}
         save_checkpoint(result.last, first)
         ckpt = load_checkpoint(first)
         table, params = unpack_model(ckpt)
@@ -355,7 +364,7 @@ class TestCheckpointIO:
         assert all(t.data is ckpt.tensors[name] for name, t in params.items())
 
         def arrays(c):
-            return [c.freq.freq, *c.tensors.values(), *c.opt_m.values(), *c.opt_v.values()]
+            return [c.freq, *c.tensors.values(), *c.opt_m.values(), *c.opt_v.values()]
 
         loaded, again = arrays(ckpt), arrays(load_checkpoint(first))
         assert len(loaded) == 1 + 3 * len(ckpt.tensors)      # freq, each tensor and its two moments
@@ -435,7 +444,7 @@ def test_checkpoint_round_trip_any_config(
     tensors = pack_model(table, params)
     moments = {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in tensors.items()} if with_moments else {}
     ckpt = Checkpoint(
-        config=cfg.to_flat(), vocab=vocab, freq=FrequencyTable(rng.dirichlet(np.ones(len(vocab)))),
+        config=cfg.to_flat(), vocab=vocab, freq=rng.dirichlet(np.ones(len(vocab))),
         tensors=tensors, opt_m=moments, opt_v={k: v * v for k, v in moments.items()},
         step=int(rng.integers(0, 1000)), best_dev=best_dev,
     )
@@ -448,7 +457,7 @@ def test_checkpoint_round_trip_any_config(
         return c.config, c.vocab.tokens, c.vocab.corpus_sha256, c.step, c.best_dev
 
     assert header(loaded) == header(ckpt)
-    assert loaded.freq.freq.tobytes() == ckpt.freq.freq.tobytes()
+    assert loaded.freq.tobytes() == ckpt.freq.tobytes()
     for attr in ("opt_m", "opt_v"):
         got, want = getattr(loaded, attr), getattr(ckpt, attr)
         assert got.keys() == want.keys()
