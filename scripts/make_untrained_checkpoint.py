@@ -14,13 +14,9 @@ checkpoint format VERSION changes.
 import argparse
 from pathlib import Path
 
-import numpy as np
-
 from sarcse.checkpoint import Checkpoint, pack_model, save_checkpoint
 from sarcse.corpus import build_vocab, token_frequency
-from sarcse.embeddings import init_table
-from sarcse.model import init_params
-from sarcse.trainer import TrainConfig
+from sarcse.trainer import TrainConfig, init_model
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
@@ -35,9 +31,7 @@ def main() -> None:
     cfg = TrainConfig(embed_dim=32, enc_channels=64, mix_channels=3, batch_size=16, seed=args.seed)
     vocab = build_vocab(args.corpus)
     freq = token_frequency(args.corpus, vocab)
-    rng = np.random.default_rng(cfg.seed)
-    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng)
-    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+    _, table, params = init_model(cfg, vocab)
     ckpt = Checkpoint(
         config=cfg.to_flat(),
         vocab=vocab,

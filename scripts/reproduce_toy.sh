@@ -14,7 +14,7 @@ CORPUS=data/toy_corpus.txt
 DEV=data/toy_sts_dev.tsv
 TEST=data/toy_sts_test.tsv
 CFG=(--set max_steps=200 --set batch_size=16 --set embed_dim=32
-     --set enc_channels=64 --set mix_channels=3 --set eval_every=50 --seed 7)
+     --set enc_channels=64 --set mix_channels=3 --set eval_every=50 --set seed=7)
 
 python3 -m sarcse build-vocab "$CORPUS" --out runs/vocab
 python3 -m sarcse train "$CORPUS" "$DEV" --out runs/train "${CFG[@]}"

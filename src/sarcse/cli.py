@@ -24,17 +24,20 @@ from .evaluation import (
     write_metrics_csv,
     write_summary,
 )
-from .trainer import ABLATIONS, TrainConfig, train, write_log
+from .trainer import TrainConfig, train, write_log
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-DEFAULTS: dict = {
-    **TrainConfig().to_flat(),
-    "min_count": 1,
-    "pos_threshold": 4.0,
+DEFAULTS: dict = {**TrainConfig().to_flat(), "min_count": 1}
+
+# The `ablate` rows: the paper's ablations as overrides of the resolved config.
+ABLATIONS: dict[str, dict] = {
+    "full": {},
+    "no_sal": {"theta": 1.0},
+    "no_sal_no_decoder": {"theta": 1.0, "beta": 0.0, "gamma": 0.0},
 }
 
 
@@ -82,11 +85,7 @@ def read_config_file(path: str | Path) -> dict[str, str]:
     return raw
 
 
-def resolve_config(
-    config_path: Optional[str],
-    overrides: Sequence[str],
-    seed: Optional[int],
-) -> dict:
+def resolve_config(config_path: Optional[str], overrides: Sequence[str]) -> dict:
     """Merge defaults, an optional config file, and --set overrides."""
     cfg = dict(DEFAULTS)
 
@@ -104,8 +103,6 @@ def resolve_config(
             raise ConfigError(f"--set {item!r}: expected key=value")
         key, raw = item.split("=", 1)
         apply(key.strip(), raw.strip(), "--set")
-    if seed is not None:
-        cfg["seed"] = seed
     _train_config(cfg)
     if cfg["min_count"] < 1:
         raise ConfigError(f"config: min_count must be >= 1, got {cfg['min_count']}")
@@ -115,7 +112,7 @@ def resolve_config(
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig of a resolved config; an out-of-range value is a ConfigError."""
     try:
-        return TrainConfig(**{k: v for k, v in cfg.items() if k not in ("min_count", "pos_threshold")})
+        return TrainConfig(**{k: v for k, v in cfg.items() if k != "min_count"})
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
 
@@ -156,7 +153,7 @@ def _build_vocab_and_freq(corpus_path: str, cfg: dict):
 
 
 def cmd_build_vocab(args) -> int:
-    cfg = resolve_config(args.config, args.set, args.seed)
+    cfg = resolve_config(args.config, args.set)
     out_dir = _prepare_out(cfg, args.out, [args.corpus])
     vocab, freq = _build_vocab_and_freq(args.corpus, cfg)
     corpus_io.save_vocab(vocab, out_dir / "vocab.txt")
@@ -182,7 +179,7 @@ def _write_train_outputs(result, out_dir: Path) -> None:
 
 
 def cmd_train(args) -> int:
-    cfg = resolve_config(args.config, args.set, args.seed)
+    cfg = resolve_config(args.config, args.set)
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev])
     result = _train_once(cfg, args.corpus, args.dev)
     _write_train_outputs(result, out_dir)
@@ -201,15 +198,13 @@ def _sal_settings(config: dict) -> tuple[float, float]:
 
 
 def cmd_eval(args) -> int:
-    cfg = resolve_config(args.config, args.set, args.seed)
-    out_dir = _prepare_out(cfg, args.out, [args.checkpoint, args.pairs])
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
     sal = _sal_settings(ckpt.config) if args.token_report else None
     pairs = corpus_io.load_sts_pairs(args.pairs)
+    out_dir = _prepare_out(ckpt.config, args.out, [args.checkpoint, args.pairs])
     token_mse = {} if args.token_report else None     # filled by the one encode pass
-    report = evaluate_pairs(pairs, ckpt.vocab, table, params,
-                            pos_threshold=float(cfg["pos_threshold"]), token_mse=token_mse)
+    report = evaluate_pairs(pairs, ckpt.vocab, table, params, token_mse=token_mse)
     write_metrics_csv(report, out_dir / "metrics.csv")
     write_density_csv(report, out_dir / "density.csv")
     write_summary(report, out_dir / "summary.txt")
@@ -223,7 +218,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    resolve_config(args.config, args.set, args.seed)
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
     with open(args.sentences, "r", encoding="utf-8") as fh:
@@ -254,24 +248,18 @@ def _fmt_rho(value: Optional[float]) -> str:
     return "undefined" if value is None else repr(value)
 
 
-def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, table_name: str) -> int:
-    """Train once per value of config `key` under the shared seed, into
-    `<out>/<subdir_prefix><value>`, and tabulate each value (formatted with
-    `fmt`) with its best dev and that checkpoint's test Spearman. Two values
-    with one label would share a directory and a row, so they are refused."""
-    labels = [f"{value:{fmt}}" for value in values]
-    for i, label in enumerate(labels):
-        first = labels.index(label)
-        if first != i:
-            raise ConfigError(f"{key} values {values[first]!r} and {values[i]!r} share the label {label}")
-    cfg = resolve_config(args.config, args.set, args.seed)
-    for value in values:
-        _train_config({**cfg, key: value})
+def _run_grid(args, column: str, grid: dict[str, dict], subdir_prefix: str, table_name: str) -> int:
+    """Train once per labelled override set of `grid` under the shared seed,
+    into `<out>/<subdir_prefix><label>`, and tabulate each label under
+    `column` with its best dev and that checkpoint's test Spearman."""
+    cfg = resolve_config(args.config, args.set)
+    for overrides in grid.values():
+        _train_config({**cfg, **overrides})
     test_pairs = corpus_io.load_sts_pairs(args.test)
     out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
     rows = []
-    for label, value in zip(labels, values):
-        result = _train_once({**cfg, key: value}, args.corpus, args.dev)
+    for label, overrides in grid.items():
+        result = _train_once({**cfg, **overrides}, args.corpus, args.dev)
         sub = out_dir / f"{subdir_prefix}{label}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)
@@ -280,14 +268,14 @@ def _run_grid(args, key: str, values: Sequence, fmt: str, subdir_prefix: str, ta
         rows.append(f"{label},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
     with open(out_dir / table_name, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg['seed']}\n")
-        fh.write(f"{key},dev_spearman,test_spearman\n")
+        fh.write(f"{column},dev_spearman,test_spearman\n")
         fh.writelines(rows)
-    print(f"{key} grid ({len(rows)} rows) -> {out_dir / table_name}")
+    print(f"{column} grid ({len(rows)} rows) -> {out_dir / table_name}")
     return EXIT_OK
 
 
 def cmd_ablate(args) -> int:
-    return _run_grid(args, "ablation", ABLATIONS, "", "", "ablation.csv")
+    return _run_grid(args, "ablation", ABLATIONS, "", "ablation.csv")
 
 
 def cmd_sweep_theta(args) -> int:
@@ -297,7 +285,13 @@ def cmd_sweep_theta(args) -> int:
         raise ConfigError(f"--values: expected comma-separated numbers, got {args.values!r}") from exc
     if not values:
         raise ConfigError("--values: no theta values given")
-    return _run_grid(args, "theta", values, "g", "theta_", "theta_sweep.csv")
+    grid = {}       # two values with one label would share a directory and a row
+    for value in values:
+        label = f"{value:g}"
+        if label in grid:
+            raise ConfigError(f"theta values {grid[label]['theta']!r} and {value!r} share the label {label}")
+        grid[label] = {"theta": value}
+    return _run_grid(args, "theta", grid, "theta_", "theta_sweep.csv")
 
 
 # -- argument parsing ----------------------------------------------------------
@@ -309,11 +303,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_common(sub_parser: argparse.ArgumentParser) -> None:
+def _add_settings(sub_parser: argparse.ArgumentParser) -> None:
     sub_parser.add_argument("--config", default=None, help="config file of 'key = value' lines")
     sub_parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                             help="override one config key (repeatable)")
-    sub_parser.add_argument("--seed", type=int, default=None, help="override the seed config key")
 
 
 @functools.cache
@@ -325,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build vocabulary and token-frequency files")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model and keep the best dev checkpoint")
     p.add_argument("corpus")
     p.add_argument("dev")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on scored pairs")
@@ -341,14 +334,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--token-report", action="store_true",
                    help="also write per-token reconstruction losses")
-    _add_common(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("embed", help="write one embedding line per input sentence")
     p.add_argument("checkpoint")
     p.add_argument("sentences")
     p.add_argument("--out", required=True, help="output file")
-    _add_common(p)
     p.set_defaults(fn=cmd_embed)
 
     p = sub.add_parser("ablate", help="train full / no_sal / no_sal_no_decoder under a shared seed")
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("dev")
     p.add_argument("test")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("sweep-theta", help="train once per theta value under a shared seed")
@@ -366,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", default="0,0.1,0.2,0.3,0.4,0.5,0.6",
                    help="comma-separated theta values")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_settings(p)
     p.set_defaults(fn=cmd_sweep_theta)
 
     return parser

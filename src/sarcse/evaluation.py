@@ -17,6 +17,7 @@ from .losses import ZeroNormError, token_weights
 from .model import decode, encode, pack
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
+POSITIVE_GOLD = 4.0     # a pair with this gold score or more is a positive for `alignment`
 
 
 class UndefinedCorrelationError(ValueError):
@@ -228,7 +229,6 @@ def evaluate_pairs(
     vocab: Vocab,
     table: Tensor,
     params: dict[str, Tensor],
-    pos_threshold: float = 4.0,
     token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> EvalReport:
     """Embed both sides of every pair (no dropout) and compute all metrics.
@@ -249,7 +249,7 @@ def evaluate_pairs(
     except (UndefinedCorrelationError, ValueError):
         rho = None
 
-    positives = [(emb_a[i], emb_b[i]) for i in range(len(pairs)) if gold[i] >= pos_threshold]
+    positives = [(emb_a[i], emb_b[i]) for i in range(len(pairs)) if gold[i] >= POSITIVE_GOLD]
     align = alignment(positives) if positives else None
     uniform = uniformity(embs) if len(embs) >= 2 else None
     return EvalReport(

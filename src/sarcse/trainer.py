@@ -17,8 +17,6 @@ from .evaluation import UndefinedCorrelationError, cosine, encode_tokens, spearm
 from .losses import info_nce, reconstruction_loss, token_weights, total_loss
 from .model import forward_pair, init_params
 
-ABLATIONS = ("full", "no_sal", "no_sal_no_decoder")
-
 
 @dataclass
 class TrainConfig:
@@ -27,10 +25,12 @@ class TrainConfig:
     theta is the floor of the per-token reconstruction weight, lam the slope
     of the frequency penalty, tau the InfoNCE temperature, and alpha / beta /
     gamma the mixing weights of the contrastive term and the two
-    reconstruction terms. With detach_targets the reconstruction targets are
-    treated as constants, which closes the collapse-to-zero shortcut a
-    trainable embedding table would otherwise have. The field order is the
-    order of the checkpoint header's config.
+    reconstruction terms. The paper's ablations are points of these values:
+    theta = 1 weights every token 1 (no SAL), and beta = gamma = 0 skips the
+    decoder (contrastive training alone). With detach_targets the
+    reconstruction targets are treated as constants, which closes the
+    collapse-to-zero shortcut a trainable embedding table would otherwise
+    have. The field order is the order of the checkpoint header's config.
     """
 
     embed_dim: int = 32
@@ -48,7 +48,6 @@ class TrainConfig:
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    ablation: str = "full"
     theta: float = 0.1
     lam: float = 50.0
     tau: float = 0.05
@@ -83,8 +82,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if not self.adam_eps > 0.0:
             raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
-        if self.ablation not in ABLATIONS:
-            raise ValueError(f"ablation must be one of {ABLATIONS}, got {self.ablation!r}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if not self.lam >= 0.0:
@@ -214,18 +211,16 @@ def objective(
 ) -> tuple[Tensor, LogRow]:
     """Loss of one batch and its log row (step 0): InfoNCE over two dropout
     views plus each view's SAL-weighted reconstruction loss averaged over
-    sentences; exact zeros without the decoder. Sentences enter both terms
-    in packed order, the same in both views."""
-    run_decoder = cfg.ablation != "no_sal_no_decoder"
+    sentences; the decoder runs only when beta or gamma is positive, and
+    both reconstruction terms are exact zeros otherwise. Sentences enter both
+    terms in packed order, the same in both views."""
+    run_decoder = cfg.beta > 0.0 or cfg.gamma > 0.0
     packing, view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
     l_info = info_nce(view.embeddings, view_aug.embeddings, cfg.tau)
     l_recon = l_recon_aug = Tensor(np.zeros(()))
     weight_mean = 1.0
     if run_decoder:
-        if cfg.ablation == "no_sal":
-            w = np.ones(batch.ids.shape)
-        else:
-            w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
+        w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
         weight_mean = float(w[batch.mask].mean())
         w, mask = w[packing.index], batch.mask[packing.index]
         l_recon, l_recon_aug = (
@@ -243,6 +238,16 @@ def objective(
         token_weight_mean=weight_mean,
     )
     return loss, row
+
+
+def init_model(cfg: TrainConfig, vocab: Vocab) -> tuple[np.random.Generator, Tensor, dict[str, Tensor]]:
+    """The initial model of `cfg`: its seeded generator, then the embedding
+    table and the model parameters drawn from it in that order. The returned
+    generator goes on to draw `train`'s shuffles and dropout masks."""
+    rng = np.random.default_rng(cfg.seed)
+    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng, pretrained_path=cfg.pretrained_path or None)
+    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+    return rng, table, params
 
 
 def train(
@@ -264,12 +269,7 @@ def train(
     if len(dev_pairs) < 2 or len({p.gold_score for p in dev_pairs}) < 2:
         raise ValueError("train: dev set needs >= 2 pairs with non-constant gold scores (Spearman undefined)")
 
-    rng = np.random.default_rng(cfg.seed)
-    table = init_table(
-        vocab, cfg.embed_dim, cfg.init_scale, rng,
-        pretrained_path=cfg.pretrained_path or None,
-    )
-    params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+    rng, table, params = init_model(cfg, vocab)
     opt = AdamW(
         lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
         eps=cfg.adam_eps, weight_decay=cfg.weight_decay,

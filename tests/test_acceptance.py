@@ -26,8 +26,18 @@ from sarcse.trainer import TrainConfig, objective
 TOY_TRAIN_ARGS = [
     "--set", "max_steps=200", "--set", "batch_size=16", "--set", "embed_dim=32",
     "--set", "enc_channels=64", "--set", "mix_channels=3", "--set", "eval_every=50",
-    "--seed", "7",
+    "--set", "seed=7",
 ]
+
+
+def assert_tracked_outputs(out, reference):
+    """Every file under `reference`, a tracked `runs/` directory, has the same
+    bytes under `out`. Checkpoints are regenerated, not tracked, so they are
+    skipped."""
+    names = sorted(p.relative_to(reference) for p in reference.rglob("*") if p.is_file() and p.suffix != ".ckpt")
+    assert names, f"no tracked outputs under {reference}"
+    for name in names:
+        assert (out / name).read_bytes() == (reference / name).read_bytes(), str(name)
 
 
 # -- criterion 1: gradient fidelity -------------------------------------------
@@ -269,16 +279,20 @@ def test_criterion_10_smoke_convergence(toy_runs, toy_data_dir):
 
 def test_tracked_reference_outputs(toy_runs, toy_data_dir, tmp_path):
     """The committed runs/ outputs are what scripts/reproduce_toy.sh gives:
-    its training log and resolved config, `eval --token-report` on its best
-    checkpoint, and the sample embeddings. Regenerate them with that script
-    when a change moves output bits or config keys."""
+    its vocabulary, its training run, `eval --token-report` on its best
+    checkpoint, the sample sentences and their embeddings. Criteria 11 and
+    12 check the grids. Regenerate them with that script when a change moves
+    output bits, config keys or checkpoint bytes."""
     runs, best = toy_data_dir.parent / "runs", toy_runs[0] / "best.ckpt"
-    for name in ("train_log.csv", "config.txt"):
-        assert (toy_runs[0] / name).read_bytes() == (runs / "train" / name).read_bytes(), name
+    corpus = toy_data_dir / "toy_corpus.txt"
+    assert main(["build-vocab", str(corpus), "--out", str(tmp_path / "vocab")]) == 0
+    assert_tracked_outputs(tmp_path / "vocab", runs / "vocab")
+    assert_tracked_outputs(toy_runs[0], runs / "train")
     out = tmp_path / "eval"
     assert main(["eval", str(best), str(toy_data_dir / "toy_sts_test.tsv"), "--out", str(out), "--token-report"]) == 0
-    for name in ("metrics.csv", "density.csv", "token_report.csv", "summary.txt", "config.txt"):
-        assert (out / name).read_bytes() == (runs / "eval" / name).read_bytes(), name
+    assert_tracked_outputs(out, runs / "eval")
+    sample = "".join(corpus.read_text(encoding="utf-8").splitlines(keepends=True)[:3])
+    assert (runs / "sample_sentences.txt").read_text(encoding="utf-8") == sample
     embeddings = tmp_path / "sample_embeddings.tsv"
     assert main(["embed", str(best), str(runs / "sample_sentences.txt"), "--out", str(embeddings)]) == 0
     assert embeddings.read_bytes() == (runs / "sample_embeddings.tsv").read_bytes()
@@ -305,6 +319,7 @@ def test_criterion_11_ablation_harness(toy_data_dir, tmp_path):
 
     log = (out / "no_sal_no_decoder" / "train_log.csv").read_text().splitlines()[1:]
     assert all(r.split(",")[2] == "0.0" and r.split(",")[3] == "0.0" for r in log)
+    assert_tracked_outputs(out, toy_data_dir.parent / "runs" / "ablate")
 
     # informative only: the reference ordering is full > no_sal > no_sal_no_decoder
     scores = {r[0]: r[2] for r in rows}
@@ -332,3 +347,4 @@ def test_criterion_12_theta_sweep_harness(toy_data_dir, tmp_path):
     assert thetas == ["0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6"]
     for theta in thetas:
         assert (out / f"theta_{theta}" / "best.ckpt").exists()
+    assert_tracked_outputs(out, toy_data_dir.parent / "runs" / "sweep")

@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import re
 from pathlib import Path
@@ -17,6 +18,7 @@ from sarcse.cli import (
     main,
     read_config_file,
     resolve_config,
+    write_resolved_config,
 )
 from sarcse.corpus import load_sts_pairs, tokenize
 from sarcse.evaluation import encode_tokens
@@ -75,7 +77,7 @@ FAST = [
 
 
 def run_train(data, out, extra=()):
-    return main(["train", data["corpus"], data["dev"], "--out", str(out), *FAST, "--seed", "5", *extra])
+    return main(["train", data["corpus"], data["dev"], "--out", str(out), *FAST, "--set", "seed=5", *extra])
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +100,7 @@ class TestResolveConfig:
         cfg = resolve_config(None, [
             "theta=0.1", "lam=50", "tau=0.05", "alpha=1",
             "beta=2.5e-4", "gamma=2.5e-4", "batch_size=64",
-        ], None)
+        ])
         assert cfg["theta"] == 0.1 and cfg["lam"] == 50.0 and cfg["tau"] == 0.05
         assert cfg["alpha"] == 1.0 and cfg["beta"] == 2.5e-4 and cfg["gamma"] == 2.5e-4
         assert cfg["batch_size"] == 64
@@ -112,7 +114,7 @@ class TestResolveConfig:
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("# comment\nbatch_size = 4\ntheta = 0.3\n", encoding="utf-8")
         assert read_config_file(cfg_file) == {"batch_size": "4", "theta": "0.3"}
-        cfg = resolve_config(str(cfg_file), ["theta=0.2"], 99)
+        cfg = resolve_config(str(cfg_file), ["theta=0.2", "seed=99"])
         assert cfg["batch_size"] == 4
         assert cfg["theta"] == 0.2        # --set wins over the file
         assert cfg["seed"] == 99
@@ -127,7 +129,7 @@ class TestResolveConfig:
         "lr=-1", "lr=0", "weight_decay=-5", "eval_every=-1", "max_steps=-3",
         "enc_channels=0", "enc_channels=1", "embed_dim=0", "mix_channels=0", "min_count=0",
         "init_scale=-0.1", "adam_beta1=1", "adam_beta1=-0.5", "adam_beta2=1", "adam_eps=-1e-8",
-        "adam_eps=0",
+        "adam_eps=0", "ablation=no_sal", "pos_threshold=4",
     ])
     def test_out_of_range_value_is_usage_error(self, data, tmp_path, capsys, setting):
         out = tmp_path / "run"
@@ -190,7 +192,7 @@ class TestTrain:
 
     def test_no_sal_logs_unit_weights(self, data, tmp_path):
         out = tmp_path / "nosal"
-        assert run_train(data, out, extra=["--set", "ablation=no_sal"]) == EXIT_OK
+        assert run_train(data, out, extra=["--set", "theta=1"]) == EXIT_OK
         rows = (out / "train_log.csv").read_text().splitlines()[1:]
         weights = {row.split(",")[5] for row in rows}
         assert weights == {"1.0"}
@@ -285,6 +287,33 @@ class TestEval:
             assert not (out / name).exists()
         assert main(["eval", str(path), data["test"], "--out", str(tmp_path / "plain")]) == EXIT_OK
 
+    def test_config_is_the_checkpoint_config(self, data, trained, tmp_path):
+        out, expected = tmp_path / "eval", tmp_path / "expected"
+        assert main(["eval", str(trained / "best.ckpt"), data["test"], "--out", str(out)]) == EXIT_OK
+        expected.mkdir()
+        write_resolved_config(load_checkpoint(trained / "best.ckpt").config, expected)
+        text = (out / "config.txt").read_text()
+        assert text == (expected / "config.txt").read_text()
+        assert {"seed = 5", "batch_size = 8", "max_steps = 6"} <= set(text.splitlines())
+        assert "min_count" not in text
+
+    @pytest.mark.parametrize("case", ["bad-sal-setting", "malformed-pairs", "missing-checkpoint"])
+    def test_refused_eval_creates_no_output_directory(self, data, trained, tmp_path, case):
+        ckpt_path, pairs = trained / "best.ckpt", data["test"]
+        if case == "bad-sal-setting":
+            ckpt = load_checkpoint(ckpt_path)
+            ckpt.config["theta"] = "high"
+            ckpt_path = tmp_path / "bad.ckpt"
+            save_checkpoint(ckpt, ckpt_path)
+        elif case == "malformed-pairs":
+            pairs = tmp_path / "pairs.tsv"
+            pairs.write_text("5.0\tthe dog eats .\tthe dog eats .\n4.0\tonly one sentence\n", encoding="utf-8")
+        else:
+            ckpt_path = tmp_path / "missing.ckpt"
+        out = tmp_path / "eval"
+        assert main(["eval", str(ckpt_path), str(pairs), "--out", str(out), "--token-report"]) == EXIT_IO
+        assert not out.exists()
+
     def test_empty_pair_sentence_names_line(self, trained, tmp_path, capsys):
         pairs = tmp_path / "pairs.tsv"
         pairs.write_text("5.0\tthe dog eats .\tthe dog eats .\n1.0\t \tthe cat sees .\n", encoding="utf-8")
@@ -301,6 +330,22 @@ class TestEval:
         main(["eval", str(trained / "best.ckpt"), data["test"], "--out", str(out1)])
         main(["eval", str(trained / "best.ckpt"), data["test"], "--out", str(out2)])
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flag", [["--set", "seed=1"], ["--config", "run.cfg"], ["--seed", "1"]],
+                         ids=["set", "config", "seed"])
+@pytest.mark.parametrize("command", ["eval", "embed"])
+def test_checkpoint_commands_take_no_settings(data, trained, tmp_path, capsys, command, flag):
+    """eval and embed read every setting from the checkpoint."""
+    (tmp_path / "run.cfg").write_text("seed = 1\n", encoding="utf-8")
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("the dog eats the food .\n", encoding="utf-8")
+    inputs = {"eval": data["test"], "embed": str(sentences)}
+    flag = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flag]
+    out = tmp_path / "out"
+    assert main([command, str(trained / "best.ckpt"), inputs[command], "--out", str(out), *flag]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestEmbed:
@@ -411,8 +456,8 @@ class TestParserReuse:
             return main(["embed", ckpt, str(sentences), *extra])
 
         build_parser.cache_clear()
-        assert embed("--out", str(tmp_path / "bogus.tsv"), "--set", "bogus=1") == EXIT_USAGE
-        assert build_parser().parse_args(["embed", "c", "s", "--out", "o"]).set == []
+        assert main(["train", "c", "d", "--out", str(tmp_path / "bogus"), "--set", "bogus=1"]) == EXIT_USAGE
+        assert build_parser().parse_args(["train", "c", "d", "--out", "o"]).set == []
         capsys.readouterr()
         assert embed() == EXIT_USAGE
         err = capsys.readouterr().err
@@ -427,7 +472,7 @@ class TestParserReuse:
 class TestHarnesses:
     def test_ablate_rows_and_shared_seed(self, data, tmp_path):
         out = tmp_path / "ablate"
-        code = main(["ablate", data["corpus"], data["dev"], data["test"], "--out", str(out), *FAST, "--seed", "11"])
+        code = main(["ablate", data["corpus"], data["dev"], data["test"], "--out", str(out), *FAST, "--set", "seed=11"])
         assert code == EXIT_OK
         lines = (out / "ablation.csv").read_text().splitlines()
         assert lines[0] == "# seed=11"
@@ -442,7 +487,7 @@ class TestHarnesses:
         out = tmp_path / "sweep"
         code = main([
             "sweep-theta", data["corpus"], data["dev"], data["test"],
-            "--values", "0,0.1,0.2,0.3,0.4,0.5,0.6", "--out", str(out), *FAST, "--seed", "11",
+            "--values", "0,0.1,0.2,0.3,0.4,0.5,0.6", "--out", str(out), *FAST, "--set", "seed=11",
         ])
         assert code == EXIT_OK
         lines = (out / "theta_sweep.csv").read_text().splitlines()
@@ -476,6 +521,23 @@ class TestHarnesses:
         err = capsys.readouterr().err
         assert "0.1" in err and "0.1000001" in err
         assert not (out / "theta_0.1").exists()
+
+
+class TestCommandLineDocs:
+    def test_readme_block_names_each_command_and_its_settings(self):
+        """The README's command-line block lists exactly the parser's
+        commands, and marks `[SETTINGS]` (`--config`, `--set`) on exactly the
+        commands that take them."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+        lines = [line for line in block.splitlines() if line.startswith("sarcse ")]
+        documented = {line.split()[1]: "[SETTINGS]" in line for line in lines}
+        assert len(documented) == len(lines)
+        commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
+        assert set(documented) == set(commands)
+        for command, takes_settings in documented.items():
+            options = set(commands[command]._option_string_actions) & {"--config", "--set", "--seed"}
+            assert options == ({"--config", "--set"} if takes_settings else set()), command
 
 
 class TestUsageErrors:

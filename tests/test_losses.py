@@ -47,6 +47,14 @@ class TestTokenWeight:
         lam = 50.0
         assert abs(token_weight(a, 0.1, lam) - token_weight(b, 0.1, lam)) <= lam * abs(a - b) + 1e-12
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20),
+           st.floats(min_value=0.0, allow_nan=False, allow_infinity=False))
+    def test_theta_one_weights_every_token_exactly_one(self, freq, lam):
+        """theta = 1 is the paper's "w/o SAL" ablation: no token is down-weighted."""
+        weights = token_weights(np.arange(len(freq)), np.array(freq), 1.0, lam)
+        assert weights.tolist() == [1.0] * len(freq)
+
     def test_vectorized_matches_scalar(self):
         freq = np.array([0.0, 0.0, 0.004, 0.018, 0.5])
         ids = np.array([2, 3, 4])

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarcse import model
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
     BadMagicError,
@@ -33,7 +34,7 @@ from sarcse.corpus import (
 )
 from sarcse.embeddings import init_table
 from sarcse.model import init_params, param_shapes
-from sarcse.trainer import AdamW, TrainConfig, objective, train, write_log
+from sarcse.trainer import AdamW, TrainConfig, init_model, objective, train, write_log
 
 
 class _FakeGrads:
@@ -158,15 +159,31 @@ class TestTrainLoop:
 
     def test_no_decoder_ablation_reports_exact_zero(self, toy_setup):
         sentences, dev, vocab, freq = toy_setup
-        result = train(small_config(ablation="no_sal_no_decoder"), sentences, dev, vocab, freq)
+        result = train(small_config(theta=1.0, beta=0.0, gamma=0.0), sentences, dev, vocab, freq)
         assert all(row.recon == 0.0 and row.recon_aug == 0.0 for row in result.log_rows)
         assert all(row.token_weight_mean == 1.0 for row in result.log_rows)
 
     def test_no_sal_ablation_unit_weights(self, toy_setup):
         sentences, dev, vocab, freq = toy_setup
-        result = train(small_config(ablation="no_sal"), sentences, dev, vocab, freq)
+        result = train(small_config(theta=1.0), sentences, dev, vocab, freq)
         assert all(row.token_weight_mean == 1.0 for row in result.log_rows)
         assert any(row.recon > 0.0 for row in result.log_rows)
+
+    @pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (0.0, 1e-3), (1e-3, 0.0)])
+    def test_decoder_runs_iff_beta_or_gamma_positive(self, toy_setup, monkeypatch, beta, gamma):
+        sentences, dev, vocab, freq = toy_setup
+        calls = []
+        real_decode = model.decode
+
+        def counting_decode(*args):
+            calls.append(1)
+            return real_decode(*args)
+
+        monkeypatch.setattr(model, "decode", counting_decode)
+        result = train(small_config(max_steps=2, eval_every=0, beta=beta, gamma=gamma), sentences, dev, vocab, freq)
+        decodes = beta > 0.0 or gamma > 0.0
+        assert len(calls) == (2 * 2 if decodes else 0)     # both dropout views of each step
+        assert all((row.recon > 0.0) == decodes and (row.recon_aug > 0.0) == decodes for row in result.log_rows)
 
     def test_best_selection_monotone(self, toy_setup):
         sentences, dev, vocab, freq = toy_setup
@@ -224,9 +241,7 @@ def test_objective_graph_size(toy_data_dir):
     words = vocab.tokens[:12]
     counts = []
     for lengths in ([5, 6, 7, 8, 9, 10, 11, 12] * 2, [9] * 16):
-        rng = np.random.default_rng(cfg.seed)     # the draw order of train()
-        table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng)
-        params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
+        rng, table, params = init_model(cfg, vocab)
         batch = make_batch([" ".join(words[:n]) for n in lengths], vocab)
         loss, _ = objective(cfg, batch, table, params, freq, rng)
         counts.append(_graph_nodes(loss))
@@ -474,7 +489,7 @@ class TestTrainConfigFlat:
     def test_round_trip(self):
         cfg = TrainConfig(
             embed_dim=16, enc_channels=12, mix_channels=2, seed=9,
-            ablation="no_sal", theta=0.3, lam=20.0, detach_targets=True,
+            theta=0.3, lam=20.0, detach_targets=True,
         )
         again = TrainConfig(**cfg.to_flat())
         assert again == cfg
@@ -487,5 +502,5 @@ class TestTrainConfigFlat:
     def test_validation(self):
         with pytest.raises(ValueError):
             TrainConfig(batch_size=0)
-        with pytest.raises(ValueError):
-            TrainConfig(ablation="bogus")
+        with pytest.raises(TypeError):
+            TrainConfig(ablation="no_sal")     # an ablation is theta / beta / gamma values
