@@ -31,7 +31,7 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
 
-DEFAULTS: dict = {**TrainConfig().to_flat(), "min_count": 1}
+DEFAULTS: dict = TrainConfig().to_flat()
 
 # The `ablate` rows: the paper's ablations as overrides of the resolved config.
 ABLATIONS: dict[str, dict] = {
@@ -47,13 +47,6 @@ class ConfigError(ValueError):
 
 def _parse_value(key: str, raw: str):
     default = DEFAULTS[key]
-    if isinstance(default, bool):
-        low = raw.lower()
-        if low in ("true", "1", "yes"):
-            return True
-        if low in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"config key {key!r}: expected a boolean, got {raw!r}")
     if isinstance(default, int):
         try:
             return int(raw)
@@ -104,72 +97,59 @@ def resolve_config(config_path: Optional[str], overrides: Sequence[str]) -> dict
         key, raw = item.split("=", 1)
         apply(key.strip(), raw.strip(), "--set")
     _train_config(cfg)
-    if cfg["min_count"] < 1:
-        raise ConfigError(f"config: min_count must be >= 1, got {cfg['min_count']}")
     return cfg
 
 
 def _train_config(cfg: dict) -> TrainConfig:
     """The TrainConfig of a resolved config; an out-of-range value is a ConfigError."""
     try:
-        return TrainConfig(**{k: v for k, v in cfg.items() if k != "min_count"})
+        return TrainConfig(**cfg)
     except ValueError as exc:
         raise ConfigError(f"config: {exc}") from exc
-
-
-def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def write_resolved_config(cfg: dict, out_dir: Path) -> None:
     with open(out_dir / "config.txt", "w", encoding="utf-8") as fh:
         for key in sorted(cfg):
-            fh.write(f"{key} = {_format_value(cfg[key])}\n")
+            fh.write(f"{key} = {cfg[key]}\n")
 
 
-def write_input_checksums(paths: Sequence[str | Path], out_dir: Path) -> None:
-    with open(out_dir / "inputs.sha256", "w", encoding="utf-8") as fh:
-        for p in paths:
-            fh.write(f"{corpus_io.file_sha256(p)}  {Path(p).name}\n")
+def input_checksums(paths: Sequence[str | Path]) -> str:
+    """The `inputs.sha256` text: one `sha256  name` line per input file."""
+    return "".join(f"{corpus_io.file_sha256(p)}  {Path(p).name}\n" for p in paths)
 
 
-def _prepare_out(cfg: dict, out: str, inputs: Sequence[str | Path]) -> Path:
+def _prepare_out(cfg: Optional[dict], out: str, checksums: str) -> Path:
+    """Create `out` and write its `config.txt` (unless `cfg` is None) and
+    `inputs.sha256`. Commands call it only once every input has loaded, so a
+    refused run leaves no output behind."""
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_resolved_config(cfg, out_dir)
-    write_input_checksums(inputs, out_dir)
+    if cfg is not None:
+        write_resolved_config(cfg, out_dir)
+    (out_dir / "inputs.sha256").write_text(checksums, encoding="utf-8")
     return out_dir
 
 
-def _build_vocab_and_freq(corpus_path: str, cfg: dict):
-    vocab = corpus_io.build_vocab(corpus_path, min_count=int(cfg["min_count"]))
+def _load_train_inputs(corpus_path: str, dev_path: str) -> tuple:
+    """`train`'s data arguments: corpus sentences, dev pairs, vocabulary and
+    token frequencies."""
+    vocab = corpus_io.build_vocab(corpus_path)
     freq = corpus_io.token_frequency(corpus_path, vocab)
-    return vocab, freq
+    return corpus_io.load_corpus(corpus_path), corpus_io.load_sts_pairs(dev_path), vocab, freq
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_build_vocab(args) -> int:
-    cfg = resolve_config(args.config, args.set)
-    out_dir = _prepare_out(cfg, args.out, [args.corpus])
-    vocab, freq = _build_vocab_and_freq(args.corpus, cfg)
+    vocab = corpus_io.build_vocab(args.corpus)
+    freq = corpus_io.token_frequency(args.corpus, vocab)
+    out_dir = _prepare_out(None, args.out, input_checksums([args.corpus]))
     corpus_io.save_vocab(vocab, out_dir / "vocab.txt")
     corpus_io.save_frequency(freq, vocab, out_dir / "freq.tsv")
-    (out_dir / "corpus.sha256").write_text(
-        f"{vocab.corpus_sha256}  {Path(args.corpus).name}\n", encoding="utf-8"
-    )
     print(f"vocabulary: {len(vocab)} ids ({len(vocab.tokens)} tokens + reserved) -> {out_dir}")
     return EXIT_OK
-
-
-def _train_once(cfg: dict, corpus_path: str, dev_path: str):
-    vocab, freq = _build_vocab_and_freq(corpus_path, cfg)
-    sentences = corpus_io.load_corpus(corpus_path)
-    dev_pairs = corpus_io.load_sts_pairs(dev_path)
-    return train(_train_config(cfg), sentences, dev_pairs, vocab, freq)
 
 
 def _write_train_outputs(result, out_dir: Path) -> None:
@@ -180,8 +160,9 @@ def _write_train_outputs(result, out_dir: Path) -> None:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.set)
-    out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev])
-    result = _train_once(cfg, args.corpus, args.dev)
+    inputs = _load_train_inputs(args.corpus, args.dev)
+    out_dir = _prepare_out(cfg, args.out, input_checksums([args.corpus, args.dev]))
+    result = train(_train_config(cfg), *inputs)
     _write_train_outputs(result, out_dir)
     dev = "undefined" if result.best_dev is None else f"{result.best_dev:.4f}"
     print(f"trained {result.last.step} steps; best dev spearman {dev} -> {out_dir}")
@@ -202,7 +183,7 @@ def cmd_eval(args) -> int:
     table, params = ckpt_io.unpack_model(ckpt)
     sal = _sal_settings(ckpt.config) if args.token_report else None
     pairs = corpus_io.load_sts_pairs(args.pairs)
-    out_dir = _prepare_out(ckpt.config, args.out, [args.checkpoint, args.pairs])
+    out_dir = _prepare_out(ckpt.config, args.out, input_checksums([args.checkpoint, args.pairs]))
     token_mse = {} if args.token_report else None     # filled by the one encode pass
     report = evaluate_pairs(pairs, ckpt.vocab, table, params, token_mse=token_mse)
     write_metrics_csv(report, out_dir / "metrics.csv")
@@ -222,25 +203,24 @@ def cmd_embed(args) -> int:
     table, params = ckpt_io.unpack_model(ckpt)
     with open(args.sentences, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    token_lists = []
+    tokens_of: dict[str, list[str]] = {}    # repeated lines tokenize once
     for lineno, line in enumerate(lines, start=1):
-        toks = corpus_io.tokenize(line)
-        if not toks:
+        if line not in tokens_of:
+            tokens_of[line] = corpus_io.tokenize(line)
+        if not tokens_of[line]:
             raise ValueError(f"{args.sentences}:{lineno}: empty sentence")
-        token_lists.append(toks)
-    if not token_lists:
+    if not lines:
         raise ValueError(f"{args.sentences}: holds no sentences")
-    embs = encode_tokens(token_lists, ckpt.vocab, table, params)
+    embs = encode_tokens([tokens_of[line] for line in lines], ckpt.vocab, table, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    keys = [tuple(toks) for toks in token_lists]
-    line_of = {}                    # duplicates have bitwise-equal rows: format each once
-    for key, row in zip(keys, embs):
-        if key not in line_of:
-            line_of[key] = "\t".join(map(repr, row.tolist())) + "\n"
+    row_of = {}                     # repeats have bitwise-equal rows: format each once
+    for line, row in zip(lines, embs):
+        if line not in row_of:
+            row_of[line] = "\t".join(map(repr, row.tolist())) + "\n"
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(line_of[key] for key in keys)
-    print(f"embedded {len(token_lists)} sentences -> {out_path}")
+        fh.writelines(row_of[line] for line in lines)
+    print(f"embedded {len(lines)} sentences -> {out_path}")
     return EXIT_OK
 
 
@@ -255,11 +235,12 @@ def _run_grid(args, column: str, grid: dict[str, dict], subdir_prefix: str, tabl
     cfg = resolve_config(args.config, args.set)
     for overrides in grid.values():
         _train_config({**cfg, **overrides})
+    inputs = _load_train_inputs(args.corpus, args.dev)
     test_pairs = corpus_io.load_sts_pairs(args.test)
-    out_dir = _prepare_out(cfg, args.out, [args.corpus, args.dev, args.test])
+    out_dir = _prepare_out(cfg, args.out, input_checksums([args.corpus, args.dev, args.test]))
     rows = []
     for label, overrides in grid.items():
-        result = _train_once({**cfg, **overrides}, args.corpus, args.dev)
+        result = train(_train_config({**cfg, **overrides}), *inputs)
         sub = out_dir / f"{subdir_prefix}{label}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)
@@ -318,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build vocabulary and token-frequency files")
     p.add_argument("corpus")
     p.add_argument("--out", required=True)
-    _add_settings(p)
     p.set_defaults(fn=cmd_build_vocab)
 
     p = sub.add_parser("train", help="train a model and keep the best dev checkpoint")

@@ -83,25 +83,17 @@ def load_corpus(path: str | Path) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def build_vocab(corpus_path: str | Path, min_count: int = 1) -> Vocab:
-    """Count corpus tokens and keep those with count >= min_count.
-
-    Tokens are ordered by descending count, ties broken lexicographically,
-    which makes the vocabulary deterministic for a given corpus.
-    """
-    if min_count < 1:
-        raise ValueError(f"build_vocab: min_count must be >= 1, got {min_count}")
+def build_vocab(corpus_path: str | Path) -> Vocab:
+    """Every corpus token, ordered by descending count with ties broken
+    lexicographically, which makes the vocabulary deterministic for a given
+    corpus."""
     counts: dict[str, int] = {}
     for sentence in load_corpus(corpus_path):
         for tok in tokenize(sentence):
             counts[tok] = counts.get(tok, 0) + 1
     if not counts:
         raise ValueError(f"build_vocab: empty corpus {corpus_path}")
-    kept = [t for t, c in counts.items() if c >= min_count]
-    if not kept:
-        raise ValueError(f"build_vocab: empty vocabulary (min_count={min_count})")
-    kept.sort(key=lambda t: (-counts[t], t))
-    return Vocab(kept, corpus_sha256=file_sha256(corpus_path))
+    return Vocab(sorted(counts, key=lambda t: (-counts[t], t)), corpus_sha256=file_sha256(corpus_path))
 
 
 def token_frequency(corpus_path: str | Path, vocab: Vocab) -> np.ndarray:
@@ -227,4 +219,8 @@ def pretrained_vectors(path: str | Path) -> Iterator[tuple[str, np.ndarray]]:
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected a token and at least one value")
-            yield parts[0], np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            try:
+                vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            yield parts[0], vector

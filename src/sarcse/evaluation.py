@@ -26,18 +26,8 @@ class UndefinedCorrelationError(ValueError):
 
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Average ranks (1-based), ties sharing their mean rank."""
-    v = np.asarray(values, dtype=np.float64)
-    order = np.argsort(v, kind="stable")
-    ranks = np.empty(len(v), dtype=np.float64)
-    sv = v[order]
-    i = 0
-    while i < len(v):
-        j = i
-        while j + 1 < len(v) and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def spearman(x: Sequence[float], y: Sequence[float]) -> float:

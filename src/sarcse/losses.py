@@ -28,13 +28,11 @@ def reconstruction_loss(
     weights: np.ndarray,
     mask: np.ndarray,
     lengths: np.ndarray,
-    detach_target: bool = False,
 ) -> Tensor:
     """S sentence losses for packed T x d inputs split by `lengths`, with T
     weights and mask entries: each the weighted mean of per-token MSE over
     the sentence's masked-true rows. Per token the MSE averages over the
-    embedding width. One graph node; with detach_target the target `x` gets
-    no adjoint."""
+    embedding width. One graph node."""
     lengths = np.asarray(lengths)
     if x.shape != x_recon.shape or lengths.sum() != x.shape[0]:
         raise ValueError(f"reconstruction_loss: {x.shape} vs {x_recon.shape} rows split by lengths {lengths.tolist()}")
@@ -52,9 +50,9 @@ def reconstruction_loss(
 
     def vjp(g):
         g_recon = (np.repeat(g * inv_n, lengths) * w)[:, None] * diff * (-2.0 / d)
-        return (g_recon,) if detach_target else (-g_recon, g_recon)
+        return -g_recon, g_recon
 
-    return Tensor._from_op(out, (x_recon,) if detach_target else (x, x_recon), vjp)
+    return Tensor._from_op(out, (x, x_recon), vjp)
 
 
 def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:

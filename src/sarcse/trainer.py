@@ -27,10 +27,9 @@ class TrainConfig:
     gamma the mixing weights of the contrastive term and the two
     reconstruction terms. The paper's ablations are points of these values:
     theta = 1 weights every token 1 (no SAL), and beta = gamma = 0 skips the
-    decoder (contrastive training alone). With detach_targets the
-    reconstruction targets are treated as constants, which closes the
-    collapse-to-zero shortcut a trainable embedding table would otherwise
-    have. The field order is the order of the checkpoint header's config.
+    decoder (contrastive training alone). The optimizer is AdamW at its
+    own default coefficients. The field order is the order of the
+    checkpoint header's config.
     """
 
     embed_dim: int = 32
@@ -44,17 +43,12 @@ class TrainConfig:
     eval_every: int = 50
     dropout: float = 0.1
     lr: float = 1e-3            # desk-scale default; 1e-5 suits fine-tuning regimes
-    weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     theta: float = 0.1
     lam: float = 50.0
     tau: float = 0.05
     alpha: float = 1.0
     beta: float = 2.5e-4
     gamma: float = 2.5e-4
-    detach_targets: bool = False
 
     def __post_init__(self):
         if self.embed_dim < 1:
@@ -73,15 +67,8 @@ class TrainConfig:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if not self.lr > 0.0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
-        if not self.weight_decay >= 0.0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        for name in ("adam_beta1", "adam_beta2"):
-            if not 0.0 <= getattr(self, name) < 1.0:
-                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
-        if not self.adam_eps > 0.0:
-            raise ValueError(f"adam_eps must be > 0, got {self.adam_eps}")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(f"theta must be in [0, 1], got {self.theta}")
         if not self.lam >= 0.0:
@@ -224,7 +211,7 @@ def objective(
         weight_mean = float(w[batch.mask].mean())
         w, mask = w[packing.index], batch.mask[packing.index]
         l_recon, l_recon_aug = (
-            reconstruction_loss(v.inputs, v.recons, w, mask, packing.lengths, cfg.detach_targets).mean()
+            reconstruction_loss(v.inputs, v.recons, w, mask, packing.lengths).mean()
             for v in (view, view_aug)
         )
 
@@ -270,10 +257,7 @@ def train(
         raise ValueError("train: dev set needs >= 2 pairs with non-constant gold scores (Spearman undefined)")
 
     rng, table, params = init_model(cfg, vocab)
-    opt = AdamW(
-        lr=cfg.lr, beta1=cfg.adam_beta1, beta2=cfg.adam_beta2,
-        eps=cfg.adam_eps, weight_decay=cfg.weight_decay,
-    )
+    opt = AdamW(lr=cfg.lr)
 
     named = [("embedding.weights", table), *params.items()]
     budget = cfg.max_steps or math.ceil(len(sentences) / cfg.batch_size)

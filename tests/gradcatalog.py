@@ -115,8 +115,7 @@ def primitive_cases():
     )
     case("info_nce", lambda a, b: info_nce(a, b, 0.5), _n(4, 5), _n(4, 5))
 
-    # non-uniform weights and a masked pad row (row 3 of sentence 1); the
-    # detached variant differentiates the reconstruction only
+    # non-uniform weights and a masked pad row (row 3 of sentence 1)
     recon_lengths = np.array([4, 4])
     recon_w = _rng.uniform(0.1, 1.0, size=8)
     recon_mask = np.array([True] * 4 + [True, True, True, False])
@@ -126,11 +125,6 @@ def primitive_cases():
         "reconstruction_loss",
         lambda x, r: (reconstruction_loss(x, r, recon_w, recon_mask, recon_lengths) * scale).sum(),
         target, _n(8, 3),
-    )
-    case(
-        "reconstruction_loss_detach",
-        lambda r: (reconstruction_loss(Tensor(target), r, recon_w, recon_mask, recon_lengths, True) * scale).sum(),
-        _n(8, 3),
     )
 
     return cases

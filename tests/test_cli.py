@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sarcse import evaluation
+from sarcse import corpus, evaluation
 from sarcse.checkpoint import load_checkpoint, save_checkpoint, unpack_model
 from sarcse.cli import (
     DEFAULTS,
@@ -22,6 +22,7 @@ from sarcse.cli import (
 )
 from sarcse.corpus import load_sts_pairs, tokenize
 from sarcse.evaluation import encode_tokens
+from sarcse.trainer import TrainConfig
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +97,10 @@ class TestResolveConfig:
         assert len(documented) == len(set(documented))
         assert set(documented) == set(DEFAULTS)
 
+    def test_defaults_are_the_train_config(self):
+        assert DEFAULTS == TrainConfig().to_flat()
+        assert len(DEFAULTS) == 17
+
     def test_reference_hyperparameters_load(self):
         cfg = resolve_config(None, [
             "theta=0.1", "lam=50", "tau=0.05", "alpha=1",
@@ -106,7 +111,7 @@ class TestResolveConfig:
         assert cfg["batch_size"] == 64
 
     def test_unknown_key_rejected(self, capsys):
-        code = main(["build-vocab", "nonexistent.txt", "--out", "/tmp/x", "--set", "bogus=1"])
+        code = main(["train", "nonexistent.txt", "dev.tsv", "--out", "/tmp/x", "--set", "bogus=1"])
         assert code == EXIT_USAGE
         assert "unknown config key" in capsys.readouterr().err
 
@@ -130,6 +135,9 @@ class TestResolveConfig:
         "enc_channels=0", "enc_channels=1", "embed_dim=0", "mix_channels=0", "min_count=0",
         "init_scale=-0.1", "adam_beta1=1", "adam_beta1=-0.5", "adam_beta2=1", "adam_eps=-1e-8",
         "adam_eps=0", "ablation=no_sal", "pos_threshold=4",
+        # retired settings are unknown keys even at their former defaults
+        "detach_targets=false", "min_count=1", "weight_decay=0.01",
+        "adam_beta1=0.9", "adam_beta2=0.999", "adam_eps=1e-8",
     ])
     def test_out_of_range_value_is_usage_error(self, data, tmp_path, capsys, setting):
         out = tmp_path / "run"
@@ -153,8 +161,9 @@ class TestBuildVocab:
         out1, out2 = tmp_path / "v1", tmp_path / "v2"
         assert main(["build-vocab", data["corpus"], "--out", str(out1)]) == EXIT_OK
         assert main(["build-vocab", data["corpus"], "--out", str(out2)]) == EXIT_OK
-        for name in ("vocab.txt", "freq.tsv", "corpus.sha256", "config.txt", "inputs.sha256"):
-            assert (out1 / name).exists()
+        names = sorted(p.name for p in out1.iterdir())
+        assert names == ["freq.tsv", "inputs.sha256", "vocab.txt"]
+        for name in names:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_frequency_column_sums_to_one(self, data, tmp_path):
@@ -166,11 +175,14 @@ class TestBuildVocab:
         )
         assert total == pytest.approx(1.0, abs=1e-9)
 
-    def test_min_count_too_large(self, data, tmp_path, capsys):
-        code = main(["build-vocab", data["corpus"], "--out", str(tmp_path / "v"),
-                     "--set", "min_count=10000"])
-        assert code == EXIT_IO
-        assert "empty vocabulary" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", [["--set", "seed=1"], ["--config", "run.cfg"]], ids=["set", "config"])
+    def test_takes_no_settings(self, data, tmp_path, capsys, flag):
+        (tmp_path / "run.cfg").write_text("seed = 1\n", encoding="utf-8")
+        flag = [str(tmp_path / f) if f.endswith(".cfg") else f for f in flag]
+        out = tmp_path / "v"
+        assert main(["build-vocab", data["corpus"], "--out", str(out), *flag]) == EXIT_USAGE
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_corpus(self, tmp_path):
         assert main(["build-vocab", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "v")]) == EXIT_IO
@@ -295,7 +307,6 @@ class TestEval:
         text = (out / "config.txt").read_text()
         assert text == (expected / "config.txt").read_text()
         assert {"seed = 5", "batch_size = 8", "max_steps = 6"} <= set(text.splitlines())
-        assert "min_count" not in text
 
     @pytest.mark.parametrize("case", ["bad-sal-setting", "malformed-pairs", "missing-checkpoint"])
     def test_refused_eval_creates_no_output_directory(self, data, trained, tmp_path, case):
@@ -345,6 +356,30 @@ def test_checkpoint_commands_take_no_settings(data, trained, tmp_path, capsys, c
     out = tmp_path / "out"
     assert main([command, str(trained / "best.ckpt"), inputs[command], "--out", str(out), *flag]) == EXIT_USAGE
     assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Each command's positional inputs, in order.
+INPUTS = {
+    "build-vocab": ["corpus"],
+    "train": ["corpus", "dev"],
+    "ablate": ["corpus", "dev", "test"],
+    "sweep-theta": ["corpus", "dev", "test"],
+}
+
+
+@pytest.mark.parametrize("defect", ["missing", "malformed"])
+@pytest.mark.parametrize("command,broken", [(c, role) for c, roles in INPUTS.items() for role in roles])
+def test_refused_run_creates_no_output_directory(data, tmp_path, command, broken, defect):
+    """Each command loads, checks and hashes every input before it creates --out."""
+    paths = dict(data)
+    paths[broken] = str(tmp_path / f"{broken}.in")
+    if defect == "malformed":
+        text = b"\xff not utf-8\n" if broken == "corpus" else b"4.0\tonly one sentence\n"
+        Path(paths[broken]).write_bytes(text)
+    out = tmp_path / "out"
+    settings = [] if command == "build-vocab" else FAST
+    assert main([command, *(paths[role] for role in INPUTS[command]), "--out", str(out), *settings]) == EXIT_IO
     assert not out.exists()
 
 
@@ -437,6 +472,16 @@ class TestEmbedRepeats:
         ckpt_path, lines = trained / "best.ckpt", distinct_sentences(50)
         assert len({tuple(tokenize(line)) for line in lines}) == 50
         assert embed_lines(ckpt_path, lines, tmp_path, "distinct") == old_embed_format(lines, ckpt_path)
+
+    def test_each_distinct_line_tokenizes_once(self, trained, tmp_path, monkeypatch):
+        lines = distinct_sentences(5) * 3 + ["THE dog eats the food ."]
+        expected = old_embed_format(lines, trained / "best.ckpt")
+        calls = []
+        real = corpus.tokenize
+        monkeypatch.setattr(corpus, "tokenize", lambda text: calls.append(text) or real(text))
+        out = embed_lines(trained / "best.ckpt", lines, tmp_path, "counted")
+        assert sorted(calls) == sorted(set(lines))
+        assert out == expected
 
     @pytest.mark.parametrize("k", [2, 7])
     def test_repeated_line_gives_copies_of_its_lone_line(self, trained, tmp_path, k):

@@ -50,25 +50,14 @@ class TestTokenize:
 class TestVocab:
     def test_count_then_lexicographic_order(self, tmp_path):
         path = write(tmp_path, "c.txt", "a b\na\n")
-        vocab = build_vocab(path, min_count=1)
+        vocab = build_vocab(path)
         assert vocab.tokens == ["a", "b"]
         assert vocab.id_of("a") == 2 and vocab.id_of("b") == 3
-
-    def test_min_count_threshold(self, tmp_path):
-        path = write(tmp_path, "c.txt", "a b\na\n")
-        vocab = build_vocab(path, min_count=2)
-        assert vocab.tokens == ["a"]
-        assert vocab.id_of("b") == UNK_ID
 
     def test_empty_corpus(self, tmp_path):
         path = write(tmp_path, "c.txt", "\n\n")
         with pytest.raises(ValueError, match="empty corpus"):
             build_vocab(path)
-
-    def test_threshold_empties_vocabulary(self, tmp_path):
-        path = write(tmp_path, "c.txt", "a b\n")
-        with pytest.raises(ValueError, match="empty vocabulary"):
-            build_vocab(path, min_count=5)
 
     def test_file_round_trip(self, tmp_path):
         path = write(tmp_path, "c.txt", "red green blue green\n")
@@ -99,12 +88,12 @@ class TestFrequency:
         vocab = build_vocab(path)
         freq = token_frequency(path, vocab)
         assert abs(freq.sum() - 1.0) < 1e-9
-        assert abs(freq[2:].sum() - 1.0) < 1e-9   # no OOV at min_count=1
+        assert abs(freq[2:].sum() - 1.0) < 1e-9   # the corpus's own vocabulary has no OOV
         assert freq[PAD_ID] == 0.0
 
     def test_unk_absorbs_oov(self, tmp_path):
         path = write(tmp_path, "c.txt", "a a a b\n")
-        vocab = build_vocab(path, min_count=2)      # only "a" survives
+        vocab = Vocab(["a"])                        # "b" is out of vocabulary
         freq = token_frequency(path, vocab)
         assert freq[UNK_ID] == pytest.approx(1 / 4)
         assert abs(freq.sum() - 1.0) < 1e-9

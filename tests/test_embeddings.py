@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,13 @@ def test_pretrained_width_mismatch(vocab, tmp_path):
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("man 1.0 2.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match="width"):
+        init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
+
+
+def test_pretrained_non_number_names_line(vocab, tmp_path):
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_text("man 1.0 2.0 3.0\n\nwoman 1.0 x 3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(vec_file))}:3: .*'x'"):
         init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
 
 

@@ -28,7 +28,7 @@ from sarcse.evaluation import (
 from sarcse.losses import ZeroNormError
 from sarcse.model import init_params
 
-from oracles import oracle_spearman, oracle_uniformity, oracle_variance
+from oracles import oracle_rank, oracle_spearman, oracle_uniformity, oracle_variance
 
 
 class TestSpearman:
@@ -78,6 +78,12 @@ class TestSpearman:
 
     def test_fractional_ranks(self):
         np.testing.assert_array_equal(fractional_ranks([1, 2, 2, 3]), [1.0, 2.5, 2.5, 4.0])
+
+    def test_fractional_ranks_equal_counting_oracle_on_ties(self):
+        rng = np.random.default_rng(17)
+        for n in range(40):
+            values = rng.integers(0, 1 + n // 4, size=n) * 0.5     # few distinct values: many ties
+            np.testing.assert_array_equal(fractional_ranks(values), oracle_rank(values.tolist()))
 
 
 class TestAlignment:

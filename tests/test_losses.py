@@ -127,14 +127,6 @@ class TestReconstructionLoss:
         with pytest.raises(ValueError, match="no tokens"):
             reconstruction_loss(x, x, np.ones(4), np.array([True, True, False, False]), [2, 2])
 
-    def test_detached_target_blocks_gradient(self):
-        x = Tensor(np.random.default_rng(3).normal(size=(3, 2)), requires_grad=True)
-        recon = Tensor(np.random.default_rng(4).normal(size=(3, 2)), requires_grad=True)
-        loss = reconstruction_loss(x, recon, np.ones(3), np.ones(3, bool), [3], detach_target=True)
-        grads = backward(loss.sum())
-        np.testing.assert_array_equal(grads.wrt(x), 0.0)
-        assert np.abs(grads.wrt(recon)).sum() > 0
-
 
 class TestInfoNce:
     def test_single_sentence_batch_is_exactly_zero(self):

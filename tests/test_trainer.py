@@ -489,7 +489,7 @@ class TestTrainConfigFlat:
     def test_round_trip(self):
         cfg = TrainConfig(
             embed_dim=16, enc_channels=12, mix_channels=2, seed=9,
-            theta=0.3, lam=20.0, detach_targets=True,
+            theta=0.3, lam=20.0, lr=0.01,
         )
         again = TrainConfig(**cfg.to_flat())
         assert again == cfg
