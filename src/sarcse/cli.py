@@ -24,7 +24,7 @@ from .evaluation import (
     write_metrics_csv,
     write_summary,
 )
-from .trainer import TrainConfig, train, write_log
+from .trainer import TrainConfig, check_dev_pairs, train, write_log
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -131,12 +131,20 @@ def _prepare_out(cfg: Optional[dict], out: str, checksums: str) -> Path:
     return out_dir
 
 
-def _load_train_inputs(corpus_path: str, dev_path: str) -> tuple:
-    """`train`'s data arguments: corpus sentences, dev pairs, vocabulary and
-    token frequencies."""
+def _load_train_inputs(cfg: dict, corpus_path: str, dev_path: str) -> tuple[tuple, list[str]]:
+    """`train`'s data arguments: corpus sentences, dev pairs (checked as
+    `train` checks them), vocabulary, token frequencies and the vectors of
+    `pretrained_path` by token id (none when unset); and the paths read, for
+    `inputs.sha256`."""
     vocab = corpus_io.build_vocab(corpus_path)
     freq = corpus_io.token_frequency(corpus_path, vocab)
-    return corpus_io.load_corpus(corpus_path), corpus_io.load_sts_pairs(dev_path), vocab, freq
+    dev_pairs = corpus_io.load_sts_pairs(dev_path)
+    check_dev_pairs(dev_pairs)
+    paths, pretrained = [corpus_path, dev_path], {}
+    if cfg["pretrained_path"]:
+        pretrained = corpus_io.pretrained_vectors(cfg["pretrained_path"], vocab, cfg["embed_dim"])
+        paths.append(cfg["pretrained_path"])
+    return (corpus_io.load_corpus(corpus_path), dev_pairs, vocab, freq, pretrained), paths
 
 
 # -- subcommands --------------------------------------------------------------
@@ -160,8 +168,8 @@ def _write_train_outputs(result, out_dir: Path) -> None:
 
 def cmd_train(args) -> int:
     cfg = resolve_config(args.config, args.set)
-    inputs = _load_train_inputs(args.corpus, args.dev)
-    out_dir = _prepare_out(cfg, args.out, input_checksums([args.corpus, args.dev]))
+    inputs, paths = _load_train_inputs(cfg, args.corpus, args.dev)
+    out_dir = _prepare_out(cfg, args.out, input_checksums(paths))
     result = train(_train_config(cfg), *inputs)
     _write_train_outputs(result, out_dir)
     dev = "undefined" if result.best_dev is None else f"{result.best_dev:.4f}"
@@ -235,9 +243,9 @@ def _run_grid(args, column: str, grid: dict[str, dict], subdir_prefix: str, tabl
     cfg = resolve_config(args.config, args.set)
     for overrides in grid.values():
         _train_config({**cfg, **overrides})
-    inputs = _load_train_inputs(args.corpus, args.dev)
+    inputs, paths = _load_train_inputs(cfg, args.corpus, args.dev)
     test_pairs = corpus_io.load_sts_pairs(args.test)
-    out_dir = _prepare_out(cfg, args.out, input_checksums([args.corpus, args.dev, args.test]))
+    out_dir = _prepare_out(cfg, args.out, input_checksums([*paths, args.test]))
     rows = []
     for label, overrides in grid.items():
         result = train(_train_config({**cfg, **overrides}), *inputs)

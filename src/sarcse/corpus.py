@@ -8,7 +8,7 @@ import string
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -210,8 +210,11 @@ def save_frequency(freq: np.ndarray, vocab: Vocab, path: str | Path) -> None:
             fh.write(f"{vocab.token_of(idx)}\t{float(freq[idx])!r}\n")
 
 
-def pretrained_vectors(path: str | Path) -> Iterator[tuple[str, np.ndarray]]:
-    """Yield (token, vector) rows from a `token v1 v2 ... vd` text file."""
+def pretrained_vectors(path: str | Path, vocab: Vocab, dim: int) -> dict[int, np.ndarray]:
+    """The vectors of a `token v1 v2 ... vd` text file for the tokens of
+    `vocab`, by id. The file is read one line at a time; every row must have
+    width `dim`, and rows for other tokens are dropped."""
+    vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -223,4 +226,9 @@ def pretrained_vectors(path: str | Path) -> Iterator[tuple[str, np.ndarray]]:
                 vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            yield parts[0], vector
+            if vector.shape[0] != dim:
+                raise ValueError(f"{path}:{lineno}: pretrained width {vector.shape[0]} does not match dim {dim}")
+            idx = vocab.id_of(parts[0])
+            if idx != UNK_ID:
+                vectors[idx] = vector
+    return vectors

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .autodiff import Tensor, dropout, embedding_lookup
-from .corpus import PAD_ID, UNK_ID, SentenceBatch, Vocab, pretrained_vectors
+from .corpus import PAD_ID, SentenceBatch, Vocab
 
 
 def init_table(
@@ -15,24 +15,17 @@ def init_table(
     dim: int,
     init_scale: float,
     rng: np.random.Generator,
-    pretrained_path: str | Path | None = None,
+    pretrained: Mapping[int, np.ndarray] = {},
     dtype=np.float32,
 ) -> Tensor:
-    """V x d table drawn from Uniform(-init_scale, +init_scale), optionally
-    overlaid with vectors from a pretrained file for the vocabulary tokens it
-    covers (other lines are skipped). Row 0 (PAD) is pinned at zero."""
+    """V x d table drawn from Uniform(-init_scale, +init_scale), overlaid
+    with the `pretrained` vectors by token id, as `pretrained_vectors` reads
+    them. Row 0 (PAD) is pinned at zero."""
     if dim < 1:
         raise ValueError(f"init_table: dim must be >= 1, got {dim}")
     weights = rng.uniform(-init_scale, init_scale, size=(len(vocab), dim))
-    if pretrained_path is not None:
-        for token, vec in pretrained_vectors(pretrained_path):
-            if vec.shape[0] != dim:
-                raise ValueError(
-                    f"init_table: pretrained width {vec.shape[0]} does not match dim {dim}"
-                )
-            idx = vocab.id_of(token)
-            if idx != UNK_ID:
-                weights[idx] = vec
+    for idx, vec in pretrained.items():
+        weights[idx] = vec
     weights[PAD_ID] = 0.0
     return Tensor(weights.astype(dtype), requires_grad=True)
 
@@ -45,7 +38,8 @@ def embed(
 ) -> Tensor:
     """Look up a batch as a B x L x d tensor, then apply inverted dropout.
 
-    Two calls with independent rng draws give the two dropout views of the
-    same batch; rate 0 is a pure lookup. PAD rows stay zero either way.
+    Over a batch stacked twice, one call gives the two dropout views of it:
+    the draw for 2B rows is the two B-row draws in order. Rate 0 is a pure
+    lookup. PAD rows stay zero either way.
     """
     return dropout(embedding_lookup(table, batch.ids), dropout_rate, rng)

@@ -8,9 +8,10 @@ mix_channels * (enc_channels - 1). The decoder runs the same pipeline
 backwards: transposed 2-d convolution, unpooling at the recorded argmax
 positions, transposed 1-d convolutions, and an elementwise mean over scales.
 
-The layout is packed: a dropout view (or an evaluation chunk) is one T x d
-array holding its S sentences back to back, each at its effective length
-n = max(length, 5), in ascending n with ties in batch order (`pack`).
+The layout is packed: an evaluation chunk, or both dropout views of a
+training batch, is one T x d array holding its S sentences back to back, each
+at its effective length n = max(length, 5), in ascending n with ties in batch
+order (`pack`).
 Sentences shorter than the largest kernel keep their first zero-pad rows.
 The 1-d convs and the pooling pair take the per-sentence lengths beside the
 rows and give each sentence the BLAS shapes it would have alone, so its bits
@@ -146,11 +147,11 @@ def pack(batch: SentenceBatch) -> Packing:
 
 
 @dataclass
-class View:
-    """One dropout view of a packed batch."""
+class Views:
+    """Both dropout views of a packed batch."""
 
-    inputs: Tensor                  # T x d packed rows of the embedded batch
-    embeddings: Tensor              # S x |z|, in packed order
+    inputs: Tensor                  # T x d packed rows of the embedded pair of views
+    embeddings: Tensor              # 2B x |z|, in packed order
     recons: Optional[Tensor]        # T x d; None when the decoder is disabled
 
 
@@ -161,14 +162,15 @@ def forward_pair(
     dropout_rate: float,
     rng: np.random.Generator,
     run_decoder: bool = True,
-) -> tuple[Packing, View, View]:
-    """Run the autoencoder over a batch under two independent dropout draws.
-    Each view embeds the whole padded batch, gathers its packed rows in one
-    node and encodes (and decodes) them in one pass."""
-    packing = pack(batch)
-    views = []
-    for _ in range(2):
-        x = embed(batch, table, dropout_rate, rng)[packing.index]
-        z, state = encode(x, packing.lengths, params)
-        views.append(View(x, z, decode(z, state, params) if run_decoder else None))
-    return packing, views[0], views[1]
+) -> tuple[Packing, Views]:
+    """Run the autoencoder over a batch of B sentences under two independent
+    dropout draws, in one pass. The batch is stacked twice (row B + i repeats
+    row i) and embedded under one dropout draw over all 2B rows, which is the
+    two per-view draws in order; its packing is encoded (and decoded) once.
+    Packed sentences with `order < B` form the first view and the rest the
+    second, each in the order `pack(batch)` gives."""
+    twice = SentenceBatch(*(np.concatenate([a, a]) for a in (batch.ids, batch.mask, batch.lengths)))
+    packing = pack(twice)
+    x = embed(twice, table, dropout_rate, rng)[packing.index]
+    z, state = encode(x, packing.lengths, params)
+    return packing, Views(x, z, decode(z, state, params) if run_decoder else None)

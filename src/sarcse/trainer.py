@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -169,6 +169,12 @@ def dev_spearman(
         return None
 
 
+def check_dev_pairs(pairs: Sequence[ScoredPair]) -> None:
+    """Refuse a dev set on which Spearman is undefined."""
+    if len(pairs) < 2 or len({p.gold_score for p in pairs}) < 2:
+        raise ValueError("dev set needs >= 2 pairs with non-constant gold scores (Spearman undefined)")
+
+
 def _snapshot(
     cfg: TrainConfig,
     vocab: Vocab,
@@ -199,21 +205,23 @@ def objective(
     """Loss of one batch and its log row (step 0): InfoNCE over two dropout
     views plus each view's SAL-weighted reconstruction loss averaged over
     sentences; the decoder runs only when beta or gamma is positive, and
-    both reconstruction terms are exact zeros otherwise. Sentences enter both
-    terms in packed order, the same in both views."""
+    both reconstruction terms are exact zeros otherwise. Both views are one
+    packed pass, and each view's sentences enter both terms in the packed
+    order of the batch."""
     run_decoder = cfg.beta > 0.0 or cfg.gamma > 0.0
-    packing, view, view_aug = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
-    l_info = info_nce(view.embeddings, view_aug.embeddings, cfg.tau)
+    packing, views = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
+    b = len(batch.lengths)
+    first, second = packing.order < b, packing.order >= b
+    l_info = info_nce(views.embeddings[first], views.embeddings[second], cfg.tau)
     l_recon = l_recon_aug = Tensor(np.zeros(()))
     weight_mean = 1.0
     if run_decoder:
         w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
         weight_mean = float(w[batch.mask].mean())
-        w, mask = w[packing.index], batch.mask[packing.index]
-        l_recon, l_recon_aug = (
-            reconstruction_loss(v.inputs, v.recons, w, mask, packing.lengths).mean()
-            for v in (view, view_aug)
-        )
+        rows, positions = packing.index
+        at = (rows % b, positions)      # packed rows of either view, in the batch
+        losses = reconstruction_loss(views.inputs, views.recons, w[at], batch.mask[at], packing.lengths)
+        l_recon, l_recon_aug = losses[first].mean(), losses[second].mean()
 
     loss = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)
     row = LogRow(
@@ -227,12 +235,17 @@ def objective(
     return loss, row
 
 
-def init_model(cfg: TrainConfig, vocab: Vocab) -> tuple[np.random.Generator, Tensor, dict[str, Tensor]]:
+def init_model(
+    cfg: TrainConfig,
+    vocab: Vocab,
+    pretrained: Mapping[int, np.ndarray] = {},
+) -> tuple[np.random.Generator, Tensor, dict[str, Tensor]]:
     """The initial model of `cfg`: its seeded generator, then the embedding
-    table and the model parameters drawn from it in that order. The returned
-    generator goes on to draw `train`'s shuffles and dropout masks."""
+    table, overlaid with the `pretrained` vectors by token id, and the model
+    parameters drawn from it in that order. The returned generator goes on to
+    draw `train`'s shuffles and dropout masks."""
     rng = np.random.default_rng(cfg.seed)
-    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng, pretrained_path=cfg.pretrained_path or None)
+    table = init_table(vocab, cfg.embed_dim, cfg.init_scale, rng, pretrained)
     params = init_params(cfg.embed_dim, cfg.enc_channels, cfg.mix_channels, rng)
     return rng, table, params
 
@@ -243,9 +256,11 @@ def train(
     dev_pairs: Sequence[ScoredPair],
     vocab: Vocab,
     freq: np.ndarray,
+    pretrained: Mapping[int, np.ndarray] = {},
     on_log: Optional[Callable[[LogRow], None]] = None,
 ) -> TrainResult:
-    """Optimize `objective` over shuffled batches.
+    """Optimize `objective` over shuffled batches, from `init_model(cfg,
+    vocab, pretrained)`.
 
     Every `eval_every` steps (and at the end of the run) the dev Spearman is
     computed with dropout off, and the best-scoring parameters are retained.
@@ -253,10 +268,9 @@ def train(
     """
     if not sentences:
         raise ValueError("train: empty corpus")
-    if len(dev_pairs) < 2 or len({p.gold_score for p in dev_pairs}) < 2:
-        raise ValueError("train: dev set needs >= 2 pairs with non-constant gold scores (Spearman undefined)")
+    check_dev_pairs(dev_pairs)
 
-    rng, table, params = init_model(cfg, vocab)
+    rng, table, params = init_model(cfg, vocab, pretrained)
     opt = AdamW(lr=cfg.lr)
 
     named = [("embedding.weights", table), *params.items()]
@@ -284,8 +298,8 @@ def train(
                 break
             chosen = [sentences[i] for i in order[start:start + cfg.batch_size]]
             loss, row = objective(cfg, make_batch(chosen, vocab), table, params, freq, rng)
-            grads = backward(loss)
-            opt.step(named, grads)
+            opt.step(named, backward(loss))
+            del loss        # free this step's graph before the next one is built
             step += 1
 
             row.step = step

@@ -383,6 +383,46 @@ def test_refused_run_creates_no_output_directory(data, tmp_path, command, broken
     assert not out.exists()
 
 
+@pytest.mark.parametrize("defect", ["one_pair_dev", "constant_dev", "missing_vectors", "narrow_vectors"])
+@pytest.mark.parametrize("command", ["train", "ablate", "sweep-theta"])
+def test_refused_dev_set_or_vectors_create_no_output_directory(data, tmp_path, command, defect):
+    """A dev set on which Spearman is undefined, and a `pretrained_path` file
+    that does not load at `embed_dim`, are refused before --out exists."""
+    dev, vectors = Path(data["dev"]), tmp_path / "vectors.txt"
+    settings = list(FAST)
+    if defect.endswith("_dev"):
+        lines = dev.read_text(encoding="utf-8").splitlines()
+        if defect == "one_pair_dev":
+            lines = lines[:1]
+        else:
+            lines = ["3.0\t" + line.split("\t", 1)[1] for line in lines]
+        dev = tmp_path / "dev.tsv"
+        dev.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    else:
+        if defect == "narrow_vectors":
+            vectors.write_text("dog 1.0 2.0\n", encoding="utf-8")     # embed_dim is 8
+        settings += ["--set", f"pretrained_path={vectors}"]
+    out = tmp_path / "out"
+    test = [] if command == "train" else [data["test"]]
+    assert main([command, data["corpus"], str(dev), *test, "--out", str(out), *settings]) == EXIT_IO
+    assert not out.exists()
+
+
+def test_pretrained_vectors_are_hashed_and_applied(data, tmp_path):
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("dog " + " ".join(["0.5"] * 8) + "\n", encoding="utf-8")
+    out = tmp_path / "run"
+    # one step at a negligible learning rate leaves the overlaid row in place
+    extra = ["--set", f"pretrained_path={vectors}", "--set", "max_steps=1", "--set", "lr=1e-9"]
+    assert run_train(data, out, extra) == EXIT_OK
+    listed = (out / "inputs.sha256").read_text(encoding="utf-8").splitlines()
+    assert listed[-1] == f"{corpus.file_sha256(vectors)}  vectors.txt"
+    assert [line.split("  ")[1] for line in listed] == ["corpus.txt", "dev.tsv", "vectors.txt"]
+    ckpt = load_checkpoint(out / "last.ckpt")
+    table, _ = unpack_model(ckpt)
+    np.testing.assert_allclose(table.data[ckpt.vocab.id_of("dog")], 0.5, atol=1e-6)
+
+
 class TestEmbed:
     def test_vector_length_matches_config(self, data, trained, tmp_path):
         sentences = tmp_path / "s.txt"

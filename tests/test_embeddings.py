@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sarcse.autodiff import backward
-from sarcse.corpus import PAD_ID, UNK_ID, Vocab, make_batch
+from sarcse.corpus import PAD_ID, UNK_ID, Vocab, make_batch, pretrained_vectors
 from sarcse.embeddings import embed, init_table
 
 
@@ -60,7 +60,9 @@ def test_fixed_rng_state_same_table(vocab):
 def test_pretrained_overlay_exact(vocab, tmp_path):
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("man 0.25 -1.5 3.0\nunknown 1 2 3\n", encoding="utf-8")
-    table = init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
+    vectors = pretrained_vectors(vec_file, vocab, 3)
+    assert list(vectors) == [vocab.id_of("man")]       # the out-of-vocabulary row is dropped
+    table = init_table(vocab, 3, 0.5, np.random.default_rng(0), vectors)
     np.testing.assert_array_almost_equal(
         table.data[vocab.id_of("man")], [0.25, -1.5, 3.0]
     )
@@ -71,15 +73,15 @@ def test_pretrained_overlay_exact(vocab, tmp_path):
 def test_pretrained_width_mismatch(vocab, tmp_path):
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("man 1.0 2.0\n", encoding="utf-8")
-    with pytest.raises(ValueError, match="width"):
-        init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(vec_file))}:1: pretrained width 2 does not match dim 3"):
+        pretrained_vectors(vec_file, vocab, 3)
 
 
 def test_pretrained_non_number_names_line(vocab, tmp_path):
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("man 1.0 2.0 3.0\n\nwoman 1.0 x 3.0\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{re.escape(str(vec_file))}:3: .*'x'"):
-        init_table(vocab, 3, 0.5, np.random.default_rng(0), pretrained_path=vec_file)
+        pretrained_vectors(vec_file, vocab, 3)
 
 
 def test_id_out_of_range(vocab):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import oracle_decode, oracle_encode
 from sarcse.autodiff import ShapeError, Tensor, grad_check
 from sarcse.corpus import Vocab, make_batch, make_batch_tokens
-from sarcse.embeddings import init_table
+from sarcse.embeddings import embed, init_table
 from sarcse.losses import reconstruction_loss
 from sarcse.model import (
     KERNEL_SIZES,
@@ -159,31 +159,48 @@ class TestForwardPair:
 
     def test_no_dropout_views_identical(self, setup):
         _, table, params, batch = setup
-        _, view, view_aug = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        np.testing.assert_array_equal(view.embeddings.data, view_aug.embeddings.data)
+        packing, views = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        first = packing.order < 3
+        np.testing.assert_array_equal(views.embeddings.data[first], views.embeddings.data[~first])
 
     def test_fixed_rng_reproducible(self, setup):
         _, table, params, batch = setup
-        _, *a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        _, *b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        np.testing.assert_array_equal(a[0].embeddings.data, b[0].embeddings.data)
-        np.testing.assert_array_equal(a[1].embeddings.data, b[1].embeddings.data)
+        _, a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        _, b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        np.testing.assert_array_equal(a.embeddings.data, b.embeddings.data)
+        np.testing.assert_array_equal(a.recons.data, b.recons.data)
 
     def test_one_embedding_per_sentence_per_view(self, setup):
         _, table, params, batch = setup
-        packing, view, view_aug = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
-        assert view.embeddings.shape == (3, 2 * (6 - 1))
-        assert view_aug.embeddings.shape == (3, 2 * (6 - 1))
-        assert view.recons.shape == (packing.lengths.sum(), 4)
+        packing, views = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
+        assert views.embeddings.shape == (2 * 3, 2 * (6 - 1))
+        assert views.recons.shape == (packing.lengths.sum(), 4)
+        assert sorted(packing.order.tolist()) == list(range(6))
 
     def test_short_sentence_uses_effective_length_five(self, setup):
         _, table, params, batch = setup
-        packing, view, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
-        assert packing.order.tolist() == [1, 0, 2]
-        assert packing.lengths.tolist() == [5, 6, 7]
-        assert view.inputs.shape == (18, 4)
-        np.testing.assert_array_equal(view.inputs.data[3:5], 0.0)
-        assert batch.mask[packing.index][:5].tolist() == [True, True, True, False, False]
+        packing, views = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        assert packing.order.tolist() == [1, 4, 0, 3, 2, 5]
+        assert packing.lengths.tolist() == [5, 5, 6, 6, 7, 7]
+        assert views.inputs.shape == (36, 4)
+        for start in (3, 8):
+            np.testing.assert_array_equal(views.inputs.data[start:start + 2], 0.0)
+        rows, positions = packing.index
+        assert batch.mask[rows % 3, positions][:10].tolist() == [True, True, True, False, False] * 2
+
+    def test_views_are_the_per_view_passes(self, setup):
+        """Each half of the pair is the pass over the batch alone under one
+        of two successive draws of the same generator, bit for bit."""
+        _, table, params, batch = setup
+        packing, views = forward_pair(batch, table, params, 0.3, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        alone = pack(batch)
+        for half in (packing.order < 3, packing.order >= 3):
+            x = embed(batch, table, 0.3, rng)[alone.index]
+            z, state = encode(x, alone.lengths, params)
+            assert views.embeddings.data[half].tobytes() == z.data.tobytes()
+            recons = views.recons.data[np.repeat(half, packing.lengths)]
+            assert recons.tobytes() == decode(z, state, params).data.tobytes()
 
 
 class TestPadInvariance:
@@ -197,9 +214,9 @@ class TestPadInvariance:
             words = " ".join(f"w{rng.integers(0, 30)}" for _ in range(n))
             short = make_batch([words], vocab)
             padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 7)))
-            _, view_short, _ = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
-            _, view_padded, _ = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
-            assert view_short.embeddings.data.tobytes() == view_padded.embeddings.data.tobytes()
+            _, views_short = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
+            _, views_padded = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
+            assert views_short.embeddings.data.tobytes() == views_padded.embeddings.data.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

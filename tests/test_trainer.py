@@ -3,13 +3,14 @@ import json
 import pathlib
 import struct
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcse import model
+from sarcse import model, trainer
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
     BadMagicError,
@@ -32,8 +33,9 @@ from sarcse.corpus import (
     make_batch,
     token_frequency,
 )
-from sarcse.embeddings import init_table
-from sarcse.model import init_params, param_shapes
+from sarcse.embeddings import embed, init_table
+from sarcse.losses import info_nce, reconstruction_loss, token_weights, total_loss
+from sarcse.model import decode, encode, init_params, pack, param_shapes
 from sarcse.trainer import AdamW, TrainConfig, init_model, objective, train, write_log
 
 
@@ -182,7 +184,7 @@ class TestTrainLoop:
         monkeypatch.setattr(model, "decode", counting_decode)
         result = train(small_config(max_steps=2, eval_every=0, beta=beta, gamma=gamma), sentences, dev, vocab, freq)
         decodes = beta > 0.0 or gamma > 0.0
-        assert len(calls) == (2 * 2 if decodes else 0)     # both dropout views of each step
+        assert len(calls) == (2 if decodes else 0)     # one decode of both dropout views per step
         assert all((row.recon > 0.0) == decodes and (row.recon_aug > 0.0) == decodes for row in result.log_rows)
 
     def test_best_selection_monotone(self, toy_setup):
@@ -232,8 +234,9 @@ def _graph_nodes(loss):
 
 def test_objective_graph_size(toy_data_dir):
     """A step of the toy configuration (bundled vocabulary, batch 16, width
-    64, seed 7) builds one packed graph per view: 16 sentences of 8 distinct
-    effective lengths give as many nodes as 16 of one length, at most 100."""
+    64, seed 7) builds one packed graph of both views: 16 sentences of 8
+    distinct effective lengths give as many nodes as 16 of one length, at
+    most 60."""
     corpus = toy_data_dir / "toy_corpus.txt"
     vocab = build_vocab(corpus)
     freq = token_frequency(corpus, vocab)
@@ -245,7 +248,79 @@ def test_objective_graph_size(toy_data_dir):
         batch = make_batch([" ".join(words[:n]) for n in lengths], vocab)
         loss, _ = objective(cfg, batch, table, params, freq, rng)
         counts.append(_graph_nodes(loss))
-    assert counts[0] == counts[1] <= 100
+    assert counts[0] == counts[1] <= 60
+
+
+@pytest.mark.parametrize("enc_channels", [64, 500])
+@pytest.mark.parametrize("beta", [2.5e-4, 0.0])
+def test_objective_row_equals_per_view_passes(toy_data_dir, enc_channels, beta):
+    """The log row of one packed pass over both dropout views equals, bit
+    for bit, the row built from one pass per view under two successive draws
+    of the same generator, with the decoder and without it."""
+    corpus = toy_data_dir / "toy_corpus.txt"
+    vocab = build_vocab(corpus)
+    freq = token_frequency(corpus, vocab)
+    cfg = TrainConfig(enc_channels=enc_channels, batch_size=16, seed=7, dropout=0.3, beta=beta, gamma=beta)
+    batch = make_batch(load_corpus(corpus)[:16], vocab)
+    rng, table, params = init_model(cfg, vocab)
+    _, row = objective(cfg, batch, table, params, freq, rng)
+
+    rng, table, params = init_model(cfg, vocab)
+    packing = pack(batch)
+    w, mask = token_weights(batch.ids, freq, cfg.theta, cfg.lam)[packing.index], batch.mask[packing.index]
+    zs, recons = [], []
+    for _ in range(2):
+        x = embed(batch, table, cfg.dropout, rng)[packing.index]
+        z, state = encode(x, packing.lengths, params)
+        zs.append(z)
+        if beta > 0.0:
+            recons.append(reconstruction_loss(x, decode(z, state, params), w, mask, packing.lengths).mean())
+    l_info = info_nce(*zs, cfg.tau)
+    l_recon, l_recon_aug = recons or [Tensor(np.zeros(()))] * 2
+    total = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)
+    expected = [float(t.data).hex() for t in (l_info, l_recon, l_recon_aug, total)]
+    assert [v.hex() for v in (row.infonce, row.recon, row.recon_aug, row.total)] == expected
+
+
+def test_one_draw_over_both_views_is_the_two_view_draws():
+    shape = (16, 12, 32)
+    stacked = np.random.default_rng(3).random((2 * shape[0], *shape[1:]))
+    rng = np.random.default_rng(3)
+    np.testing.assert_array_equal(stacked, np.concatenate([rng.random(shape), rng.random(shape)]))
+
+
+def _op_values(loss):
+    """Weak references to the array values of every op node in the graph of
+    `loss` (a Tensor itself takes no weak reference; parameters are leaves
+    and stay alive)."""
+    refs, seen, stack = [], set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or node._vjp is None:
+            continue
+        seen.add(id(node))
+        if isinstance(node.data, np.ndarray):
+            refs.append(weakref.ref(node.data))
+        stack.extend(node._parents)
+    return refs
+
+
+def test_step_graph_freed_before_next_objective(toy_setup, monkeypatch):
+    """`train` drops each step's graph before it builds the next one, so at
+    most one step's graph is alive at a time."""
+    sentences, dev, vocab, freq = toy_setup
+    real_objective, values, steps = trainer.objective, [], []
+
+    def watched(*args):
+        assert all(ref() is None for ref in values), "a previous step's graph is still alive"
+        loss, row = real_objective(*args)
+        values.extend(_op_values(loss))
+        steps.append(row)
+        return loss, row
+
+    monkeypatch.setattr(trainer, "objective", watched)
+    train(small_config(max_steps=3, eval_every=0), sentences, dev, vocab, freq)
+    assert len(steps) == 3 and values
 
 
 def _resealed(src, dst, edit):
