@@ -32,19 +32,6 @@ def _as_array(value, like: Optional[np.ndarray] = None) -> np.ndarray:
     return arr
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tensor:
     """An n-dimensional real array participating in a differentiation graph."""
 
@@ -94,40 +81,33 @@ class Tensor:
 
     # -- elementwise arithmetic -----------------------------------------
 
-    def _coerce(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return other
-        return Tensor(_as_array(other, like=self.data))
+    def _operand(self, op: str, other):
+        """`other` as is if it is a scalar (np.ndim 0, not a Tensor), else as a
+        Tensor of this shape: operands of different shapes do not broadcast."""
+        if not isinstance(other, Tensor):
+            if np.ndim(other) == 0:
+                return other
+            other = Tensor(_as_array(other, like=self.data))
+        if other.shape != self.shape:
+            raise ShapeError(f"{op}: operand shapes {self.shape} and {other.shape} differ")
+        return other
 
     def __add__(self, other) -> "Tensor":
-        other = self._coerce(other)
-        data = self.data + other.data
-        sa, sb = self.shape, other.shape
-        return Tensor._from_op(
-            data, (self, other),
-            lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)),
-        )
-
-    __radd__ = __add__
+        other = self._operand("add", other)
+        if not isinstance(other, Tensor):
+            return Tensor._from_op(self.data + other, (self,), lambda g: (g,))
+        return Tensor._from_op(self.data + other.data, (self, other), lambda g: (g, g))
 
     def __mul__(self, other) -> "Tensor":
-        if isinstance(other, (int, float)):
-            c = other
-            return Tensor._from_op(self.data * c, (self,), lambda g: (g * c,))
-        other = self._coerce(other)
+        other = self._operand("multiply", other)
+        if not isinstance(other, Tensor):
+            return Tensor._from_op(self.data * other, (self,), lambda g: (g * other,))
         a, b = self.data, other.data
-        return Tensor._from_op(
-            a * b, (self, other),
-            lambda g: (_unbroadcast(g * b, a.shape), _unbroadcast(g * a, b.shape)),
-        )
-
-    __rmul__ = __mul__
+        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a))
 
     # -- shape ops -------------------------------------------------------
 
-    def reshape(self, *shape) -> "Tensor":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, *shape: int) -> "Tensor":
         orig = self.data.shape
         try:
             data = self.data.reshape(shape)
@@ -149,23 +129,12 @@ class Tensor:
 
     # -- reductions -------------------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self) -> "Tensor":
         shape = self.data.shape
+        return Tensor._from_op(np.asarray(self.data.sum()), (self,), lambda g: (np.broadcast_to(g, shape),))
 
-        def vjp(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, shape),)
-
-        return Tensor._from_op(np.asarray(data), (self,), vjp)
-
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        if axis is None:
-            n = self.data.size
-        else:
-            n = self.data.shape[axis]
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / n)
+    def mean(self) -> "Tensor":
+        return self.sum() * (1.0 / self.data.size)
 
 # -- module-level ops ------------------------------------------------------
 
@@ -458,19 +427,15 @@ def backward(loss: Tensor) -> GradientMap:
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     leaves: dict[int, np.ndarray] = {}
     for node in reversed(_topo_order(loss)):
-        g = grads.pop(node.node_id, None)
-        if g is None:
-            continue
+        g = grads.pop(node.node_id)
         if node._vjp is None:
             leaves[node.node_id] = g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not parent.requires_grad:
+            if not parent.requires_grad:
                 continue
             if pg.dtype != parent.data.dtype:
                 pg = pg.astype(parent.data.dtype)
-            if pg.shape != parent.data.shape:
-                pg = pg.reshape(parent.data.shape)
             prev = grads.get(parent.node_id)
             grads[parent.node_id] = pg if prev is None else prev + pg
     return GradientMap(leaves)

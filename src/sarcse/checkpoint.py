@@ -38,23 +38,7 @@ _MOMENT_V = "opt.v."
 
 
 class CheckpointError(Exception):
-    """Base class for unreadable checkpoints."""
-
-
-class BadMagicError(CheckpointError):
-    pass
-
-
-class VersionMismatchError(CheckpointError):
-    pass
-
-
-class TruncatedError(CheckpointError):
-    pass
-
-
-class ChecksumMismatchError(CheckpointError):
-    pass
+    """An unreadable checkpoint; the message says where and why."""
 
 
 @dataclass
@@ -138,22 +122,22 @@ def _spec(entry, path) -> tuple[str, np.dtype, tuple[int, ...], int]:
 def load_checkpoint(path: str | Path) -> Checkpoint:
     view = memoryview(Path(path).read_bytes())
     if len(view) < len(MAGIC) + 2 + 8:
-        raise TruncatedError(f"{path}: file too short to be a checkpoint")
+        raise CheckpointError(f"{path}: file too short to be a checkpoint")
     if view[:4] != MAGIC:
-        raise BadMagicError(f"{path}: bad magic {bytes(view[:4])!r}")
+        raise CheckpointError(f"{path}: bad magic {bytes(view[:4])!r}")
     body = view[:-8]
     if hashlib.blake2b(body, digest_size=8).digest() != view[-8:]:
-        raise ChecksumMismatchError(f"{path}: checksum mismatch (corrupt or truncated payload)")
+        raise CheckpointError(f"{path}: checksum mismatch (corrupt or truncated payload)")
     (version,) = struct.unpack_from("<H", view, 4)
     if version != VERSION:
-        raise VersionMismatchError(f"{path}: format version {version}, expected {VERSION}")
+        raise CheckpointError(f"{path}: format version {version}, expected {VERSION}")
 
     pos = 6
 
     def take(n: int) -> memoryview:
         nonlocal pos
         if pos + n > len(body):
-            raise TruncatedError(f"{path}: truncated at byte {pos}")
+            raise CheckpointError(f"{path}: truncated at byte {pos}")
         chunk = body[pos:pos + n]
         pos += n
         return chunk
@@ -180,7 +164,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         name, dtype, shape, start = _spec(entry, path)
         nbytes = dtype.itemsize * math.prod(shape)
         if start + nbytes > len(payload):
-            raise TruncatedError(f"{path}: tensor {name} extends past end of payload")
+            raise CheckpointError(f"{path}: tensor {name} extends past end of payload")
         # The one copy of each tensor: callers get writable arrays that alias
         # neither the file's bytes nor each other.
         arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape).copy()

@@ -172,7 +172,7 @@ def cmd_train(args) -> int:
     out_dir = _prepare_out(cfg, args.out, input_checksums(paths))
     result = train(_train_config(cfg), *inputs)
     _write_train_outputs(result, out_dir)
-    dev = "undefined" if result.best_dev is None else f"{result.best_dev:.4f}"
+    dev = "undefined" if result.best.best_dev is None else f"{result.best.best_dev:.4f}"
     print(f"trained {result.last.step} steps; best dev spearman {dev} -> {out_dir}")
     return EXIT_OK
 
@@ -254,7 +254,7 @@ def _run_grid(args, column: str, grid: dict[str, dict], subdir_prefix: str, tabl
         _write_train_outputs(result, sub)
         table, params = ckpt_io.unpack_model(result.best)
         test = evaluate_pairs(test_pairs, result.best.vocab, table, params).spearman_rho
-        rows.append(f"{label},{_fmt_rho(result.best_dev)},{_fmt_rho(test)}\n")
+        rows.append(f"{label},{_fmt_rho(result.best.best_dev)},{_fmt_rho(test)}\n")
     with open(out_dir / table_name, "w", encoding="utf-8") as fh:
         fh.write(f"# seed={cfg['seed']}\n")
         fh.write(f"{column},dev_spearman,test_spearman\n")

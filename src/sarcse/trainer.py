@@ -150,7 +150,6 @@ class TrainResult:
     best: Checkpoint
     last: Checkpoint
     log_rows: list[LogRow]
-    best_dev: Optional[float]
 
 
 def dev_spearman(
@@ -213,7 +212,7 @@ def objective(
     b = len(batch.lengths)
     first, second = packing.order < b, packing.order >= b
     l_info = info_nce(views.embeddings[first], views.embeddings[second], cfg.tau)
-    l_recon = l_recon_aug = Tensor(np.zeros(()))
+    l_recon = l_recon_aug = Tensor(np.zeros((), dtype=l_info.dtype))
     weight_mean = 1.0
     if run_decoder:
         w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
@@ -262,8 +261,10 @@ def train(
     """Optimize `objective` over shuffled batches, from `init_model(cfg,
     vocab, pretrained)`.
 
-    Every `eval_every` steps (and at the end of the run) the dev Spearman is
-    computed with dropout off, and the best-scoring parameters are retained.
+    Each pass over the corpus draws a new permutation. Every `eval_every`
+    steps, and after the last step if it is off that cadence, the dev
+    Spearman is computed with dropout off, and the best-scoring parameters
+    are retained.
     Bitwise-reproducible for a fixed seed and BLAS thread count.
     """
     if not sentences:
@@ -274,50 +275,42 @@ def train(
     opt = AdamW(lr=cfg.lr)
 
     named = [("embedding.weights", table), *params.items()]
-    budget = cfg.max_steps or math.ceil(len(sentences) / cfg.batch_size)
+    per_pass = math.ceil(len(sentences) / cfg.batch_size)
+    budget = cfg.max_steps or per_pass
 
     log_rows: list[LogRow] = []
     best: Optional[Checkpoint] = None
     best_dev: Optional[float] = None
-    step = 0
-    last_eval_step = -1
 
-    def maybe_eval() -> Optional[float]:
-        nonlocal best, best_dev, last_eval_step
-        last_eval_step = step
+    def evaluate(step: int) -> Optional[float]:
+        nonlocal best, best_dev
         rho = dev_spearman(dev_pairs, vocab, table, params)
         if rho is not None and (best_dev is None or rho > best_dev):
             best_dev = rho
             best = _snapshot(cfg, vocab, freq, table, params, step, best_dev)
         return rho
 
-    while step < budget:
-        order = rng.permutation(len(sentences))
-        for start in range(0, len(sentences), cfg.batch_size):
-            if step >= budget:
-                break
-            chosen = [sentences[i] for i in order[start:start + cfg.batch_size]]
-            loss, row = objective(cfg, make_batch(chosen, vocab), table, params, freq, rng)
-            opt.step(named, backward(loss))
-            del loss        # free this step's graph before the next one is built
-            step += 1
+    for step in range(1, budget + 1):
+        start = ((step - 1) % per_pass) * cfg.batch_size
+        if start == 0:
+            order = rng.permutation(len(sentences))
+        chosen = [sentences[i] for i in order[start:start + cfg.batch_size]]
+        loss, row = objective(cfg, make_batch(chosen, vocab), table, params, freq, rng)
+        opt.step(named, backward(loss))
+        del loss        # free this step's graph before the next one is built
 
-            row.step = step
-            if cfg.eval_every > 0 and step % cfg.eval_every == 0:
-                row.dev_spearman = maybe_eval()
-            log_rows.append(row)
-            if on_log is not None:
-                on_log(row)
+        row.step = step
+        if cfg.eval_every > 0 and step % cfg.eval_every == 0:
+            row.dev_spearman = evaluate(step)
+        log_rows.append(row)
+        if on_log is not None:
+            on_log(row)
 
-    if last_eval_step != step:
-        rho = maybe_eval()
-        if log_rows:
-            log_rows[-1].dev_spearman = rho
+    if cfg.eval_every == 0 or budget % cfg.eval_every:     # the last step was off cadence
+        row.dev_spearman = evaluate(budget)
 
-    last = _snapshot(cfg, vocab, freq, table, params, step, best_dev)
-    if best is None:
-        best = last
-    return TrainResult(best=best, last=last, log_rows=log_rows, best_dev=best_dev)
+    last = _snapshot(cfg, vocab, freq, table, params, budget, best_dev)
+    return TrainResult(best=last if best is None else best, last=last, log_rows=log_rows)
 
 
 def write_log(rows: Sequence[LogRow], path) -> None:

@@ -32,6 +32,22 @@ class TestElementwise:
         with pytest.raises(ShapeError, match="reshape"):
             t(np.ones((2, 3))).reshape(4)
 
+    @pytest.mark.parametrize("op,name", [(lambda a, b: a + b, "add"), (lambda a, b: a * b, "multiply")])
+    @pytest.mark.parametrize("other", [t(np.ones((1, 3))), t(np.ones(3)), t(2.0), np.ones((3, 2))])
+    def test_operands_of_different_shapes_do_not_broadcast(self, op, name, other):
+        with pytest.raises(ShapeError, match=rf"^{name}: operand shapes \(2, 3\) and"):
+            op(t(np.ones((2, 3)), grad=True), other)
+
+    @pytest.mark.parametrize("scalar", [np.float32(2), 2.0, 2, np.array(2.0, dtype=np.float32)])
+    def test_scalar_operands_keep_the_scalar_path(self, scalar):
+        x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
+        y = x * scalar + scalar
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.data, [4.0, -4.0])
+        grads = backward(y.sum())
+        assert grads.wrt(x).dtype == np.float32
+        np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0])
+
 
 class TestConv1d:
     def test_hand_convolution(self):
@@ -252,6 +268,11 @@ class TestBackward:
         y = t([1.0], grad=True)
         grads = backward(x.sum())
         np.testing.assert_array_equal(grads.wrt(y), [0.0])
+
+    def test_constant_loss_has_zero_gradients(self):
+        x = t([1.0, 2.0])
+        grads = backward(x.sum() * 3.0)
+        np.testing.assert_array_equal(grads.wrt(x), [0.0, 0.0])
 
     def test_reused_node_accumulates(self):
         x = t(2.0, grad=True)

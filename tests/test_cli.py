@@ -124,6 +124,20 @@ class TestResolveConfig:
         assert cfg["theta"] == 0.2        # --set wins over the file
         assert cfg["seed"] == 99
 
+    @pytest.mark.parametrize("settings,match", [
+        (["--set", "lr=abc"], "config key 'lr': expected a number, got 'abc'"),
+        (["--set", "lr"], "--set 'lr': expected key=value"),
+        (["--config", "CONFIG"], r"run\.cfg:2: expected 'key = value'"),
+    ], ids=["non-number", "set-without-equals", "config-line-without-equals"])
+    def test_malformed_setting_is_usage_error(self, data, tmp_path, capsys, settings, match):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("seed = 1\nbatch_size 4\n", encoding="utf-8")
+        out = tmp_path / "run"
+        settings = [str(cfg_file) if s == "CONFIG" else s for s in settings]
+        assert main(["train", data["corpus"], data["dev"], "--out", str(out), *settings]) == EXIT_USAGE
+        assert re.search(match, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_bad_value_type(self, capsys):
         code = main(["train", "x", "y", "--out", "/tmp/x", "--set", "batch_size=soon"])
         assert code == EXIT_USAGE
@@ -595,6 +609,13 @@ class TestHarnesses:
             "--values", "0,banana", "--out", str(tmp_path / "s"),
         ])
         assert code == EXIT_USAGE
+
+    def test_sweep_rejects_empty_values(self, data, tmp_path, capsys):
+        out = tmp_path / "s"
+        code = main(["sweep-theta", data["corpus"], data["dev"], data["test"], "--values", ",", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "no theta values given" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_rejects_values_sharing_a_label(self, data, tmp_path, capsys):
         out = tmp_path / "s"

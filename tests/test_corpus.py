@@ -140,6 +140,15 @@ class TestStsPairs:
         with pytest.raises(ValueError, match="outside"):
             load_sts_pairs(path)
 
+    def test_non_number_score_names_line(self, tmp_path):
+        path = write(tmp_path, "p.tsv", "1.0\ta\tb\nhigh\ta\tb\n")
+        with pytest.raises(ValueError, match=r"p\.tsv:2: bad score 'high'"):
+            load_sts_pairs(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = write(tmp_path, "p.tsv", "\n1.0\ta a\tb b\n\n\n3.5\tc c\td d\n\n")
+        assert [p.gold_score for p in load_sts_pairs(path)] == [1.0, 3.5]
+
     def test_empty_file(self, tmp_path):
         path = write(tmp_path, "p.tsv", "")
         assert load_sts_pairs(path) == []

@@ -84,6 +84,13 @@ def test_pretrained_non_number_names_line(vocab, tmp_path):
         pretrained_vectors(vec_file, vocab, 3)
 
 
+def test_pretrained_token_without_values_names_line(vocab, tmp_path):
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_text("man 1.0 2.0 3.0\nwoman\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(vec_file))}:2: expected a token and at least one value"):
+        pretrained_vectors(vec_file, vocab, 3)
+
+
 def test_id_out_of_range(vocab):
     table = init_table(vocab, 3, 0.5, np.random.default_rng(0))
     batch = make_batch(["man runs"], vocab)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import pathlib
+import re
 import struct
 import tempfile
 import weakref
@@ -13,12 +14,8 @@ from hypothesis import strategies as st
 from sarcse import model, trainer
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
-    BadMagicError,
     Checkpoint,
     CheckpointError,
-    ChecksumMismatchError,
-    TruncatedError,
-    VersionMismatchError,
     load_checkpoint,
     pack_model,
     save_checkpoint,
@@ -198,7 +195,7 @@ class TestTrainLoop:
             best = max(best, rho)
             running.append(best)
         assert running == sorted(running)
-        assert result.best_dev == pytest.approx(max(evals))
+        assert result.best.best_dev == pytest.approx(max(evals))
 
     def test_empty_corpus_rejected(self, toy_setup):
         _, dev, vocab, freq = toy_setup
@@ -211,6 +208,16 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="Spearman undefined"):
             train(small_config(), sentences, flat, vocab, freq)
 
+    def test_no_decoder_loss_is_float32(self, toy_setup):
+        """With beta = gamma = 0 the exact-zero reconstruction terms take the
+        contrastive term's dtype, so every training loss is float32."""
+        sentences, dev, vocab, freq = toy_setup
+        cfg = small_config(theta=1.0, beta=0.0, gamma=0.0)
+        rng, table, params = init_model(cfg, vocab)
+        loss, row = objective(cfg, make_batch(sentences[:8], vocab), table, params, freq, rng)
+        assert loss.dtype == np.float32
+        assert row.recon == row.recon_aug == 0.0
+
     def test_log_csv_layout(self, toy_setup, tmp_path):
         sentences, dev, vocab, freq = toy_setup
         result = train(small_config(max_steps=4, eval_every=2), sentences, dev, vocab, freq)
@@ -219,6 +226,54 @@ class TestTrainLoop:
         lines = out.read_text().splitlines()
         assert lines[0] == "step,infonce,recon,recon_aug,total,token_weight_mean,dev_spearman"
         assert len(lines) == 5
+
+
+class TestSchedule:
+    """When `train` evaluates on dev, relative to the rows `on_log` receives."""
+
+    def _events(self, toy_setup, monkeypatch, dev=None, **overrides):
+        sentences, toy_dev, vocab, freq = toy_setup
+        events = []
+        real_dev_spearman = trainer.dev_spearman
+
+        def counting_dev_spearman(*args):
+            events.append("eval")
+            return real_dev_spearman(*args)
+
+        monkeypatch.setattr(trainer, "dev_spearman", counting_dev_spearman)
+        result = train(small_config(**overrides), sentences, toy_dev if dev is None else dev, vocab, freq,
+                       on_log=lambda row: events.append((row.step, row.dev_spearman)))
+        return events, result
+
+    @pytest.mark.parametrize("eval_every,max_steps,schedule", [
+        (3, 8, [1, 2, "eval", 3, 4, 5, "eval", 6, 7, 8, "eval"]),
+        (3, 6, [1, 2, "eval", 3, 4, 5, "eval", 6]),
+        (0, 5, [1, 2, 3, 4, 5, "eval"]),
+    ])
+    def test_evaluates_on_cadence_then_once_if_off_it(self, toy_setup, monkeypatch, eval_every, max_steps, schedule):
+        events, result = self._events(toy_setup, monkeypatch, eval_every=eval_every, max_steps=max_steps)
+        assert [e if e == "eval" else e[0] for e in events] == schedule
+        evaluated = [s for s in range(1, max_steps + 1) if (eval_every and s % eval_every == 0) or s == max_steps]
+        assert [row.step for row in result.log_rows] == list(range(1, max_steps + 1))
+        assert [row.step for row in result.log_rows if row.dev_spearman is not None] == evaluated
+        # on_log gets each row once, in order; the closing evaluation fills the last row after it
+        logged = [e for e in events if e != "eval"]
+        assert [step for step, _ in logged] == list(range(1, max_steps + 1))
+        assert (logged[-1][1] is None) == (schedule[-1] == "eval")
+        assert result.last.step == max_steps
+
+    def test_undefined_dev_spearman_keeps_last(self, toy_setup, monkeypatch, tmp_path):
+        """Pairs (s, s) have cosine 1 each, so Spearman is undefined at every
+        evaluation, and the best checkpoint is the last one."""
+        sentences = toy_setup[0]
+        path = tmp_path / "dev.tsv"
+        path.write_text("".join(f"{score}\t{s}\t{s}\n" for score, s in zip([5.0, 2.0, 0.5], sentences)), encoding="utf-8")
+        dev = load_sts_pairs(path)
+        events, result = self._events(toy_setup, monkeypatch, dev=dev, max_steps=5, eval_every=2)
+        assert events.count("eval") == 3
+        assert all(row.dev_spearman is None for row in result.log_rows)
+        assert result.best is result.last
+        assert result.best.best_dev is None and result.best.step == 5
 
 
 def _graph_nodes(loss):
@@ -366,13 +421,13 @@ class TestCheckpointIO:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(ChecksumMismatchError):
+        with pytest.raises(CheckpointError, match="checksum mismatch"):
             load_checkpoint(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOPE" + bytes(64))
-        with pytest.raises(BadMagicError):
+        with pytest.raises(CheckpointError, match="bad magic"):
             load_checkpoint(path)
 
     def test_version_mismatch(self, toy_setup, tmp_path):
@@ -386,7 +441,7 @@ class TestCheckpointIO:
 
         body = bytes(blob[:-8])
         path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
-        with pytest.raises(VersionMismatchError):
+        with pytest.raises(CheckpointError, match="format version 99, expected 1"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("edit,match", [
@@ -419,6 +474,31 @@ class TestCheckpointIO:
         sentences.write_text("the dog eats .\n", encoding="utf-8")
         assert main(["embed", str(path), str(sentences), "--out", str(tmp_path / "e.tsv")]) == EXIT_IO
 
+    @pytest.mark.parametrize("defect,match", [
+        ("directory-cut-short", "truncated at byte"),
+        ("tensor-past-payload", "tensor dec.k3.bias extends past end of payload"),
+        ("no-freq", "missing corpus.freq tensor"),
+        ("no-model-tensor", "checkpoint missing tensor dec.k3.bias"),
+    ])
+    def test_eval_refuses_checksum_valid_defects(self, toy_data_dir, tmp_path, capsys, defect, match):
+        """Each file passes the checksum, so the inner check is the one that refuses it."""
+        src, path = toy_data_dir / "toy_untrained.ckpt", tmp_path / "bad.ckpt"
+        if defect == "directory-cut-short":
+            blob = src.read_bytes()
+            (header_len,) = struct.unpack_from("<I", blob, 6)
+            body = blob[:14 + header_len + 10]      # the directory stops after 10 of its bytes
+            path.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
+        elif defect == "tensor-past-payload":
+            _resealed(src, path, _edit_entry("dec.k3.bias", offset=10 ** 9))
+        else:
+            gone = "corpus.freq" if defect == "no-freq" else "dec.k3.bias"
+            _resealed(src, path, lambda h, d: (h, [e for e in d if e["name"] != gone]))
+        out = tmp_path / "eval"
+        code = main(["eval", str(path), str(toy_data_dir / "toy_sts_test.tsv"), "--out", str(out)])
+        assert code == EXIT_IO
+        assert re.search(match, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_config_without_model_size(self, toy_data_dir):
         ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
         ckpt.config = {k: v for k, v in ckpt.config.items() if k != "enc_channels"}
@@ -428,7 +508,7 @@ class TestCheckpointIO:
     def test_truncation(self, toy_setup, tmp_path):
         path = tmp_path / "model.ckpt"
         path.write_bytes(b"SA")
-        with pytest.raises(TruncatedError):
+        with pytest.raises(CheckpointError, match="file too short"):
             load_checkpoint(path)
 
     def test_unpack_model_round_trip(self, toy_setup, tmp_path):
