@@ -24,21 +24,14 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform to a primitive."""
 
 
-def _as_array(value, like: Optional[np.ndarray] = None) -> np.ndarray:
-    arr = np.asarray(value)
-    if arr.dtype.kind != "f":
-        dtype = like.dtype if like is not None else np.float32
-        arr = arr.astype(dtype)
-    return arr
-
-
 class Tensor:
     """An n-dimensional real array participating in a differentiation graph."""
 
     __slots__ = ("data", "requires_grad", "node_id", "_parents", "_vjp")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = _as_array(data)
+        data = np.asarray(data)
+        self.data = data if data.dtype.kind == "f" else data.astype(np.float32)
         self.requires_grad = requires_grad
         self.node_id = next(_node_ids)
         self._parents: tuple[Tensor, ...] = ()
@@ -82,14 +75,18 @@ class Tensor:
     # -- elementwise arithmetic -----------------------------------------
 
     def _operand(self, op: str, other):
-        """`other` as is if it is a scalar (np.ndim 0, not a Tensor), else as a
-        Tensor of this shape: operands of different shapes do not broadcast."""
+        """`other` as a scalar (np.ndim 0, not a Tensor) or a Tensor of this shape, in this dtype:
+        no broadcasting, a constant of another dtype is cast, one that requires grad must match."""
         if not isinstance(other, Tensor):
             if np.ndim(other) == 0:
-                return other
-            other = Tensor(_as_array(other, like=self.data))
+                return self.dtype.type(other)
+            other = Tensor(np.asarray(other).astype(self.dtype, copy=False))
         if other.shape != self.shape:
             raise ShapeError(f"{op}: operand shapes {self.shape} and {other.shape} differ")
+        if other.dtype != self.dtype:
+            if other.requires_grad:
+                raise TypeError(f"{op}: operand dtypes {self.dtype} and {other.dtype} differ")
+            other = Tensor(other.data.astype(self.dtype))
         return other
 
     def __add__(self, other) -> "Tensor":
@@ -167,9 +164,11 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
         )
     w = weights.data
 
-    def vjp(g):
+    def vjp(g):     # each id's rows summed by one reduceat over the ids, stably sorted
+        order = np.argsort(ids, axis=None, kind="stable")
+        rows, firsts = np.unique(ids.reshape(-1)[order], return_index=True)
         gw = np.zeros_like(w)
-        np.add.at(gw, ids, g)
+        gw[rows] = np.add.reduceat(g.reshape(-1, w.shape[1])[order], firsts)
         return (gw,)
 
     return Tensor._from_op(w[ids], (weights,), vjp)
@@ -181,28 +180,28 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 # T x c rows plus the per-sentence `lengths` that split them. Each run of
 # equal consecutive lengths gets one np.matmul over a (count, n, K) stack,
 # one BLAS call per sentence, so a sentence's bits never depend on its
-# batch-mates (BLAS rounds a row differently as n changes). Kernel gradients
-# carry no bitwise guarantee and are one GEMM over all windows. The 2-d pair
-# takes a leading batch axis.
+# batch-mates (BLAS rounds a row differently as n changes). Gradients carry
+# no bitwise guarantee, so a 1-d VJP makes one GEMM per adjoint over all the
+# windows its forward gathered. The 2-d pair takes a leading batch axis.
 #
 # The ops come in adjoint pairs (conv1d_valid and transposed_conv1d, the 2-d
 # pair, max_pool_time and max_unpool_time): a VJP's input adjoint is its
-# partner's forward on the output adjoint with a zero bias, and a pair's two
-# kernel gradients are one contraction with input and adjoint swapped.
+# partner's forward on the output adjoint, zero bias (inlined in 1-d), and
+# its kernel gradient is the partner's with input and adjoint swapped.
 
 
-def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int, *lengths) -> np.ndarray:
-    """Input adjoint of a conv: the partner `op` run forward on `g`, zero bias, no graph."""
-    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype)), *lengths).data
+def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int) -> np.ndarray:
+    """Input adjoint of a 2-d conv: the partner `op` run forward on `g`, zero bias, no graph."""
+    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype))).data
 
 
 @functools.lru_cache(maxsize=64)
-def _layout(key: bytes, ks: int, shift: int):
-    """Cached, read-only index arrays of packed sentences of int64 lengths `key`
-    less `shift` (None if one is below 1): the total of `key`, runs of equal
-    lengths as (first sentence, count, length, first row), first rows, and
-    each row's ks-row window once ks-1 rows follow every sentence."""
-    lengths = np.frombuffer(key, dtype=np.int64) - shift
+def _layout(key: bytes, ks: int):
+    """Cached, read-only index arrays of packed sentences of int64 lengths
+    `key` (None if one is below 1): their total, runs of equal lengths as
+    (first sentence, count, length, first row), first rows, and each row's
+    ks-row window once ks-1 rows follow every sentence."""
+    lengths = np.frombuffer(key, dtype=np.int64)
     if lengths.size and lengths.min() < 1:
         return None
     bounds = np.flatnonzero(np.diff(lengths, prepend=-1, append=-1)).tolist()
@@ -211,17 +210,26 @@ def _layout(key: bytes, ks: int, shift: int):
     spread = np.arange(lengths.sum()) + np.repeat(np.arange(len(lengths)) * (ks - 1), lengths)
     windows = spread[:, None] + np.arange(ks)
     starts.flags.writeable = windows.flags.writeable = False
-    return int(lengths.sum()) + shift * len(lengths), runs, starts, windows
+    return int(lengths.sum()), runs, starts, windows
 
 
 def _packed(name: str, rows: int, lengths, ks: int = 1, wide: bool = False):
     """`_layout` of 1-d `lengths` that split `rows` packed rows; with `wide`
     they count the wide side of a width-ks kernel, ks-1 rows more each."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    layout = _layout(lengths.tobytes(), ks, ks - 1 if wide else 0) if lengths.ndim == 1 else None
-    if layout is None or layout[0] != rows:
+    shift = ks - 1 if wide else 0
+    layout = _layout((lengths - shift).tobytes(), ks) if lengths.ndim == 1 else None
+    if layout is None or layout[0] + shift * len(lengths) != rows:
         raise ShapeError(f"{name}: lengths {lengths.tolist()} must split {rows} rows, each at least {ks if wide else 1}")
     return layout[1:]
+
+
+def _overlap_add(out: np.ndarray, cols: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Add column block j of each row of `cols` to `out` at row j of its window."""
+    d = out.shape[1]
+    for j in range(windows.shape[1]):
+        out[windows[:, j]] += cols[:, j * d:(j + 1) * d]
+    return out
 
 
 def _run_gemms(a: np.ndarray, b: np.ndarray, runs: tuple) -> np.ndarray:
@@ -262,7 +270,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
     out += bias.data
 
     def vjp(g):
-        gx = _partner(transposed_conv1d, g, kernels, d, np.asarray(lengths) - (ks - 1))
+        gx = _overlap_add(np.zeros_like(x.data), g @ kernels.data.reshape(c_out, ks * d), windows)
         return (gx, (g.T @ win).reshape(c_out, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
@@ -283,13 +291,12 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tens
     cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), runs)     # T x (ks*d)
     out = np.empty((t + len(starts) * (ks - 1), d), dtype=cols.dtype)
     out[:] = bias.data
-    for j in range(ks):
-        out[windows[:, j]] += cols[:, j * d:(j + 1) * d]
+    _overlap_add(out, cols, windows)
 
     def vjp(g):
-        gk = x.data.T @ np.take(g, windows, axis=0).reshape(t, ks * d)
-        gx = _partner(conv1d_valid, g, kernels, c_in, np.asarray(lengths) + (ks - 1))
-        return (gx, gk.reshape(c_in, ks, d), g.sum(axis=0))
+        gwin = np.take(g, windows, axis=0).reshape(t, ks * d)
+        gx = gwin @ kernels.data.reshape(c_in, ks * d).T
+        return (gx, (x.data.T @ gwin).reshape(c_in, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp)
 
@@ -434,8 +441,6 @@ def backward(loss: Tensor) -> GradientMap:
         for parent, pg in zip(node._parents, node._vjp(g)):
             if not parent.requires_grad:
                 continue
-            if pg.dtype != parent.data.dtype:
-                pg = pg.astype(parent.data.dtype)
             prev = grads.get(parent.node_id)
             grads[parent.node_id] = pg if prev is None else prev + pg
     return GradientMap(leaves)

@@ -4,7 +4,7 @@ checkpoint snapshots."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,44 +85,54 @@ class TrainConfig:
 
 @dataclass
 class AdamW:
-    """Decoupled-weight-decay Adam over named parameter tensors."""
+    """Decoupled-weight-decay Adam over named parameter tensors of one dtype. The
+    first step makes their `data` views of one flat buffer, beside flat moments."""
 
+    BLOCK = 1 << 16     # elements updated per pass: five float32 blocks stay in a 2 MiB L2
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: Optional[np.ndarray] = None
+    v: Optional[np.ndarray] = None
     step_count: int = 0
 
-    def step(
-        self,
-        named_params: Sequence[tuple[str, Tensor]],
-        grads: GradientMap,
-    ) -> None:
-        """One bias-corrected update; weight decay is applied to the
-        parameters directly, not through the gradients."""
+    def step(self, named_params: Sequence[tuple[str, Tensor]], grads: GradientMap) -> None:
+        """One bias-corrected update of the parameters of the first step, per
+        element the arithmetic of a loop over them; weight decay is applied to
+        the parameters directly, not through the gradients."""
         self.step_count += 1
-        t = self.step_count
-        for name, param in named_params:
-            g = grads.wrt(param)
-            if not np.all(np.isfinite(g)):
-                raise FloatingPointError(f"adamw: non-finite gradient for parameter {name!r}")
-            if name == "embedding.weights":
-                g = g.copy()
-                g[PAD_ID] = 0.0     # PAD row stays pinned at zero
-            m = self.m.setdefault(name, np.zeros_like(param.data))
-            v = self.v.setdefault(name, np.zeros_like(param.data))
+        if self.m is None:
+            self._names = [name for name, _ in named_params]
+            self._bounds = np.cumsum([0] + [p.size for _, p in named_params])
+            self._flat = np.concatenate([p.data.reshape(-1) for _, p in named_params], dtype=named_params[0][1].dtype, casting="no")
+            self._pad = slice(0)
+            for (name, param), a, b in zip(named_params, self._bounds, self._bounds[1:]):
+                param.data = self._flat[a:b].reshape(param.shape)
+                if name == "embedding.weights":     # its PAD row stays pinned at zero
+                    self._pad = slice(a + PAD_ID * param.shape[1], a + (PAD_ID + 1) * param.shape[1])
+            self.m, self.v, self._g, self._tmp = (np.zeros_like(self._flat) for _ in range(4))
+        if [name for name, _ in named_params] != self._names:
+            raise ValueError(f"adamw: the first step bound parameters {self._names}")
+        np.concatenate([grads.wrt(param).reshape(-1) for _, param in named_params], out=self._g)
+        if not np.isfinite(self._g).all():
+            bad = np.searchsorted(self._bounds, np.flatnonzero(~np.isfinite(self._g))[0], side="right") - 1
+            raise FloatingPointError(f"adamw: non-finite gradient for parameter {self._names[bad]!r}")
+        self._g[self._pad] = 0.0
+        c1, c2 = 1.0 - self.beta1 ** self.step_count, 1.0 - self.beta2 ** self.step_count
+        for a in range(0, self._flat.size, self.BLOCK):
+            g, tmp, m, v, p = (buf[a:a + self.BLOCK] for buf in (self._g, self._tmp, self.m, self.v, self._flat))
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
+            v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - self.beta2, out=tmp)
+            m_hat, v_hat = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
+            m_hat *= self.lr
+            m_hat /= np.add(np.sqrt(v_hat, out=v_hat), self.eps, out=v_hat)    # lr * m_hat / (sqrt(v_hat) + eps)
             if self.weight_decay:
-                param.data -= self.lr * self.weight_decay * param.data
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                p -= np.multiply(p, self.lr * self.weight_decay, out=tmp)
+            p -= m_hat
 
 
 @dataclass

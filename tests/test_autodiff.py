@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcatalog import primitive_cases
+from sarcse import autodiff
 from sarcse.autodiff import (
     ShapeError,
     Tensor,
@@ -11,6 +12,7 @@ from sarcse.autodiff import (
     conv1d_valid,
     conv2d_valid,
     dropout,
+    embedding_lookup,
     grad_check,
     max_pool_time,
     max_unpool_time,
@@ -42,6 +44,24 @@ class TestElementwise:
     def test_scalar_operands_keep_the_scalar_path(self, scalar):
         x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
         y = x * scalar + scalar
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.data, [4.0, -4.0])
+        grads = backward(y.sum())
+        assert grads.wrt(x).dtype == np.float32
+        np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0])
+
+    @pytest.mark.parametrize("op,name", [(lambda a, b: a + b, "add"), (lambda a, b: a * b, "multiply")])
+    def test_operand_requiring_grad_of_another_dtype_is_refused(self, op, name):
+        x = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
+        with pytest.raises(TypeError, match=rf"^{name}: operand dtypes float32 and float64 differ"):
+            op(x, t(np.ones(3), grad=True))
+        with pytest.raises(TypeError, match=rf"^{name}: operand dtypes float64 and float32 differ"):
+            op(t(np.ones(3)), x)
+
+    @pytest.mark.parametrize("other", [t(np.full(2, 2.0)), np.full(2, 2.0), np.float64(2.0), np.array(2.0)])
+    def test_constants_take_the_tensor_dtype(self, other):
+        x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
+        y = x * other + other
         assert y.dtype == np.float32
         np.testing.assert_array_equal(y.data, [4.0, -4.0])
         grads = backward(y.sum())
@@ -147,6 +167,59 @@ class TestPackedConv1d:
             rows = tconv[start + i * (ks - 1):][:n + ks - 1]
             assert rows.tobytes() == alone.tobytes()
             start += n
+
+    @pytest.mark.parametrize("dtype,c,tol", [(np.float64, 7, 1e-12), (np.float32, 500, 1e-5)])
+    def test_input_adjoints_are_the_partner_forwards(self, dtype, c, tol):
+        """Each 1-d VJP's input adjoint, one GEMM over all rows, equals its
+        partner run forward on the output adjoint with a zero bias, over
+        ragged lengths in several runs."""
+        rng = np.random.default_rng(31)
+        lengths = np.array([5, 5, 6, 9, 9, 9, 13, 31])
+        d = 32
+        for ks in (1, 3, 5):
+            k = Tensor(rng.normal(size=(c, ks, d)).astype(dtype), requires_grad=True)
+            narrow = lengths - ks + 1
+            x = Tensor(rng.normal(size=(lengths.sum(), d)).astype(dtype), requires_grad=True)
+            h = Tensor(rng.normal(size=(narrow.sum(), c)).astype(dtype), requires_grad=True)
+            g_conv = rng.normal(size=(narrow.sum(), c)).astype(dtype)
+            g_tconv = rng.normal(size=(lengths.sum(), d)).astype(dtype)
+            zeros_c, zeros_d = Tensor(np.zeros(c, dtype)), Tensor(np.zeros(d, dtype))
+            gx = conv1d_valid(x, k, zeros_c, lengths)._vjp(g_conv)[0]
+            gh = transposed_conv1d(h, k, zeros_d, narrow)._vjp(g_tconv)[0]
+            assert gx.dtype == gh.dtype == dtype
+            partner_x = transposed_conv1d(Tensor(g_conv), k, zeros_d, narrow).data
+            partner_h = conv1d_valid(Tensor(g_tconv), k, zeros_c, lengths).data
+            for got, want in ((gx, partner_x), (gh, partner_h)):
+                np.testing.assert_allclose(got, want, rtol=tol, atol=tol * np.abs(want).max())
+
+    def test_pair_of_one_width_shares_a_layout(self):
+        autodiff._layout.cache_clear()
+        lengths = np.array([5, 7, 7])
+        k, x = t(np.ones((2, 3, 4))), t(np.ones((19, 4)))
+        h = conv1d_valid(x, k, t(np.zeros(2)), lengths)
+        transposed_conv1d(h, k, t(np.zeros(4)), lengths - 2)
+        info = autodiff._layout.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+
+class TestEmbeddingLookup:
+    def test_table_gradient_sums_repeated_ids(self):
+        rng = np.random.default_rng(17)
+        ids = np.array([[3, 1, 3, 0, 0], [1, 5, 3, 3, 0], [2, 0, 0, 0, 0]])    # repeats, PAD 0
+        w = Tensor(rng.normal(size=(7, 4)).astype(np.float32), requires_grad=True)
+        out = embedding_lookup(w, ids)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        (gw,) = out._vjp(g)
+        want = np.zeros_like(w.data)
+        np.add.at(want, ids, g)
+        assert gw.dtype == np.float32
+        np.testing.assert_allclose(gw, want, rtol=1e-6, atol=1e-6)
+        np.testing.assert_array_equal(gw[[4, 6]], 0.0)
+
+    def test_no_ids_give_a_zero_gradient(self):
+        w = t(np.ones((3, 2)), grad=True)
+        (gw,) = embedding_lookup(w, np.zeros((0, 4), dtype=np.int64))._vjp(np.zeros((0, 4, 2)))
+        np.testing.assert_array_equal(gw, np.zeros((3, 2)))
 
 
 class TestConv2d:

@@ -107,6 +107,61 @@ class TestAdamW:
         np.testing.assert_array_equal(w.data[0], 0.0)
         assert not np.array_equal(w.data[1], np.ones(3))
 
+    def test_flat_update_is_bitwise_the_per_parameter_loop(self):
+        """float32 parameters of four shapes, the table's PAD row included and
+        one parameter split across update blocks, over four steps; one
+        gradient is absent (zero) on the second."""
+        rng = np.random.default_rng(23)
+        shapes = {"embedding.weights": (6, 4), "enc.k3.kernels": (5, 3, 4), "dec.k5.kernels": (70, 5, 200), "enc.k3.bias": (5,)}
+        init = {name: rng.normal(size=shape).astype(np.float32) for name, shape in shapes.items()}
+        init["embedding.weights"][0] = 0.0
+        named = [(name, Tensor(a.copy(), requires_grad=True)) for name, a in init.items()]
+        ref = {name: a.copy() for name, a in init.items()}
+        m = {name: np.zeros_like(a) for name, a in init.items()}
+        v = {name: np.zeros_like(a) for name, a in init.items()}
+        opt, lr, b1, b2, eps, wd = AdamW(), 1e-3, 0.9, 0.999, 1e-8, 0.01
+        for step in range(1, 5):
+            grads = {name: rng.normal(size=a.shape).astype(np.float32) for name, a in init.items()}
+            if step == 2:
+                del grads["enc.k3.bias"]
+            opt.step(named, _FakeGrads({p.node_id: grads[name] for name, p in named if name in grads}))
+            for name, p in ref.items():     # the per-parameter loop AdamW ran before it was flat
+                g = grads.get(name, np.zeros_like(p)).copy()
+                if name == "embedding.weights":
+                    g[0] = 0.0
+                m[name] *= b1
+                m[name] += (1.0 - b1) * g
+                v[name] *= b2
+                v[name] += (1.0 - b2) * (g * g)
+                m_hat, v_hat = m[name] / (1.0 - b1 ** step), v[name] / (1.0 - b2 ** step)
+                p -= lr * wd * p
+                p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            for name, p in named:
+                assert p.data.dtype == np.float32 and p.data.tobytes() == ref[name].tobytes(), (step, name)
+        np.testing.assert_array_equal(named[0][1].data[0], 0.0)
+        assert all(np.shares_memory(p.data, named[0][1].data.base) for _, p in named)
+
+    def test_other_parameters_after_the_first_step_are_refused(self):
+        opt = AdamW()
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        opt.step([("a", a)], _FakeGrads({}))
+        with pytest.raises(ValueError, match="adamw: the first step bound parameters"):
+            opt.step([("a", a), ("b", b)], _FakeGrads({}))
+
+    def test_parameters_of_two_dtypes_are_refused(self):
+        a = Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+        b = Tensor(np.ones(3, dtype=np.float64), requires_grad=True)
+        with pytest.raises(TypeError, match="float64"):
+            AdamW().step([("a", a), ("b", b)], _FakeGrads({}))
+
+    def test_nonfinite_gradient_names_the_later_parameter(self):
+        opt = AdamW()
+        a, b = Tensor(np.ones(2), requires_grad=True), Tensor(np.ones(3), requires_grad=True)
+        grads = _FakeGrads({b.node_id: np.array([0.0, np.inf, 0.0])})
+        with pytest.raises(FloatingPointError, match="'b'"):
+            opt.step([("a", a), ("b", b)], grads)
+        np.testing.assert_array_equal(a.data, 1.0)
+
 
 @pytest.fixture(scope="module")
 def toy_setup(tmp_path_factory):
