@@ -4,7 +4,7 @@ Tensors are eager: the forward value is computed on construction and each
 op registers a closure that maps the output adjoint to the input adjoints.
 `backward` walks the graph once in reverse topological order and returns a
 `GradientMap` keyed by tensor node id. Training runs in float32, gradient
-checking in float64; ops preserve the dtype of their inputs. The 1-d conv
+checks in float64; a graph node has its first operand's dtype. The 1-d conv
 and pooling primitives take ragged batches packed back to back: T x c rows
 plus the per-sentence lengths that split them.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -38,11 +38,18 @@ class Tensor:
         self._vjp: Optional[Callable[[np.ndarray], tuple]] = None
 
     @classmethod
-    def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"], vjp) -> "Tensor":
+    def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"], vjp, op: str) -> "Tensor":
+        """The node of primitive `op`. In a graph, the output and every parent
+        that requires grad have the first parent's dtype: no op promotes."""
         out = cls.__new__(cls)
         out.data = data
         out.node_id = next(_node_ids)
-        if any(p.requires_grad for p in parents):
+        graded = [p.data.dtype for p in parents if p.requires_grad]
+        if graded:
+            first = parents[0].data.dtype
+            for dtype in (*graded, data.dtype):
+                if dtype != first:
+                    raise TypeError(f"{op}: operand dtypes {first} and {dtype} differ")
             out.requires_grad = True
             out._parents = tuple(parents)
             out._vjp = vjp
@@ -75,32 +82,30 @@ class Tensor:
     # -- elementwise arithmetic -----------------------------------------
 
     def _operand(self, op: str, other):
-        """`other` as a scalar (np.ndim 0, not a Tensor) or a Tensor of this shape, in this dtype:
-        no broadcasting, a constant of another dtype is cast, one that requires grad must match."""
+        """`other` as a scalar (np.ndim 0, not a Tensor) or a Tensor of this shape:
+        no broadcasting, and a constant of another dtype is cast to this one."""
         if not isinstance(other, Tensor):
             if np.ndim(other) == 0:
                 return self.dtype.type(other)
             other = Tensor(np.asarray(other).astype(self.dtype, copy=False))
         if other.shape != self.shape:
             raise ShapeError(f"{op}: operand shapes {self.shape} and {other.shape} differ")
-        if other.dtype != self.dtype:
-            if other.requires_grad:
-                raise TypeError(f"{op}: operand dtypes {self.dtype} and {other.dtype} differ")
+        if other.dtype != self.dtype and not other.requires_grad:
             other = Tensor(other.data.astype(self.dtype))
         return other
 
     def __add__(self, other) -> "Tensor":
         other = self._operand("add", other)
         if not isinstance(other, Tensor):
-            return Tensor._from_op(self.data + other, (self,), lambda g: (g,))
-        return Tensor._from_op(self.data + other.data, (self, other), lambda g: (g, g))
+            return Tensor._from_op(self.data + other, (self,), lambda g: (g,), "add")
+        return Tensor._from_op(self.data + other.data, (self, other), lambda g: (g, g), "add")
 
     def __mul__(self, other) -> "Tensor":
         other = self._operand("multiply", other)
         if not isinstance(other, Tensor):
-            return Tensor._from_op(self.data * other, (self,), lambda g: (g * other,))
+            return Tensor._from_op(self.data * other, (self,), lambda g: (g * other,), "multiply")
         a, b = self.data, other.data
-        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a))
+        return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a), "multiply")
 
     # -- shape ops -------------------------------------------------------
 
@@ -110,7 +115,7 @@ class Tensor:
             data = self.data.reshape(shape)
         except ValueError as exc:
             raise ShapeError(f"reshape: cannot view {orig} as {shape}") from exc
-        return Tensor._from_op(data, (self,), lambda g: (g.reshape(orig),))
+        return Tensor._from_op(data, (self,), lambda g: (g.reshape(orig),), "reshape")
 
     def __getitem__(self, key) -> "Tensor":
         """Basic or advanced indexing that selects each entry at most once
@@ -122,13 +127,13 @@ class Tensor:
             full[key] = g
             return (full,)
 
-        return Tensor._from_op(self.data[key], (self,), vjp)
+        return Tensor._from_op(self.data[key], (self,), vjp, "getitem")
 
     # -- reductions -------------------------------------------------------
 
     def sum(self) -> "Tensor":
         shape = self.data.shape
-        return Tensor._from_op(np.asarray(self.data.sum()), (self,), lambda g: (np.broadcast_to(g, shape),))
+        return Tensor._from_op(np.asarray(self.data.sum()), (self,), lambda g: (np.broadcast_to(g, shape),), "sum")
 
     def mean(self) -> "Tensor":
         return self.sum() * (1.0 / self.data.size)
@@ -140,7 +145,7 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     """Stack k tensors of shape B x c into one B x k x c tensor."""
     vectors = list(vectors)
     data = np.stack([v.data for v in vectors], axis=1)
-    return Tensor._from_op(data, vectors, lambda g: tuple(np.moveaxis(g, 1, 0)))
+    return Tensor._from_op(data, vectors, lambda g: tuple(np.moveaxis(g, 1, 0)), "stack_rows")
 
 
 def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
@@ -152,7 +157,7 @@ def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = rng.random(t.shape) >= rate
     scale = 1.0 / (1.0 - rate)
     factor = keep.astype(t.dtype) * t.dtype.type(scale)
-    return Tensor._from_op(t.data * factor, (t,), lambda g: (g * factor,))
+    return Tensor._from_op(t.data * factor, (t,), lambda g: (g * factor,), "dropout")
 
 
 def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
@@ -171,7 +176,7 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
         gw[rows] = np.add.reduceat(g.reshape(-1, w.shape[1])[order], firsts)
         return (gw,)
 
-    return Tensor._from_op(w[ids], (weights,), vjp)
+    return Tensor._from_op(w[ids], (weights,), vjp, "embedding_lookup")
 
 
 # -- convolution / pooling --------------------------------------------------
@@ -273,7 +278,7 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
         gx = _overlap_add(np.zeros_like(x.data), g @ kernels.data.reshape(c_out, ks * d), windows)
         return (gx, (g.T @ win).reshape(c_out, ks, d), g.sum(axis=0))
 
-    return Tensor._from_op(out, (x, kernels, bias), vjp)
+    return Tensor._from_op(out, (x, kernels, bias), vjp, "conv1d_valid")
 
 
 def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
@@ -298,7 +303,7 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tens
         gx = gwin @ kernels.data.reshape(c_in, ks * d).T
         return (gx, (x.data.T @ gwin).reshape(c_in, ks, d), g.sum(axis=0))
 
-    return Tensor._from_op(out, (x, kernels, bias), vjp)
+    return Tensor._from_op(out, (x, kernels, bias), vjp, "transposed_conv1d")
 
 
 def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -324,7 +329,7 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gx = _partner(transposed_conv2d, g, kernels, 1)
         return (gx, _kernel_grad_2d(g, x.data), g.sum(axis=(0, 2, 3)))
 
-    return Tensor._from_op(out, (x, kernels, bias), vjp)
+    return Tensor._from_op(out, (x, kernels, bias), vjp, "conv2d_valid")
 
 
 def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
@@ -347,7 +352,7 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         gx = _partner(conv2d_valid, g, kernels, c_in)
         return (gx, _kernel_grad_2d(x.data, g), g.sum().reshape(bias.shape))
 
-    return Tensor._from_op(out, (x, kernels, bias), vjp)
+    return Tensor._from_op(out, (x, kernels, bias), vjp, "transposed_conv2d")
 
 
 def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
@@ -365,7 +370,8 @@ def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
     for first, count, n, row in runs:
         indices[first:first + count] = t.data[row:row + count * n].reshape(count, n, c).argmax(axis=1)
     values = t.data[indices + starts[:, None], np.arange(c)]
-    return Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,)), indices
+    out = Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,), "max_pool_time")
+    return out, indices
 
 
 def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
@@ -385,7 +391,7 @@ def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
     def vjp(g):
         return (g[at],)
 
-    return Tensor._from_op(out, (values,), vjp)
+    return Tensor._from_op(out, (values,), vjp, "max_unpool_time")
 
 
 # -- backward pass ----------------------------------------------------------
@@ -445,37 +451,3 @@ def backward(loss: Tensor) -> GradientMap:
             grads[parent.node_id] = pg if prev is None else prev + pg
     return GradientMap(leaves)
 
-
-def grad_check(
-    f: Callable[..., Tensor],
-    arrays: Iterable[np.ndarray],
-    eps: float = 1e-5,
-) -> float:
-    """Compare analytic gradients of `f` against central finite differences.
-
-    `f` maps one tensor per input array to a scalar tensor and is re-evaluated
-    with perturbed copies, so it must be deterministic. Inputs are promoted to
-    float64. Returns max |analytic - numeric| / max(1, |analytic|, |numeric|).
-    """
-    arrays = [np.array(a, dtype=np.float64) for a in arrays]
-    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-    grads = backward(f(*leaves))
-    analytic = [grads.wrt(t) for t in leaves]
-
-    def value() -> float:
-        return float(f(*[Tensor(a) for a in arrays]).data)
-
-    worst = 0.0
-    for ai, arr in enumerate(arrays):
-        for idx in np.ndindex(arr.shape):
-            orig = arr[idx]
-            arr[idx] = orig + eps
-            f_plus = value()
-            arr[idx] = orig - eps
-            f_minus = value()
-            arr[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            exact = float(analytic[ai][idx])
-            err = abs(exact - numeric) / max(1.0, abs(exact), abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -168,8 +168,8 @@ def encode_tokens(
     at a time in one packed pass, so duplicates are bitwise equal.
     Given a dict `token_mse`, the same pass also decodes every distinct
     sentence and stores its per-token reconstruction MSE under its tokens.
+    Weights that require grad would have the pass record a graph.
     """
-    frozen = Tensor(table.data)     # the same weights outside the graph
     unique = list(dict.fromkeys(tuple(t) for t in token_lists))
     rng = np.random.default_rng(0)  # unused at rate 0, embed() wants one
     cache = {}
@@ -177,7 +177,7 @@ def encode_tokens(
         chunk = unique[start:start + batch_size]
         batch = make_batch_tokens(chunk, vocab)
         packing = pack(batch)
-        x = embed(batch, frozen, 0.0, rng)[packing.index]
+        x = embed(batch, table, 0.0, rng)[packing.index]
         z, state = encode(x, packing.lengths, params)
         sentences = [chunk[i] for i in packing.order]
         cache.update(zip(sentences, z.data))

@@ -12,13 +12,9 @@ class ZeroNormError(FloatingPointError, ValueError):
     """An embedding has norm zero, so its direction (and cosine) is undefined."""
 
 
-def token_weight(freq: float, theta: float, lam: float) -> float:
-    """Reconstruction weight max(theta, 1 - lam * freq); frequent tokens hit the floor."""
-    return max(theta, 1.0 - lam * freq)
-
-
 def token_weights(ids: np.ndarray, freq: np.ndarray, theta: float, lam: float) -> np.ndarray:
-    """Vectorized `token_weight` over an id array, reading each id's corpus frequency."""
+    """SAL reconstruction weights max(theta, 1 - lam * freq) of an id array,
+    reading each id's corpus frequency: frequent tokens hit the floor theta."""
     return np.maximum(theta, 1.0 - lam * freq[ids])
 
 
@@ -52,7 +48,7 @@ def reconstruction_loss(
         g_recon = (np.repeat(g * inv_n, lengths) * w)[:, None] * diff * (-2.0 / d)
         return -g_recon, g_recon
 
-    return Tensor._from_op(out, (x, x_recon), vjp)
+    return Tensor._from_op(out, (x, x_recon), vjp, "reconstruction_loss")
 
 
 def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
@@ -92,7 +88,7 @@ def info_nce(z: Tensor, z_aug: Tensor, tau: float) -> Tensor:
             for gu, u, norm in ((g_logits @ zan, zn, norms[0]), (g_logits.T @ zn, zan, norms[1]))
         )
 
-    return Tensor._from_op(loss, (z, z_aug), vjp)
+    return Tensor._from_op(loss, (z, z_aug), vjp, "info_nce")
 
 
 def total_loss(

@@ -294,7 +294,8 @@ def train(
 
     def evaluate(step: int) -> Optional[float]:
         nonlocal best, best_dev
-        rho = dev_spearman(dev_pairs, vocab, table, params)
+        frozen = {name: Tensor(p.data) for name, p in params.items()}     # the same weights outside the graph
+        rho = dev_spearman(dev_pairs, vocab, Tensor(table.data), frozen)
         if rho is not None and (best_dev is None or rho > best_dev):
             best_dev = rho
             best = _snapshot(cfg, vocab, freq, table, params, step, best_dev)

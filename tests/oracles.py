@@ -1,13 +1,18 @@
 """Brute-force reference implementations used to freeze expected values.
 
 These deliberately avoid the library's code paths: ranks are computed by
-counting rather than sorting, reductions use math.fsum, and the autoencoder
-runs one sentence at a time on raw arrays.
+counting rather than sorting, reductions use math.fsum, the autoencoder
+runs one sentence at a time on raw arrays, gradients are checked against
+central finite differences, and SAL weights are computed one token at a
+time.
 """
 
 import math
+from typing import Callable, Iterable
 
 import numpy as np
+
+from sarcse.autodiff import Tensor, backward
 
 
 def oracle_rank(values):
@@ -109,3 +114,46 @@ def oracle_uniformity(embeddings):
         total += float(np.exp(-2.0 * sq_dist).sum())
         count += diff.shape[0]
     return float(np.log(total / count))
+
+
+# -- gradients and SAL weights ----------------------------------------------------
+
+
+def grad_check(
+    f: Callable[..., Tensor],
+    arrays: Iterable[np.ndarray],
+    eps: float = 1e-5,
+) -> float:
+    """Compare analytic gradients of `f` against central finite differences.
+
+    `f` maps one tensor per input array to a scalar tensor and is re-evaluated
+    with perturbed copies, so it must be deterministic. Inputs are promoted to
+    float64. Returns max |analytic - numeric| / max(1, |analytic|, |numeric|).
+    """
+    arrays = [np.array(a, dtype=np.float64) for a in arrays]
+    leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    grads = backward(f(*leaves))
+    analytic = [grads.wrt(t) for t in leaves]
+
+    def value() -> float:
+        return float(f(*[Tensor(a) for a in arrays]).data)
+
+    worst = 0.0
+    for ai, arr in enumerate(arrays):
+        for idx in np.ndindex(arr.shape):
+            orig = arr[idx]
+            arr[idx] = orig + eps
+            f_plus = value()
+            arr[idx] = orig - eps
+            f_minus = value()
+            arr[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * eps)
+            exact = float(analytic[ai][idx])
+            err = abs(exact - numeric) / max(1.0, abs(exact), abs(numeric))
+            worst = max(worst, err)
+    return worst
+
+
+def token_weight(freq: float, theta: float, lam: float) -> float:
+    """Reconstruction weight max(theta, 1 - lam * freq); frequent tokens hit the floor."""
+    return max(theta, 1.0 - lam * freq)

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from gradcatalog import primitive_cases
-from oracles import oracle_spearman
-from sarcse.autodiff import Tensor, conv1d_valid, grad_check, transposed_conv1d
+from oracles import grad_check, oracle_spearman, token_weight
+from sarcse.autodiff import Tensor, conv1d_valid, transposed_conv1d
 from sarcse.cli import main
 from sarcse.corpus import Vocab, make_batch
 from sarcse.embeddings import init_table
 from sarcse.evaluation import alignment, spearman, uniformity
-from sarcse.losses import info_nce, reconstruction_loss, token_weight, token_weights
+from sarcse.losses import info_nce, reconstruction_loss, token_weights
 from sarcse.model import KERNEL_SIZES, encode, forward_pair, init_params, param_shapes
 from sarcse.trainer import TrainConfig, objective
 

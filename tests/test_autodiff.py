@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcatalog import primitive_cases
+from oracles import grad_check
 from sarcse import autodiff
 from sarcse.autodiff import (
     ShapeError,
@@ -13,13 +14,13 @@ from sarcse.autodiff import (
     conv2d_valid,
     dropout,
     embedding_lookup,
-    grad_check,
     max_pool_time,
     max_unpool_time,
     stack_rows,
     transposed_conv1d,
     transposed_conv2d,
 )
+from sarcse.losses import info_nce, reconstruction_loss
 
 
 def t(x, grad=False):
@@ -67,6 +68,33 @@ class TestElementwise:
         grads = backward(y.sum())
         assert grads.wrt(x).dtype == np.float32
         np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0])
+
+
+def _f32(*shape):
+    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+
+
+MIXED_DTYPE_CALLS = {     # each takes a maker of float64 inputs
+    "conv1d_valid": lambda x: conv1d_valid(x(5, 3), _f32(2, 2, 3), _f32(2), [5]),
+    "transposed_conv1d": lambda x: transposed_conv1d(x(4, 2), _f32(2, 2, 3), _f32(3), [4]),
+    "conv2d_valid": lambda x: conv2d_valid(x(1, 3, 4), _f32(2, 2, 2), _f32(2)),
+    "transposed_conv2d": lambda x: transposed_conv2d(x(1, 2, 2, 3), _f32(2, 2, 2), _f32(1)),
+    "stack_rows": lambda x: stack_rows([x(2, 3), _f32(2, 3)]),
+    "info_nce": lambda x: info_nce(x(2, 3), _f32(2, 3), 0.1),
+    "reconstruction_loss": lambda x: reconstruction_loss(x(3, 2), _f32(3, 2), np.ones(3), np.ones(3, bool), [3]),
+}
+
+
+@pytest.mark.parametrize("name", list(MIXED_DTYPE_CALLS))
+@pytest.mark.parametrize("grad", [False, True], ids=["const", "grad"])
+def test_float64_input_with_float32_operands_requiring_grad_is_refused(name, grad):
+    """The graph's dtype rule holds for every primitive, not only `+` and `*`:
+    no op promotes float32 operands that require grad to float64."""
+    def x(*shape):
+        return Tensor(np.linspace(1.0, 2.0, int(np.prod(shape))).reshape(shape), requires_grad=grad)
+
+    with pytest.raises(TypeError, match=rf"^{name}: operand dtypes float64 and float32 differ"):
+        MIXED_DTYPE_CALLS[name](x)
 
 
 class TestConv1d:

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import token_weight
 from sarcse.autodiff import Tensor, backward
 from sarcse.losses import (
     info_nce,
     reconstruction_loss,
-    token_weight,
     token_weights,
     total_loss,
 )

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_decode, oracle_encode
-from sarcse.autodiff import ShapeError, Tensor, grad_check
+from oracles import grad_check, oracle_decode, oracle_encode
+from sarcse.autodiff import ShapeError, Tensor
 from sarcse.corpus import Vocab, make_batch, make_batch_tokens
 from sarcse.embeddings import embed, init_table
 from sarcse.losses import reconstruction_loss

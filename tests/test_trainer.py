@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sarcse import model, trainer
+from sarcse import evaluation, model, trainer
 from sarcse.autodiff import Tensor
 from sarcse.checkpoint import (
     Checkpoint,
@@ -238,6 +238,22 @@ class TestTrainLoop:
         decodes = beta > 0.0 or gamma > 0.0
         assert len(calls) == (2 if decodes else 0)     # one decode of both dropout views per step
         assert all((row.recon > 0.0) == decodes and (row.recon_aug > 0.0) == decodes for row in result.log_rows)
+
+    def test_dev_evaluation_records_no_graph(self, toy_setup, monkeypatch):
+        """Dev evaluation encodes with copies of the live weights outside the
+        graph, so no encode inside `train` returns a tensor that requires grad."""
+        sentences, dev, vocab, freq = toy_setup
+        seen = []
+        real_encode = evaluation.encode
+
+        def watched_encode(*args):
+            z, state = real_encode(*args)
+            seen.append(z.requires_grad)
+            return z, state
+
+        monkeypatch.setattr(evaluation, "encode", watched_encode)
+        train(small_config(max_steps=4, eval_every=2), sentences, dev, vocab, freq)
+        assert seen == [False, False]
 
     def test_best_selection_monotone(self, toy_setup):
         sentences, dev, vocab, freq = toy_setup
