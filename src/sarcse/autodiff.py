@@ -76,9 +76,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
     # -- elementwise arithmetic -----------------------------------------
 
     def _operand(self, op: str, other):
@@ -148,7 +145,7 @@ def stack_rows(vectors: Sequence[Tensor]) -> Tensor:
     return Tensor._from_op(data, vectors, lambda g: tuple(np.moveaxis(g, 1, 0)), "stack_rows")
 
 
-def dropout(t: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
+def dropout(t: Tensor, rate: float, rng: Optional[np.random.Generator]) -> Tensor:
     """Inverted dropout: zero entries with probability `rate`, scale by 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -34,12 +34,12 @@ def embed(
     batch: SentenceBatch,
     table: Tensor,
     dropout_rate: float,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> Tensor:
     """Look up a batch as a B x L x d tensor, then apply inverted dropout.
 
     Over a batch stacked twice, one call gives the two dropout views of it:
     the draw for 2B rows is the two B-row draws in order. Rate 0 is a pure
-    lookup. PAD rows stay zero either way.
+    lookup that draws nothing (`rng` may be None); PAD rows stay zero either way.
     """
     return dropout(embedding_lookup(table, batch.ids), dropout_rate, rng)

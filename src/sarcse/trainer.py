@@ -4,7 +4,7 @@ checkpoint snapshots."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import InitVar, asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -85,41 +85,35 @@ class TrainConfig:
 
 @dataclass
 class AdamW:
-    """Decoupled-weight-decay Adam over named parameter tensors of one dtype. The
-    first step makes their `data` views of one flat buffer, beside flat moments."""
+    """Decoupled-weight-decay Adam over named parameter tensors of one dtype.
+    Construction makes their `data` views of one flat buffer, beside flat moments."""
 
     BLOCK = 1 << 16     # elements updated per pass: five float32 blocks stay in a 2 MiB L2
+    named_params: InitVar[Sequence[tuple[str, Tensor]]]
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.01
-    m: Optional[np.ndarray] = None
-    v: Optional[np.ndarray] = None
-    step_count: int = 0
 
-    def step(self, named_params: Sequence[tuple[str, Tensor]], grads: GradientMap) -> None:
-        """One bias-corrected update of the parameters of the first step, per
-        element the arithmetic of a loop over them; weight decay is applied to
-        the parameters directly, not through the gradients."""
-        self.step_count += 1
-        if self.m is None:
-            self._names = [name for name, _ in named_params]
-            self._bounds = np.cumsum([0] + [p.size for _, p in named_params])
-            self._flat = np.concatenate([p.data.reshape(-1) for _, p in named_params], dtype=named_params[0][1].dtype, casting="no")
-            self._pad = slice(0)
-            for (name, param), a, b in zip(named_params, self._bounds, self._bounds[1:]):
-                param.data = self._flat[a:b].reshape(param.shape)
-                if name == "embedding.weights":     # its PAD row stays pinned at zero
-                    self._pad = slice(a + PAD_ID * param.shape[1], a + (PAD_ID + 1) * param.shape[1])
-            self.m, self.v, self._g, self._tmp = (np.zeros_like(self._flat) for _ in range(4))
-        if [name for name, _ in named_params] != self._names:
-            raise ValueError(f"adamw: the first step bound parameters {self._names}")
-        np.concatenate([grads.wrt(param).reshape(-1) for _, param in named_params], out=self._g)
+    def __post_init__(self, named_params: Sequence[tuple[str, Tensor]]) -> None:
+        self.step_count = 0
+        self._names, self._params = zip(*named_params)
+        self._bounds = np.cumsum([0] + [p.size for p in self._params])
+        self._flat = np.concatenate([p.data.reshape(-1) for p in self._params], dtype=self._params[0].dtype, casting="no")
+        for param, a, b in zip(self._params, self._bounds, self._bounds[1:]):
+            param.data = self._flat[a:b].reshape(param.shape)
+        self.m, self.v, self._g, self._tmp = (np.zeros_like(self._flat) for _ in range(4))
+
+    def step(self, grads: GradientMap) -> None:
+        """One bias-corrected update with the decay applied to the parameters, not
+        the gradients; per element the arithmetic of a loop over the parameters.
+        A gradient of another dtype, or a non-finite one, moves no parameter."""
+        np.concatenate([grads.wrt(p).reshape(-1) for p in self._params], out=self._g, casting="no")
         if not np.isfinite(self._g).all():
             bad = np.searchsorted(self._bounds, np.flatnonzero(~np.isfinite(self._g))[0], side="right") - 1
             raise FloatingPointError(f"adamw: non-finite gradient for parameter {self._names[bad]!r}")
-        self._g[self._pad] = 0.0
+        self.step_count += 1
         c1, c2 = 1.0 - self.beta1 ** self.step_count, 1.0 - self.beta2 ** self.step_count
         for a in range(0, self._flat.size, self.BLOCK):
             g, tmp, m, v, p = (buf[a:a + self.BLOCK] for buf in (self._g, self._tmp, self.m, self.v, self._flat))
@@ -130,8 +124,7 @@ class AdamW:
             m_hat, v_hat = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
             m_hat *= self.lr
             m_hat /= np.add(np.sqrt(v_hat, out=v_hat), self.eps, out=v_hat)    # lr * m_hat / (sqrt(v_hat) + eps)
-            if self.weight_decay:
-                p -= np.multiply(p, self.lr * self.weight_decay, out=tmp)
+            p -= np.multiply(p, self.lr * self.weight_decay, out=tmp)
             p -= m_hat
 
 
@@ -282,9 +275,7 @@ def train(
     check_dev_pairs(dev_pairs)
 
     rng, table, params = init_model(cfg, vocab, pretrained)
-    opt = AdamW(lr=cfg.lr)
-
-    named = [("embedding.weights", table), *params.items()]
+    opt = AdamW([("embedding.weights", table), *params.items()], lr=cfg.lr)
     per_pass = math.ceil(len(sentences) / cfg.batch_size)
     budget = cfg.max_steps or per_pass
 
@@ -307,7 +298,8 @@ def train(
             order = rng.permutation(len(sentences))
         chosen = [sentences[i] for i in order[start:start + cfg.batch_size]]
         loss, row = objective(cfg, make_batch(chosen, vocab), table, params, freq, rng)
-        opt.step(named, backward(loss))
+        opt.step(backward(loss))
+        table.data[PAD_ID] = 0.0     # AdamW moves it like any row; PAD embeds as zeros
         del loss        # free this step's graph before the next one is built
 
         row.step = step
