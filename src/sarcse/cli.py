@@ -14,6 +14,8 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from . import checkpoint as ckpt_io
 from . import corpus as corpus_io
 from .evaluation import (
@@ -147,6 +149,148 @@ def _load_train_inputs(cfg: dict, corpus_path: str, dev_path: str) -> tuple[tupl
     return (corpus_io.load_corpus(corpus_path), dev_pairs, vocab, freq, pretrained), paths
 
 
+# -- embedding text --------------------------------------------------------------
+#
+# `embed` writes each value as `repr(float(v))`, Python's shortest decimal that
+# reads back as the same float64. A float32 widened to float64 needs 16-17
+# digits, past the quick path of repr's dtoa: about 0.7 us a value, most of a
+# many-sentence request. `_embedding_lines` computes the same bytes in numpy
+# for the values repr writes positionally (1e-4 <= |v| < 1e16); zero, nan, inf
+# and the rest keep `repr`.
+
+# Values per numpy formatting block: extra memory stays O(block) for any file.
+FORMAT_BLOCK = 32768
+# Below this many values, a matrix formats faster through `repr` (a
+# single-sentence request at the desk width has 189).
+FORMAT_MIN = 600
+
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+_TEN = np.array([float(10**k) for k in range(21)])      # exact doubles
+_DECADES = np.array([10.0**e for e in range(-5, 18)])   # 10**e at index e + 5
+# 5**k split into a part of at most 21 significant bits and one below 2**26,
+# each times 2**k: a 24-bit float32 significand times either is an exact double.
+_FIVE_HI = np.array([float((5**k >> 26 << 26) << k) for k in range(21)])
+_FIVE_LO = np.array([float((5**k & (1 << 26) - 1) << k) for k in range(21)])
+
+# A field is laid out from source rows: the 17 digit places, then these.
+_SIGN, _ZERO, _DOT, _POINT_ZERO, _HOLE = range(17, 22)
+_FIELD = 23         # the longest float32 repr, as in '-1.1754943508222875e-38'
+
+
+def _layout(e: int) -> list[int]:
+    """The source rows that spell repr's positional form of a value with
+    decimal exponent e. Rows holding zero bytes for a value (the sign of a
+    positive one, a fraction's trailing zeros, the '.0' of a fraction) drop
+    out of its text."""
+    if e < 0:
+        rows = [_SIGN, _ZERO, _DOT] + [_ZERO] * (-e - 1) + list(range(17))
+    else:
+        rows = [_SIGN, *range(e + 1), _DOT, *range(e + 1, 17), _POINT_ZERO]
+    return rows + [_HOLE] * (_FIELD - len(rows))
+
+
+_LAYOUTS = np.array([_layout(e) for e in range(-4, 16)], dtype=np.intp)
+
+
+def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of float32 magnitudes v in [1e-4, 1e16), widened to
+    float64: (d, e, n) such that repr writes the first n digits of d, an int64
+    in [1e16, 1e17), with decimal exponent e (its other digits are zero)."""
+    e = np.floor(np.log10(v)).astype(np.int64)
+    # log10 may round across a power of ten. No float32 lies within 2**-31
+    # of a power of ten it is not, so the nearest doubles settle e.
+    e += (v >= _DECADES[e + 6]).astype(np.int64) - (v < _DECADES[e + 5])
+    # N = v * 10**(16 - e) exactly, as an int64 whole part and a fraction
+    a, b = v * _FIVE_HI[16 - e], v * _FIVE_LO[16 - e]
+    ia, ib = np.floor(a), np.floor(b)
+    frac = (a - ia) + (b - ib)      # exact: both are multiples of 2**t for one t >= -18
+    carry = np.floor(frac)
+    whole = ia.astype(np.int64) + ib.astype(np.int64) + carry.astype(np.int64)
+    frac -= carry
+    # The decimals that read back as v lie within half a float64 gap of N.
+    # dtoa also halves the gap below a power of two, keeps a bound by the
+    # parity of the significand and lets a candidate on the upper bound lose
+    # a tie. No float32 in range has a digit that one of these decides, or
+    # shortest digits that round up to 10**17: scripts/check_embed_format.py
+    # over binades -14 to 53 shows it.
+    half_gap = np.ldexp(_TEN[16 - e], np.frexp(v)[1] - 54)
+    lower = whole + np.ceil(frac - half_gap).astype(np.int64)
+    upper = whole + np.floor(frac + half_gap).astype(np.int64)
+    z = np.zeros(v.size, np.int64)          # the most trailing zeros of an integer in [lower, upper]
+    live = np.arange(v.size)
+    for j in range(1, 17):
+        hi = upper[live]
+        live = live[hi // _POW10[j] * _POW10[j] >= lower[live]]
+        if not live.size:
+            break
+        z[live] = j
+    # Of the multiples of 10**z around N, take the one in range, else the
+    # nearer, else the one with an even last digit. Both are in range only
+    # for 10**z <= 22, where `twice` is exact.
+    step = _POW10[z]
+    q = whole // step
+    down = q * step
+    up = down + step
+    twice = 2 * ((whole - down).astype(np.float64) + frac)
+    nearer_up = (twice > step) | ((twice == step) & ((q & 1) == 1))
+    d = np.where((down < lower) | ((up <= upper) & nearer_up), up, down)
+    return d, e, 17 - z
+
+
+def _write_digits(d: np.ndarray, rows: np.ndarray) -> None:
+    """The ASCII digits of each d in [1e16, 1e17) into rows[0:17], one place per row."""
+    high = (d // 10**9).astype(np.int32)
+    low = (d - high.astype(np.int64) * 10**9).astype(np.int32)
+    for part, places in ((low, range(16, 7, -1)), (high, range(7, -1, -1))):
+        for place in places:
+            rest = part // 10
+            rows[place] = part - rest * 10 + ord("0")
+            part = rest
+
+
+def _format_block(block: np.ndarray) -> list[str]:
+    """`_embedding_lines` of a float32 matrix, computed in numpy."""
+    width = block.shape[1]
+    with np.errstate(invalid="ignore"):         # widening a signalling nan
+        x = block.astype(np.float64).ravel()
+    mag = np.abs(x)
+    positional = (mag >= 1e-4) & (mag < 1e16)       # False for zero, nan and inf
+    d, e, n = _shortest_digits(np.where(positional, mag, 1.0))
+    order = np.argsort(e.astype(np.int8), kind="stable")    # one run per layout
+    d, e, n = d[order], e[order], n[order]
+    src = np.zeros((_HOLE + 1, x.size), np.uint8)
+    _write_digits(d, src)
+    src[:17] *= np.arange(17)[:, None] < np.maximum(n, e + 1)     # repr drops a fraction's trailing zeros
+    src[_SIGN] = np.where(x[order] < 0, ord("-"), 0)
+    src[_ZERO] = ord("0")
+    src[_DOT] = ord(".")
+    src[_POINT_ZERO] = np.where(n <= e + 1, ord("0"), 0)
+    fields = np.empty((_FIELD + 1, x.size), np.uint8)
+    starts = np.searchsorted(e, np.arange(-4, 17))
+    for k, rows in enumerate(_LAYOUTS):
+        fields[:_FIELD, starts[k]:starts[k + 1]] = src[rows, starts[k]:starts[k + 1]]
+    frame = np.empty((x.size, _FIELD + 1), np.uint8)
+    frame[order] = fields.T
+    other = np.flatnonzero(~positional)
+    texts = np.array([repr(v) for v in x[other].tolist()], dtype=f"S{_FIELD}")    # zero-padded
+    frame[other, :_FIELD] = texts.view(np.uint8).reshape(-1, _FIELD)
+    frame[:, _FIELD] = ord("\t")
+    frame[width - 1::width, _FIELD] = ord("\n")
+    text = frame[frame != 0].tobytes().decode("ascii")
+    return [line + "\n" for line in text.split("\n")[:-1]]
+
+
+def _embedding_lines(embs: np.ndarray) -> list[str]:
+    """One output line per row of `embs`, byte-identical to
+    `"\\t".join(map(repr, row.tolist())) + "\\n"`. A float32 matrix of at
+    least FORMAT_MIN values is formatted in numpy, FORMAT_BLOCK values at a
+    time; any other goes through `repr`."""
+    if embs.dtype != np.float32 or embs.size < FORMAT_MIN:
+        return ["\t".join(map(repr, row.tolist())) + "\n" for row in embs]
+    step = max(1, FORMAT_BLOCK // embs.shape[1])
+    return [line for start in range(0, len(embs), step) for line in _format_block(embs[start:start + step])]
+
+
 # -- subcommands --------------------------------------------------------------
 
 
@@ -222,12 +366,12 @@ def cmd_embed(args) -> int:
     embs = encode_tokens([tokens_of[line] for line in lines], ckpt.vocab, table, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    row_of = {}                     # repeats have bitwise-equal rows: format each once
-    for line, row in zip(lines, embs):
-        if line not in row_of:
-            row_of[line] = "\t".join(map(repr, row.tolist())) + "\n"
+    first = {}                      # repeats have bitwise-equal rows: format each once
+    for i, line in enumerate(lines):
+        first.setdefault(line, i)
+    text_of = dict(zip(first, _embedding_lines(embs[list(first.values())])))
     with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(row_of[line] for line in lines)
+        fh.writelines(text_of[line] for line in lines)
     print(f"embedded {len(lines)} sentences -> {out_path}")
     return EXIT_OK
 

@@ -2,11 +2,14 @@ import argparse
 import itertools
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sarcse import corpus, evaluation
+from sarcse import cli, corpus, evaluation
 from sarcse.checkpoint import load_checkpoint, save_checkpoint, unpack_model
 from sarcse.cli import (
     DEFAULTS,
@@ -543,6 +546,95 @@ class TestEmbedRepeats:
         one = embed_lines(trained / "best.ckpt", [line], tmp_path, "one")
         assert one.count("\n") == 1
         assert embed_lines(trained / "best.ckpt", [line] * k, tmp_path, "many") == one * k
+
+
+def repr_lines(rows):
+    """The reference text: `repr` of each value widened to a Python float."""
+    return ["\t".join(repr(float(v)) for v in row) + "\n" for row in rows]
+
+
+def numpy_lines(rows):
+    """`_embedding_lines` of `rows` through its numpy path, whatever their size."""
+    with mock.patch.object(cli, "FORMAT_MIN", 0):
+        return cli._embedding_lines(rows)
+
+
+def edge_float32_rows():
+    """Rows of float32 values at the formatter's edges, both signs: zero,
+    subnormals, inf and nan; every power of two and its two neighbours; the
+    neighbours of 10**k for k in -6..17, which hold the 1e-4 and 1e16
+    switches to exponent notation; and integers up to 2**24 (all below 2**16
+    and in the last 256, every 251st between)."""
+    bits = [0, 1, 2, 3, 0x2AAAAA, 0x400000, 0x7FFFFF, 0x7F800000, 0x7FC00000, 0x7FC00001]
+    powers = [1 << i for i in range(23)] + [e << 23 for e in range(1, 255)]
+    bits += [b + d for b in powers for d in (-1, 0, 1)]
+    tens = np.array([10.0**k for k in range(-6, 18)], np.float32).view(np.uint32).astype(np.int64)
+    bits += [int(b) + d for b in tens for d in (-1, 0, 1)]
+    ints = np.concatenate([np.arange(65536), np.arange(65536, 2**24 + 1, 251), np.arange(2**24 - 256, 2**24 + 1)])
+    values = np.concatenate([np.array(bits, np.uint32).view(np.float32), ints.astype(np.float32)])
+    values = np.concatenate([values, -values])
+    return np.concatenate([values, np.zeros(-len(values) % 997, np.float32)]).reshape(-1, 997)
+
+
+class TestEmbeddingLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(width=32), min_size=1, max_size=80), st.integers(1, 9))
+    def test_random_float32_rows_are_repr(self, values, width):
+        rows = np.array(values, np.float32)
+        rows = rows[:len(rows) // width * width].reshape(-1, width) if len(rows) >= width else rows[None]
+        assert numpy_lines(rows) == repr_lines(rows)
+
+    def test_edge_float32s_are_repr(self):
+        rows = edge_float32_rows()
+        assert numpy_lines(rows) == repr_lines(rows)
+
+    @pytest.mark.parametrize("shift", [-1e-6, 1e-6])
+    def test_log10_rounded_across_a_power_of_ten_is_corrected(self, monkeypatch, shift):
+        rows = edge_float32_rows()
+        real = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: real(v) + shift)
+        assert numpy_lines(rows) == repr_lines(rows)
+
+    def test_float64_rows_stay_on_repr(self):
+        rows = np.random.default_rng(3).standard_normal((40, 30)) * 0.3
+        assert rows.size >= cli.FORMAT_MIN
+        assert cli._embedding_lines(rows) == repr_lines(rows)
+
+    def test_few_values_stay_on_repr(self, monkeypatch):
+        rows = np.random.default_rng(4).standard_normal((3, 7)).astype(np.float32)
+        monkeypatch.setattr(cli, "_format_block", None)
+        assert cli._embedding_lines(rows) == repr_lines(rows)
+
+
+class TestEmbedNumpyFormat:
+    """`embed` requests large enough for the numpy formatter."""
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        rows = []
+        real = cli._format_block
+        monkeypatch.setattr(cli, "_format_block", lambda block: rows.append(len(block)) or real(block))
+        return rows
+
+    def test_distinct_lines_and_repeats_match_row_formatter_and_lone_requests(self, trained, tmp_path, monkeypatch):
+        ckpt_path, base = trained / "best.ckpt", distinct_sentences(100)
+        rng = np.random.default_rng(12)
+        lines = base + [base[i] for i in rng.integers(0, len(base), 60)]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        blocks = self.spy_blocks(monkeypatch)
+        out = embed_lines(ckpt_path, lines, tmp_path, "many")
+        assert blocks == [100]      # 100 distinct rows of 14 values, one block
+        assert out == old_embed_format(lines, ckpt_path)
+        alone = {s: embed_lines(ckpt_path, [s], tmp_path, f"alone{i}") for i, s in enumerate(base)}
+        assert blocks == [100]      # a lone request stays on repr
+        assert out.splitlines(keepends=True) == [alone[line] for line in lines]
+
+    def test_blocks_of_whole_rows(self, trained, tmp_path, monkeypatch):
+        ckpt_path, lines = trained / "best.ckpt", distinct_sentences(100)
+        monkeypatch.setattr(cli, "FORMAT_BLOCK", 45)
+        blocks = self.spy_blocks(monkeypatch)
+        assert embed_lines(ckpt_path, lines, tmp_path, "blocked") == old_embed_format(lines, ckpt_path)
+        assert blocks == [3] * 33 + [1]
 
 
 class TestParserReuse:
