@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy arrays.
 
-Tensors are eager: the forward value is computed on construction and each
-op registers a closure that maps the output adjoint to the input adjoints.
-`backward` walks the graph once in reverse topological order and returns a
-`GradientMap` keyed by tensor node id. Training runs in float32, gradient
+Tensors are eager: the forward value is computed on construction. A Tensor
+that requires grad also holds a graph node: its parents' nodes and a closure
+that maps the output adjoint to the input adjoints. Nodes hold no values, so
+a graph keeps only the arrays its VJPs read: conv1d_valid its im2col
+windows, a transposed conv its input, pooling its argmax indices. `backward`
+walks the nodes once in reverse topological order and returns a
+`GradientMap` keyed by node id. Training runs in float32, gradient
 checks in float64; a graph node has its first operand's dtype. The 1-d conv
 and pooling primitives take ragged batches packed back to back: T x c rows
 plus the per-sentence lengths that split them.
@@ -24,40 +27,68 @@ class ShapeError(ValueError):
     """Raised when operand shapes do not conform to a primitive."""
 
 
-class Tensor:
-    """An n-dimensional real array participating in a differentiation graph."""
+class _Node:
+    """A graph node: its parents' nodes, in operand order, and the VJP from its
+    output adjoint to theirs. It holds no value, so an op output that no VJP
+    captures dies with its Tensor. A leaf has no parents and no VJP."""
 
-    __slots__ = ("data", "requires_grad", "node_id", "_parents", "_vjp")
+    __slots__ = ("node_id", "requires_grad", "_parents", "_vjp", "__weakref__")
+
+    def __init__(self, parents: tuple = (), vjp=None, requires_grad: bool = True):
+        self.node_id = next(_node_ids)
+        self.requires_grad = requires_grad
+        self._parents = parents
+        self._vjp = vjp
+
+
+_CONSTANT = _Node(requires_grad=False)     # the place of an operand that needs no grad
+
+
+class Tensor:
+    """An n-dimensional real array and, if it requires grad, its graph node."""
+
+    __slots__ = ("data", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         data = np.asarray(data)
         self.data = data if data.dtype.kind == "f" else data.astype(np.float32)
-        self.requires_grad = requires_grad
-        self.node_id = next(_node_ids)
-        self._parents: tuple[Tensor, ...] = ()
-        self._vjp: Optional[Callable[[np.ndarray], tuple]] = None
+        self._node = _Node() if requires_grad else None
 
     @classmethod
     def _from_op(cls, data: np.ndarray, parents: Sequence["Tensor"], vjp, op: str) -> "Tensor":
-        """The node of primitive `op`. In a graph, the output and every parent
+        """The output of primitive `op`. In a graph, the output and every parent
         that requires grad have the first parent's dtype: no op promotes."""
         out = cls.__new__(cls)
         out.data = data
-        out.node_id = next(_node_ids)
-        graded = [p.data.dtype for p in parents if p.requires_grad]
+        out._node = None
+        graded = [p.data.dtype for p in parents if p._node is not None]
         if graded:
             first = parents[0].data.dtype
             for dtype in (*graded, data.dtype):
                 if dtype != first:
                     raise TypeError(f"{op}: operand dtypes {first} and {dtype} differ")
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._vjp = vjp
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._vjp = None
+            out._node = _Node(tuple(p._node or _CONSTANT for p in parents), vjp)
         return out
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
+
+    @property
+    def node_id(self) -> Optional[int]:
+        return None if self._node is None else self._node.node_id
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return () if self._node is None else self._node._parents
+
+    @property
+    def _vjp(self) -> Optional[Callable[[np.ndarray], tuple]]:
+        return None if self._node is None else self._node._vjp
+
+    @_vjp.setter
+    def _vjp(self, vjp) -> None:
+        self._node._vjp = vjp
 
     # -- introspection -------------------------------------------------
 
@@ -192,9 +223,9 @@ def embedding_lookup(weights: Tensor, ids: np.ndarray) -> Tensor:
 # its kernel gradient is the partner's with input and adjoint swapped.
 
 
-def _partner(op, g: np.ndarray, kernels: Tensor, n_bias: int) -> np.ndarray:
+def _partner(op, g: np.ndarray, kernels: np.ndarray, n_bias: int) -> np.ndarray:
     """Input adjoint of a 2-d conv: the partner `op` run forward on `g`, zero bias, no graph."""
-    return op(Tensor(g), Tensor(kernels.data), Tensor(np.zeros(n_bias, dtype=g.dtype))).data
+    return op(Tensor(g), Tensor(kernels), Tensor(np.zeros(n_bias, dtype=g.dtype))).data
 
 
 @functools.lru_cache(maxsize=64)
@@ -267,12 +298,13 @@ def conv1d_valid(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tensor:
 
     # a contiguous (ks*d) x c_out kernel: OpenBLAS runs the transposed view's
     # NT sgemm 2-3.5x slower at width 500
+    k, x_shape, x_dtype = kernels.data.reshape(c_out, ks * d), x.shape, x.dtype
     win = np.take(x.data, windows, axis=0).reshape(len(windows), ks * d)    # im2col
-    out = _run_gemms(win, np.ascontiguousarray(kernels.data.reshape(c_out, ks * d).T), runs)
+    out = _run_gemms(win, np.ascontiguousarray(k.T), runs)
     out += bias.data
 
     def vjp(g):
-        gx = _overlap_add(np.zeros_like(x.data), g @ kernels.data.reshape(c_out, ks * d), windows)
+        gx = _overlap_add(np.zeros(x_shape, x_dtype), g @ k, windows)
         return (gx, (g.T @ win).reshape(c_out, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp, "conv1d_valid")
@@ -290,15 +322,15 @@ def transposed_conv1d(x: Tensor, kernels: Tensor, bias: Tensor, lengths) -> Tens
         raise ShapeError(f"transposed_conv1d: {c_in} input channels or bias {bias.shape} do not fit kernels {kernels.shape}")
     runs, starts, windows = _packed("transposed_conv1d", t, lengths, ks)
 
-    cols = _run_gemms(x.data, kernels.data.reshape(c_in, ks * d), runs)     # T x (ks*d)
+    h, k = x.data, kernels.data.reshape(c_in, ks * d)
+    cols = _run_gemms(h, k, runs)     # T x (ks*d)
     out = np.empty((t + len(starts) * (ks - 1), d), dtype=cols.dtype)
     out[:] = bias.data
     _overlap_add(out, cols, windows)
 
     def vjp(g):
         gwin = np.take(g, windows, axis=0).reshape(t, ks * d)
-        gx = gwin @ kernels.data.reshape(c_in, ks * d).T
-        return (gx, (x.data.T @ gwin).reshape(c_in, ks, d), g.sum(axis=0))
+        return (gwin @ k.T, (h.T @ gwin).reshape(c_in, ks, d), g.sum(axis=0))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp, "transposed_conv1d")
 
@@ -321,10 +353,10 @@ def conv2d_valid(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         for b in range(kw):
             patch = x.data[:, None, a:a + rr, b:b + cc]
             out += kernels.data[:, a, b][:, None, None] * patch
+    h, k = x.data, kernels.data
 
     def vjp(g):
-        gx = _partner(transposed_conv2d, g, kernels, 1)
-        return (gx, _kernel_grad_2d(g, x.data), g.sum(axis=(0, 2, 3)))
+        return (_partner(transposed_conv2d, g, k, 1), _kernel_grad_2d(g, h), g.sum(axis=(0, 2, 3)))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp, "conv2d_valid")
 
@@ -344,10 +376,10 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     for a in range(kh):
         for b in range(kw):
             out[:, a:a + rr, b:b + cc] += np.einsum("o,norc->nrc", kernels.data[:, a, b], x.data)
+    h, k, bias_shape = x.data, kernels.data, bias.shape
 
     def vjp(g):
-        gx = _partner(conv2d_valid, g, kernels, c_in)
-        return (gx, _kernel_grad_2d(x.data, g), g.sum().reshape(bias.shape))
+        return (_partner(conv2d_valid, g, k, c_in), _kernel_grad_2d(h, g), g.sum().reshape(bias_shape))
 
     return Tensor._from_op(out, (x, kernels, bias), vjp, "transposed_conv2d")
 
@@ -408,10 +440,10 @@ class GradientMap:
         return g
 
 
-def _topo_order(root: Tensor) -> list[Tensor]:
-    order: list[Tensor] = []
+def _topo_order(root: _Node) -> list[_Node]:
+    order: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(root, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -428,7 +460,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> GradientMap:
-    """Reverse-mode sweep from a scalar loss to every requires_grad leaf."""
+    """Reverse-mode sweep over the graph nodes from a scalar loss to every requires_grad leaf."""
     if loss.data.size != 1:
         raise ShapeError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if not loss.requires_grad:
@@ -436,7 +468,7 @@ def backward(loss: Tensor) -> GradientMap:
 
     grads: dict[int, np.ndarray] = {loss.node_id: np.ones_like(loss.data)}
     leaves: dict[int, np.ndarray] = {}
-    for node in reversed(_topo_order(loss)):
+    for node in reversed(_topo_order(loss._node)):
         g = grads.pop(node.node_id)
         if node._vjp is None:
             leaves[node.node_id] = g

@@ -103,7 +103,8 @@ class AdamW:
         self._flat = np.concatenate([p.data.reshape(-1) for p in self._params], dtype=self._params[0].dtype, casting="no")
         for param, a, b in zip(self._params, self._bounds, self._bounds[1:]):
             param.data = self._flat[a:b].reshape(param.shape)
-        self.m, self.v, self._g, self._tmp = (np.zeros_like(self._flat) for _ in range(4))
+        self.m, self.v, self._g = (np.zeros_like(self._flat) for _ in range(3))
+        self._tmp = np.zeros(min(self.BLOCK, self._flat.size), dtype=self._flat.dtype)    # one block's scratch
 
     def step(self, grads: GradientMap) -> None:
         """One bias-corrected update with the decay applied to the parameters, not
@@ -116,7 +117,8 @@ class AdamW:
         self.step_count += 1
         c1, c2 = 1.0 - self.beta1 ** self.step_count, 1.0 - self.beta2 ** self.step_count
         for a in range(0, self._flat.size, self.BLOCK):
-            g, tmp, m, v, p = (buf[a:a + self.BLOCK] for buf in (self._g, self._tmp, self.m, self.v, self._flat))
+            g, m, v, p = (buf[a:a + self.BLOCK] for buf in (self._g, self.m, self.v, self._flat))
+            tmp = self._tmp[:g.size]
             m *= self.beta1
             m += np.multiply(g, 1.0 - self.beta1, out=tmp)
             v *= self.beta2

@@ -1,3 +1,10 @@
+import os
+
+# One BLAS thread, set before anything imports numpy: the suite's timing
+# should not depend on other load on the host. CLI subprocesses inherit it.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import pathlib
 import sys
 

@@ -405,18 +405,16 @@ def test_one_draw_over_both_views_is_the_two_view_draws():
     np.testing.assert_array_equal(stacked, np.concatenate([rng.random(shape), rng.random(shape)]))
 
 
-def _op_values(loss):
-    """Weak references to the array values of every op node in the graph of
-    `loss` (a Tensor itself takes no weak reference; parameters are leaves
-    and stay alive)."""
-    refs, seen, stack = [], set(), [loss]
+def _op_nodes(loss):
+    """Weak references to every op node in the graph of `loss` (parameters
+    are leaves and stay alive)."""
+    refs, seen, stack = [], set(), [loss._node]
     while stack:
         node = stack.pop()
         if id(node) in seen or node._vjp is None:
             continue
         seen.add(id(node))
-        if isinstance(node.data, np.ndarray):
-            refs.append(weakref.ref(node.data))
+        refs.append(weakref.ref(node))
         stack.extend(node._parents)
     return refs
 
@@ -425,18 +423,37 @@ def test_step_graph_freed_before_next_objective(toy_setup, monkeypatch):
     """`train` drops each step's graph before it builds the next one, so at
     most one step's graph is alive at a time."""
     sentences, dev, vocab, freq = toy_setup
-    real_objective, values, steps = trainer.objective, [], []
+    real_objective, nodes, steps = trainer.objective, [], []
 
     def watched(*args):
-        assert all(ref() is None for ref in values), "a previous step's graph is still alive"
+        assert all(ref() is None for ref in nodes), "a previous step's graph is still alive"
         loss, row = real_objective(*args)
-        values.extend(_op_values(loss))
+        nodes.extend(_op_nodes(loss))
         steps.append(row)
         return loss, row
 
     monkeypatch.setattr(trainer, "objective", watched)
     train(small_config(max_steps=3, eval_every=0), sentences, dev, vocab, freq)
-    assert len(steps) == 3 and values
+    assert len(steps) == 3 and nodes
+
+
+def test_feature_maps_die_with_their_tensors(toy_setup, monkeypatch):
+    """No VJP reads an encoder feature map (pooling keeps its argmax indices),
+    so each map's array is freed while the step's loss, and its graph, live."""
+    sentences, _, vocab, freq = toy_setup
+    cfg = small_config()
+    rng, table, params = init_model(cfg, vocab)
+    real_conv, maps = model.conv1d_valid, []
+
+    def watched(*args):
+        out = real_conv(*args)
+        maps.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(model, "conv1d_valid", watched)
+    loss, _ = objective(cfg, make_batch(sentences[:8], vocab), table, params, freq, rng)
+    assert len(maps) == 3 and loss.requires_grad
+    assert all(ref() is None for ref in maps), "a feature map outlived its Tensor"
 
 
 def _resealed(src, dst, edit):
