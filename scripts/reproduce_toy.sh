@@ -3,10 +3,6 @@
 # export, and both sweep harnesses. Writes everything under runs/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
-# Outputs are bitwise reproducible for a fixed BLAS thread count only: at
-# enc_channels=500 the training log and checkpoints differ between 1 and 2
-# OpenBLAS threads. Pin one thread, as bench/run.py does.
-export OPENBLAS_NUM_THREADS=1
 # Run from a clean checkout without installing the package.
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 

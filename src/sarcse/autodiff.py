@@ -21,6 +21,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 _node_ids = itertools.count()
+_FIRST_HIT_MIN = 4096     # max_pool_time runs of fewer entries take argmax, which is cheaper there
 
 
 class ShapeError(ValueError):
@@ -384,23 +385,44 @@ def transposed_conv2d(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
     return Tensor._from_op(out, (x, kernels, bias), vjp, "transposed_conv2d")
 
 
+def _flat_index(indices: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Flat positions in packed T x c maps of each sentence's per-channel row `indices`."""
+    return (indices + starts[:, None]) * indices.shape[1] + np.arange(indices.shape[1])
+
+
+def _scatter(values: np.ndarray, flat: np.ndarray, rows: int) -> np.ndarray:
+    """`rows` x c zeros with the S x c `values` at the flat positions `flat`."""
+    out = np.zeros((rows, values.shape[1]), dtype=values.dtype)
+    out.reshape(-1)[flat] = values
+    return out
+
+
 def max_pool_time(t: Tensor, lengths) -> tuple[Tensor, np.ndarray]:
     """Max over each packed sentence's rows of T x c maps; ties go to the lowest index.
 
     Returns the S x c pooled values and the S x c integer argmax positions,
-    counted from each sentence's first row. The adjoint is max_unpool_time:
-    it routes g only to the argmax entries.
+    counted from each sentence's first row. A run of n-row sentences with at
+    least _FIRST_HIT_MIN entries takes, per column, n minus the largest weight
+    n..1 of the rows equal to the max: argmax's first hit at under half its
+    cost on wide maps. Smaller runs, and runs whose max is NaN, take argmax
+    itself (there the first NaN wins). The adjoint routes g only to those
+    entries.
     """
     if t.data.ndim != 2:
         raise ShapeError(f"max_pool_time: expected 2-d packed rows, got shape {t.shape}")
     runs, starts, _ = _packed("max_pool_time", t.shape[0], lengths)
-    c = t.shape[1]
+    rows, c = t.shape
     indices = np.empty((len(starts), c), dtype=np.intp)
     for first, count, n, row in runs:
-        indices[first:first + count] = t.data[row:row + count * n].reshape(count, n, c).argmax(axis=1)
-    values = t.data[indices + starts[:, None], np.arange(c)]
-    out = Tensor._from_op(values, (t,), lambda g: (max_unpool_time(Tensor(g), indices, lengths).data,), "max_pool_time")
-    return out, indices
+        block = t.data[row:row + count * n].reshape(count, n, c)
+        top = block.max(axis=1, keepdims=True) if block.size >= _FIRST_HIT_MIN else None
+        if top is None or np.isnan(top).any():
+            indices[first:first + count] = block.argmax(axis=1)
+        else:
+            weights = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+            indices[first:first + count] = n - ((block == top).view(np.uint8) * weights).max(axis=1)
+    flat = _flat_index(indices, starts)
+    return Tensor._from_op(t.data.reshape(-1)[flat], (t,), lambda g: (_scatter(g, flat, rows),), "max_pool_time"), indices
 
 
 def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
@@ -413,14 +435,8 @@ def max_unpool_time(values: Tensor, indices: np.ndarray, lengths) -> Tensor:
         raise ShapeError(f"max_unpool_time: values {values.shape}, indices {indices.shape} and lengths {lengths.shape} do not match")
     if indices.size and (indices.min() < 0 or (indices >= lengths[:, None]).any()):
         raise IndexError(f"max_unpool_time: index {int(indices.max())} out of range for lengths {lengths.tolist()}")
-    at = (indices + (np.cumsum(lengths) - lengths)[:, None], np.arange(values.shape[1]))
-    out = np.zeros((lengths.sum(), values.shape[1]), dtype=values.dtype)
-    out[at] = values.data
-
-    def vjp(g):
-        return (g[at],)
-
-    return Tensor._from_op(out, (values,), vjp, "max_unpool_time")
+    flat = _flat_index(indices, np.cumsum(lengths) - lengths)
+    return Tensor._from_op(_scatter(values.data, flat, lengths.sum()), (values,), lambda g: (g.reshape(-1)[flat],), "max_unpool_time")
 
 
 # -- backward pass ----------------------------------------------------------

@@ -3,6 +3,8 @@ checkpoint snapshots."""
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import InitVar, asdict, dataclass
 from typing import Callable, Mapping, Optional, Sequence
@@ -275,6 +277,8 @@ def train(
     if not sentences:
         raise ValueError("train: empty corpus")
     check_dev_pairs(dev_pairs)
+    with contextlib.suppress(AttributeError, OSError, TypeError):     # glibc only, else the defaults
+        ctypes.CDLL(None).mallopt(-2, 64 << 20)     # M_TOP_PAD: keep 64 MiB of freed heap mapped for the next step
 
     rng, table, params = init_model(cfg, vocab, pretrained)
     opt = AdamW([("embedding.weights", table), *params.items()], lr=cfg.lr)

@@ -322,6 +322,67 @@ class TestPooling:
         with pytest.raises(IndexError):
             max_unpool_time(t([[1.0], [1.0]]), np.array([[1], [3]]), [2, 3])
 
+    def test_nan_column_takes_first_nan(self):
+        """A run whose max is NaN pools as argmax does: the first NaN wins,
+        and the run's other sentences and columns keep their maxima. The run
+        is big enough for max, then first hit."""
+        x = np.arange(5000, dtype=np.float32).reshape(10, 500) * 7919 % 13
+        x[[2, 4], 1] = np.nan     # sentence 0, rows 2 and 4
+        x[8, 0] = np.nan           # sentence 1, row 3
+        assert x.size >= autodiff._FIRST_HIT_MIN
+        values, idx = max_pool_time(Tensor(x), [5, 5])
+        expected = np.stack([x[:5].argmax(axis=0), x[5:].argmax(axis=0)])
+        np.testing.assert_array_equal(idx, expected)
+        assert idx[0, 1] == 2 and idx[1, 0] == 3
+        assert values.data.tobytes() == x[expected + [[0], [5]], np.arange(500)].tobytes()
+
+    @pytest.mark.parametrize("n", [255, 256, 300])
+    def test_long_sentence_keeps_the_first_hit(self, n):
+        """Past 255 rows the weights n..1 outgrow uint8; of each column's
+        two tied maxima the first still wins."""
+        x = np.zeros((n, 32), dtype=np.float32)
+        x[-1] = 1.0
+        x[7 * np.arange(32), np.arange(32)] = 1.0
+        assert x.size >= autodiff._FIRST_HIT_MIN
+        _, idx = max_pool_time(Tensor(x), [n])
+        np.testing.assert_array_equal(idx[0], 7 * np.arange(32))
+
+
+def _tied_rows(rng: np.random.Generator, n: int, c: int, ties: str, dtype) -> np.ndarray:
+    """An n x c sentence map whose column maxima tie in the way `ties` names."""
+    rows = rng.standard_normal((n, c)).astype(dtype)
+    if ties == "duplicate rows":
+        rows[rng.integers(n, size=n)] = rows[rng.integers(n, size=n)]
+    elif ties == "constant columns":
+        cols = rng.random(c) < 0.5
+        rows[:, cols] = rows[0, cols]
+    elif ties == "signed zeros":     # maxima of 0.0 and -0.0, mixed
+        rows = -np.abs(rows)
+        zeros = rng.random((n, c)) < 0.4
+        rows[zeros] = np.where(rng.random((n, c)) < 0.5, -0.0, 0.0)[zeros]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+    c=st.sampled_from([1, 64, 500]),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    ties=st.sampled_from(["none", "duplicate rows", "constant columns", "signed zeros"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_pool_is_each_sentences_argmax(lengths, c, dtype, ties, seed):
+    """On packed maps, max_pool_time's indices are each sentence's own
+    argmax(axis=0), ties to the lowest row, and its values are those
+    entries, bit for bit; runs both below and above _FIRST_HIT_MIN entries."""
+    rng = np.random.default_rng(seed)
+    sentences = [_tied_rows(rng, n, c, ties, dtype) for n in lengths]
+    values, idx = max_pool_time(Tensor(np.concatenate(sentences)), lengths)
+    expected = np.stack([rows.argmax(axis=0) for rows in sentences])
+    np.testing.assert_array_equal(idx, expected)
+    picked = np.stack([rows[i, np.arange(c)] for rows, i in zip(sentences, expected)])
+    assert values.dtype == dtype and values.data.tobytes() == picked.tobytes()
+
 
 class TestDropout:
     def test_rate_zero_is_identity(self):

@@ -1,6 +1,9 @@
 import argparse
 import itertools
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -658,6 +661,26 @@ class TestParserReuse:
         build_parser.cache_clear()      # a clean embed as a fresh parser's first call
         assert embed("--out", str(tmp_path / "first.tsv")) == EXIT_OK
         assert (tmp_path / "reused.tsv").read_bytes() == (tmp_path / "first.tsv").read_bytes()
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one CPU runs one BLAS thread anyway")
+def test_cli_bytes_do_not_depend_on_blas_threads(toy_data_dir, tmp_path):
+    """`python -m sarcse` runs one BLAS thread unless its caller sets a count:
+    at width 500 a second OpenBLAS thread moves log and checkpoint bits from
+    step 2 on, so an unset environment must give the pinned run's bytes."""
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    outputs = []
+    for pinned in ({}, dict.fromkeys(threads, "1")):
+        env = {k: v for k, v in os.environ.items() if k not in threads}
+        env.update(pinned, PYTHONPATH=os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")])))
+        out = tmp_path / f"run{len(outputs)}"
+        subprocess.run([sys.executable, "-m", "sarcse", "train", str(toy_data_dir / "toy_corpus.txt"),
+                        str(toy_data_dir / "toy_sts_dev.tsv"), "--out", str(out), "--set", "enc_channels=500",
+                        "--set", "batch_size=16", "--set", "max_steps=3", "--set", "seed=7"],
+                       env=env, check=True, capture_output=True)
+        outputs.append([(out / name).read_bytes() for name in ("train_log.csv", "best.ckpt", "last.ckpt")])
+    assert outputs[0] == outputs[1]
 
 
 class TestHarnesses:

@@ -1,8 +1,12 @@
+import ctypes
 import hashlib
 import json
+import os
 import pathlib
 import re
 import struct
+import subprocess
+import sys
 import tempfile
 import weakref
 
@@ -454,6 +458,64 @@ def test_feature_maps_die_with_their_tensors(toy_setup, monkeypatch):
     loss, _ = objective(cfg, make_batch(sentences[:8], vocab), table, params, freq, rng)
     assert len(maps) == 3 and loss.requires_grad
     assert all(ref() is None for ref in maps), "a feature map outlived its Tensor"
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+_STEP_FAULTS = """
+import resource, sys
+from pathlib import Path
+import numpy as np
+from sarcse.corpus import build_vocab, load_corpus, load_sts_pairs, token_frequency
+from sarcse.trainer import TrainConfig, train
+data = Path(sys.argv[1])
+corpus = data / "toy_corpus.txt"
+vocab = build_vocab(corpus)
+faults = []
+train(TrainConfig(enc_channels=500, batch_size=16, max_steps=12, eval_every=0),
+      load_corpus(corpus), load_sts_pairs(data / "toy_sts_dev.tsv"), vocab, token_frequency(corpus, vocab),
+      on_log=lambda row: faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt))
+print(" ".join(map(str, np.diff(faults)[3:])))    # steps 5-12
+"""
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_steps_reuse_freed_heap(toy_data_dir):
+    """At width 500 each step frees maps of 1-3 MB that the next step
+    allocates again; `train` keeps that heap mapped, so a step takes almost
+    no minor page faults (several hundred when glibc hands it back). A new
+    process trains, because the heap other tests leave behind hides them."""
+    src = str(pathlib.Path(trainer.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", _STEP_FAULTS, str(toy_data_dir)],
+                         env=env, check=True, capture_output=True, text=True)
+    per_step = [int(n) for n in run.stdout.split()]
+    assert len(per_step) == 8 and np.median(per_step) < 100, per_step
+
+
+@pytest.mark.parametrize("libc", [OSError, TypeError, object], ids=["no-library", "no-handle", "no-mallopt"])
+def test_train_without_mallopt(toy_setup, monkeypatch, libc):
+    """Where no C library loads, or it has no `mallopt`, `train` keeps the
+    allocator's defaults and logs the same rows."""
+    sentences, dev, vocab, freq = toy_setup
+    cfg = small_config(max_steps=3, eval_every=2)
+    expected = [row.to_csv() for row in train(cfg, sentences, dev, vocab, freq).log_rows]
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if issubclass(libc, Exception):
+            raise libc("no C library")
+        return libc()
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert [row.to_csv() for row in train(cfg, sentences, dev, vocab, freq).log_rows] == expected
+    assert opened == [None]
 
 
 def _resealed(src, dst, edit):
