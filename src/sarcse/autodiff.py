@@ -105,34 +105,23 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data)
-
     # -- elementwise arithmetic -----------------------------------------
 
-    def _operand(self, op: str, other):
-        """`other` as a scalar (np.ndim 0, not a Tensor) or a Tensor of this shape:
-        no broadcasting, and a constant of another dtype is cast to this one."""
-        if not isinstance(other, Tensor):
-            if np.ndim(other) == 0:
-                return self.dtype.type(other)
-            other = Tensor(np.asarray(other).astype(self.dtype, copy=False))
-        if other.shape != self.shape:
-            raise ShapeError(f"{op}: operand shapes {self.shape} and {other.shape} differ")
-        if other.dtype != self.dtype and not other.requires_grad:
-            other = Tensor(other.data.astype(self.dtype))
-        return other
+    def _same_shape(self, op: str, other) -> None:
+        """Refuse an operand that is not a Tensor of this shape: no broadcasting."""
+        if not isinstance(other, Tensor) or other.shape != self.shape:
+            raise ShapeError(f"{op}: operand shapes {self.shape} and {np.shape(other)}: expected a Tensor of the same shape")
 
-    def __add__(self, other) -> "Tensor":
-        other = self._operand("add", other)
-        if not isinstance(other, Tensor):
-            return Tensor._from_op(self.data + other, (self,), lambda g: (g,), "add")
+    def __add__(self, other: "Tensor") -> "Tensor":
+        self._same_shape("add", other)
         return Tensor._from_op(self.data + other.data, (self, other), lambda g: (g, g), "add")
 
     def __mul__(self, other) -> "Tensor":
-        other = self._operand("multiply", other)
-        if not isinstance(other, Tensor):
-            return Tensor._from_op(self.data * other, (self,), lambda g: (g * other,), "multiply")
+        """Times a scalar, cast to this dtype, or a Tensor of this shape."""
+        if isinstance(other, (int, float, np.number)):
+            c = self.dtype.type(other)
+            return Tensor._from_op(self.data * c, (self,), lambda g: (g * c,), "multiply")
+        self._same_shape("multiply", other)
         a, b = self.data, other.data
         return Tensor._from_op(a * b, (self, other), lambda g: (g * b, g * a), "multiply")
 

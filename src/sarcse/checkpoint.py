@@ -142,16 +142,20 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         pos += n
         return chunk
 
-    (header_len,) = struct.unpack("<I", take(4))
-    header = json.loads(str(take(header_len), "utf-8"))
+    def take_json(what: str):
+        try:
+            return json.loads(str(take(struct.unpack("<I", take(4))[0]), "utf-8"))
+        except ValueError as exc:       # UnicodeDecodeError or JSONDecodeError
+            raise CheckpointError(f"{path}: {what} is not UTF-8 JSON: {exc}") from exc
+
+    header = take_json("header")
     if not (isinstance(header, dict) and isinstance(header.get("config"), dict)
             and isinstance(header.get("vocab"), list)):
         raise CheckpointError(f"{path}: header is not an object with a config object and a vocab list")
     tokens = header["vocab"]
     if not all(isinstance(t, str) for t in tokens) or len(set(tokens)) != len(tokens):
         raise CheckpointError(f"{path}: header vocab is not a list of distinct strings")
-    (dir_len,) = struct.unpack("<I", take(4))
-    directory = json.loads(str(take(dir_len), "utf-8"))
+    directory = take_json("directory")
     if not isinstance(directory, list):
         raise CheckpointError(f"{path}: directory is not a list")
     payload = body[pos:]

@@ -355,7 +355,7 @@ def cmd_embed(args) -> int:
     table, params = ckpt_io.unpack_model(ckpt)
     with open(args.sentences, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    tokens_of: dict[str, list[str]] = {}    # repeated lines tokenize once
+    tokens_of: dict[str, list[str]] = {}    # each distinct line, tokenized once
     for lineno, line in enumerate(lines, start=1):
         if line not in tokens_of:
             tokens_of[line] = corpus_io.tokenize(line)
@@ -363,13 +363,10 @@ def cmd_embed(args) -> int:
             raise ValueError(f"{args.sentences}:{lineno}: empty sentence")
     if not lines:
         raise ValueError(f"{args.sentences}: holds no sentences")
-    embs = encode_tokens([tokens_of[line] for line in lines], ckpt.vocab, table, params)
+    embs = encode_tokens(list(tokens_of.values()), ckpt.vocab, table, params)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    first = {}                      # repeats have bitwise-equal rows: format each once
-    for i, line in enumerate(lines):
-        first.setdefault(line, i)
-    text_of = dict(zip(first, _embedding_lines(embs[list(first.values())])))
+    text_of = dict(zip(tokens_of, _embedding_lines(embs)))     # repeats share the row and the text
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(text_of[line] for line in lines)
     print(f"embedded {len(lines)} sentences -> {out_path}")
@@ -508,7 +505,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (OSError, ValueError, ckpt_io.CheckpointError) as exc:
         print(f"sarcse: {exc}", file=sys.stderr)
         return EXIT_IO
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -155,27 +155,18 @@ def load_sts_pairs(path: str | Path) -> list[ScoredPair]:
 
 @dataclass
 class SentenceBatch:
-    """PAD-filled id matrix with a validity mask."""
+    """PAD-filled id matrix; row i holds lengths[i] real tokens, then PAD."""
 
     ids: np.ndarray        # B x L int64
-    mask: np.ndarray       # B x L bool, True = real token
     lengths: np.ndarray    # B int64
 
 
-def make_batch(
-    sentences: Iterable[str],
-    vocab: Vocab,
-    min_len: int = MIN_SENTENCE_LEN,
-) -> SentenceBatch:
-    """Tokenize, id-encode, and pad a group of sentences to a common length."""
-    return make_batch_tokens([tokenize(s) for s in sentences], vocab, min_len)
+def make_batch(sentences: Iterable[str], vocab: Vocab) -> SentenceBatch:
+    """Tokenize, id-encode, and pad a group of sentences to a common length, at least MIN_SENTENCE_LEN."""
+    return make_batch_tokens([tokenize(s) for s in sentences], vocab)
 
 
-def make_batch_tokens(
-    token_lists: Iterable[list[str]],
-    vocab: Vocab,
-    min_len: int = MIN_SENTENCE_LEN,
-) -> SentenceBatch:
+def make_batch_tokens(token_lists: Iterable[list[str]], vocab: Vocab) -> SentenceBatch:
     """`make_batch` over already-tokenized sentences."""
     encoded: list[list[int]] = []
     for i, toks in enumerate(token_lists):
@@ -184,13 +175,11 @@ def make_batch_tokens(
         encoded.append(vocab.encode(toks))
     if not encoded:
         raise ValueError("make_batch: no sentences")
-    length = max(min_len, max(len(e) for e in encoded))
-    ids = np.full((len(encoded), length), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(encoded), length), dtype=bool)
+    lengths = np.array([len(e) for e in encoded], dtype=np.int64)
+    ids = np.full((len(encoded), max(MIN_SENTENCE_LEN, lengths.max())), PAD_ID, dtype=np.int64)
     for i, e in enumerate(encoded):
         ids[i, : len(e)] = e
-        mask[i, : len(e)] = True
-    return SentenceBatch(ids=ids, mask=mask, lengths=mask.sum(axis=1))
+    return SentenceBatch(ids=ids, lengths=lengths)
 
 
 # -- on-disk formats ---------------------------------------------------------
@@ -213,7 +202,7 @@ def save_frequency(freq: np.ndarray, vocab: Vocab, path: str | Path) -> None:
 def pretrained_vectors(path: str | Path, vocab: Vocab, dim: int) -> dict[int, np.ndarray]:
     """The vectors of a `token v1 v2 ... vd` text file for the tokens of
     `vocab`, by id. The file is read one line at a time; every row must have
-    width `dim`, and rows for other tokens are dropped."""
+    width `dim` and finite values, and rows for other tokens are dropped."""
     vectors = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -228,6 +217,8 @@ def pretrained_vectors(path: str | Path, vocab: Vocab, dim: int) -> dict[int, np
                 raise ValueError(f"{path}:{lineno}: {exc}") from exc
             if vector.shape[0] != dim:
                 raise ValueError(f"{path}:{lineno}: pretrained width {vector.shape[0]} does not match dim {dim}")
+            if not np.isfinite(vector).all():
+                raise ValueError(f"{path}:{lineno}: pretrained vector holds a non-finite value")
             idx = vocab.id_of(parts[0])
             if idx != UNK_ID:
                 vectors[idx] = vector

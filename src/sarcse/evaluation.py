@@ -18,6 +18,7 @@ from .model import decode, encode, pack
 
 GROUP_LABELS = ("0-1", "1-2", "2-3", "3-4", "4-5")
 POSITIVE_GOLD = 4.0     # a pair with this gold score or more is a positive for `alignment`
+ENCODE_CHUNK = 64       # distinct sentences per packed pass of `encode_tokens`
 
 
 class UndefinedCorrelationError(ValueError):
@@ -159,12 +160,11 @@ def encode_tokens(
     vocab: Vocab,
     table: Tensor,
     params: dict[str, Tensor],
-    batch_size: int = 64,
     token_mse: Optional[dict[tuple[str, ...], np.ndarray]] = None,
 ) -> np.ndarray:
     """Embed tokenized sentences with dropout off; returns an n x |z| matrix.
 
-    Each distinct sentence is computed once, `batch_size` distinct sentences
+    Each distinct sentence is computed once, ENCODE_CHUNK distinct sentences
     at a time in one packed pass, so duplicates are bitwise equal.
     Given a dict `token_mse`, the same pass also decodes every distinct
     sentence and stores its per-token reconstruction MSE under its tokens.
@@ -172,16 +172,16 @@ def encode_tokens(
     """
     unique = list(dict.fromkeys(tuple(t) for t in token_lists))
     cache = {}
-    for start in range(0, len(unique), batch_size):
-        chunk = unique[start:start + batch_size]
+    for start in range(0, len(unique), ENCODE_CHUNK):
+        chunk = unique[start:start + ENCODE_CHUNK]
         batch = make_batch_tokens(chunk, vocab)
         packing = pack(batch)
         x = embed(batch, table, 0.0, None)[packing.index]
-        z, state = encode(x, packing.lengths, params)
+        z, argmaxes = encode(x, packing.lengths, params)
         sentences = [chunk[i] for i in packing.order]
         cache.update(zip(sentences, z.data))
         if token_mse is not None:
-            diff = x.data - decode(z, state, params).data
+            diff = x.data - decode(z, packing.lengths, argmaxes, params).data
             mse = (diff * diff).mean(axis=1)
             token_mse.update(zip(sentences, np.split(mse, np.cumsum(packing.lengths)[:-1])))
     return np.stack([cache[tuple(t)] for t in token_lists])

@@ -24,7 +24,7 @@ The parameters are one dict from checkpoint name (`enc.k3.kernels`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -87,32 +87,25 @@ def init_params(
     return {name: draw(name, shape) for name, shape in shapes.items()}
 
 
-@dataclass
-class EncodeState:
-    """Everything the decoder needs to mirror one encoded packed batch."""
-
-    lengths: np.ndarray                         # S effective token counts fed to the convs
-    pool_indices: dict[int, np.ndarray] = field(default_factory=dict)   # S x enc_channels
-
-
-def encode(x: Tensor, lengths, params: dict[str, Tensor]) -> tuple[Tensor, EncodeState]:
-    """Encode packed sentences (T x d rows split by `lengths`, each at least
-    the largest kernel width) into S x |z| embeddings, |z| = mix_channels * (enc_channels - 1)."""
+def encode(x: Tensor, lengths, params: dict[str, Tensor]) -> tuple[Tensor, list[np.ndarray]]:
+    """Encode packed sentences (T x d rows split by `lengths`, each at least the largest kernel
+    width) into S x |z| embeddings, |z| = mix_channels * (enc_channels - 1), and the S x
+    enc_channels argmax positions of each width's pooling, in KERNEL_SIZES order, for `decode`."""
     lengths = np.asarray(lengths, dtype=np.int64)
-    state = EncodeState(lengths=lengths)
-    pooled = []
+    pooled, argmaxes = [], []
     for ks in KERNEL_SIZES:
         feature_map = conv1d_valid(x, params[f"enc.k{ks}.kernels"], params[f"enc.k{ks}.bias"], lengths)
         values, indices = max_pool_time(feature_map, lengths - ks + 1)
-        state.pool_indices[ks] = indices
         pooled.append(values)
+        argmaxes.append(indices)
     plane = stack_rows(pooled)                                  # S x 3 x enc_channels
     mixed = conv2d_valid(plane, params["mix.kernels"], params["mix.bias"])
-    return mixed.reshape(len(lengths), -1), state
+    return mixed.reshape(len(lengths), -1), argmaxes
 
 
-def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
-    """Reconstruct packed T x d token representations from S x |z| embeddings."""
+def decode(z: Tensor, lengths, argmaxes: list[np.ndarray], params: dict[str, Tensor]) -> Tensor:
+    """Reconstruct packed T x d token representations from S x |z| embeddings
+    of sentences of `lengths`, unpooling at the `argmaxes` their `encode` gave."""
     mix_channels, enc_channels = params["demix.kernels"].shape[0], params["dec.k3.kernels"].shape[0]
     width = mix_channels * (enc_channels - 1)
     if z.shape[1:] != (width,):
@@ -121,9 +114,9 @@ def decode(z: Tensor, state: EncodeState, params: dict[str, Tensor]) -> Tensor:
     planes = z.reshape(z.shape[0], mix_channels, 1, enc_channels - 1)
     restored = transposed_conv2d(planes, params["demix.kernels"], params["demix.bias"])
     scales: Optional[Tensor] = None
-    for row, ks in enumerate(KERNEL_SIZES):
-        positions = state.lengths - ks + 1
-        unpooled = max_unpool_time(restored[:, row], state.pool_indices[ks], positions)
+    for row, (ks, indices) in enumerate(zip(KERNEL_SIZES, argmaxes)):
+        positions = np.asarray(lengths) - ks + 1
+        unpooled = max_unpool_time(restored[:, row], indices, positions)
         tokens = transposed_conv1d(unpooled, params[f"dec.k{ks}.kernels"], params[f"dec.k{ks}.bias"], positions)
         scales = tokens if scales is None else scales + tokens
     return scales * (1.0 / len(KERNEL_SIZES))
@@ -146,15 +139,6 @@ def pack(batch: SentenceBatch) -> Packing:
     return Packing(order, eff[order], (order[sentence], positions))
 
 
-@dataclass
-class Views:
-    """Both dropout views of a packed batch."""
-
-    inputs: Tensor                  # T x d packed rows of the embedded pair of views
-    embeddings: Tensor              # 2B x |z|, in packed order
-    recons: Optional[Tensor]        # T x d; None when the decoder is disabled
-
-
 def forward_pair(
     batch: SentenceBatch,
     table: Tensor,
@@ -162,15 +146,17 @@ def forward_pair(
     dropout_rate: float,
     rng: np.random.Generator,
     run_decoder: bool = True,
-) -> tuple[Packing, Views]:
+) -> tuple[Packing, Tensor, Tensor, Optional[Tensor]]:
     """Run the autoencoder over a batch of B sentences under two independent
     dropout draws, in one pass. The batch is stacked twice (row B + i repeats
     row i) and embedded under one dropout draw over all 2B rows, which is the
     two per-view draws in order; its packing is encoded (and decoded) once.
+    Returns the packing, the T x d packed inputs, the 2B x |z| embeddings and
+    the T x d reconstructions (None without the decoder), all in packed order.
     Packed sentences with `order < B` form the first view and the rest the
     second, each in the order `pack(batch)` gives."""
-    twice = SentenceBatch(*(np.concatenate([a, a]) for a in (batch.ids, batch.mask, batch.lengths)))
+    twice = SentenceBatch(*(np.concatenate([a, a]) for a in (batch.ids, batch.lengths)))
     packing = pack(twice)
     x = embed(twice, table, dropout_rate, rng)[packing.index]
-    z, state = encode(x, packing.lengths, params)
-    return packing, Views(x, z, decode(z, state, params) if run_decoder else None)
+    z, argmaxes = encode(x, packing.lengths, params)
+    return packing, x, z, decode(z, packing.lengths, argmaxes, params) if run_decoder else None

@@ -30,7 +30,7 @@ class TrainConfig:
     reconstruction terms. The paper's ablations are points of these values:
     theta = 1 weights every token 1 (no SAL), and beta = gamma = 0 skips the
     decoder (contrastive training alone). The optimizer is AdamW at its
-    own default coefficients. The field order is the order of the
+    fixed coefficients. The field order is the order of the
     checkpoint header's config.
     """
 
@@ -87,16 +87,14 @@ class TrainConfig:
 
 @dataclass
 class AdamW:
-    """Decoupled-weight-decay Adam over named parameter tensors of one dtype.
-    Construction makes their `data` views of one flat buffer, beside flat moments."""
+    """Decoupled-weight-decay Adam over named parameter tensors of one dtype,
+    at fixed coefficients; only the learning rate is a setting. Construction
+    makes their `data` views of one flat buffer, beside flat moments."""
 
     BLOCK = 1 << 16     # elements updated per pass: five float32 blocks stay in a 2 MiB L2
+    BETA1, BETA2, EPS, WEIGHT_DECAY = 0.9, 0.999, 1e-8, 0.01
     named_params: InitVar[Sequence[tuple[str, Tensor]]]
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.01
 
     def __post_init__(self, named_params: Sequence[tuple[str, Tensor]]) -> None:
         self.step_count = 0
@@ -117,18 +115,18 @@ class AdamW:
             bad = np.searchsorted(self._bounds, np.flatnonzero(~np.isfinite(self._g))[0], side="right") - 1
             raise FloatingPointError(f"adamw: non-finite gradient for parameter {self._names[bad]!r}")
         self.step_count += 1
-        c1, c2 = 1.0 - self.beta1 ** self.step_count, 1.0 - self.beta2 ** self.step_count
+        c1, c2 = 1.0 - self.BETA1 ** self.step_count, 1.0 - self.BETA2 ** self.step_count
         for a in range(0, self._flat.size, self.BLOCK):
             g, m, v, p = (buf[a:a + self.BLOCK] for buf in (self._g, self.m, self.v, self._flat))
             tmp = self._tmp[:g.size]
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=tmp)
-            v *= self.beta2
-            v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - self.beta2, out=tmp)
+            m *= self.BETA1
+            m += np.multiply(g, 1.0 - self.BETA1, out=tmp)
+            v *= self.BETA2
+            v += np.multiply(np.multiply(g, g, out=tmp), 1.0 - self.BETA2, out=tmp)
             m_hat, v_hat = np.divide(m, c1, out=g), np.divide(v, c2, out=tmp)
             m_hat *= self.lr
-            m_hat /= np.add(np.sqrt(v_hat, out=v_hat), self.eps, out=v_hat)    # lr * m_hat / (sqrt(v_hat) + eps)
-            p -= np.multiply(p, self.lr * self.weight_decay, out=tmp)
+            m_hat /= np.add(np.sqrt(v_hat, out=v_hat), self.EPS, out=v_hat)    # lr * m_hat / (sqrt(v_hat) + eps)
+            p -= np.multiply(p, self.lr * self.WEIGHT_DECAY, out=tmp)
             p -= m_hat
 
 
@@ -215,18 +213,19 @@ def objective(
     packed pass, and each view's sentences enter both terms in the packed
     order of the batch."""
     run_decoder = cfg.beta > 0.0 or cfg.gamma > 0.0
-    packing, views = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
+    packing, x, z, recons = forward_pair(batch, table, params, cfg.dropout, rng, run_decoder=run_decoder)
     b = len(batch.lengths)
     first, second = packing.order < b, packing.order >= b
-    l_info = info_nce(views.embeddings[first], views.embeddings[second], cfg.tau)
+    l_info = info_nce(z[first], z[second], cfg.tau)
     l_recon = l_recon_aug = Tensor(np.zeros((), dtype=l_info.dtype))
     weight_mean = 1.0
     if run_decoder:
         w = token_weights(batch.ids, freq, cfg.theta, cfg.lam)
-        weight_mean = float(w[batch.mask].mean())
+        mask = np.arange(batch.ids.shape[1]) < batch.lengths[:, None]     # real tokens, not PAD
+        weight_mean = float(w[mask].mean())
         rows, positions = packing.index
         at = (rows % b, positions)      # packed rows of either view, in the batch
-        losses = reconstruction_loss(views.inputs, views.recons, w[at], batch.mask[at], packing.lengths)
+        losses = reconstruction_loss(x, recons, w[at], mask[at], packing.lengths)
         l_recon, l_recon_aug = losses[first].mean(), losses[second].mean()
 
     loss = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)

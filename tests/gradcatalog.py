@@ -2,7 +2,8 @@
 
 Each case is (name, f, arrays): `f` maps one Tensor per array to a scalar and
 is deterministic, with inputs chosen away from pooling ties so central
-differences are valid. The packed primitives run over ragged lengths
+differences are valid. A constant factor other than a scalar enters as a
+Tensor that needs no grad: `*` takes no arrays. The packed primitives run over ragged lengths
 [5, 5, 7, 9] (one run of two equal lengths, two runs of one), the 2-d convs
 at batch size 2.
 """
@@ -51,12 +52,12 @@ def primitive_cases():
     case("add", lambda a, b: (a + b).sum(), a23, b23)
     case("multiply", lambda a, b: (a * b).sum(), a23, b23)
     case("scalar_scale", lambda a: (a * 2.5).sum(), a23)
-    case("reshape", lambda a: (a.reshape(6) * np.arange(1.0, 7.0)).sum(), a23)
+    case("reshape", lambda a: (a.reshape(6) * Tensor(np.arange(1.0, 7.0))).sum(), a23)
     case("mean", lambda a: a.mean() * 3.0, a23)
-    case("getitem_int", lambda a: (a[1] * np.arange(1.0, 4.0)).sum(), a23)
+    case("getitem_int", lambda a: (a[1] * Tensor(np.arange(1.0, 4.0))).sum(), a23)
     case("getitem_slice", lambda a: (a[:2] * 1.5).sum(), _n(4, 3))
     rows = np.array([2, 0])
-    case("getitem_rows", lambda a: (a[rows, :3] * np.arange(1.0, 7.0).reshape(2, 3)).sum(), _n(3, 4))
+    case("getitem_rows", lambda a: (a[rows, :3] * Tensor(np.arange(1.0, 7.0).reshape(2, 3))).sum(), _n(3, 4))
 
     ids = np.array([[0, 2, 1], [2, 2, 3]])
     case("embedding_lookup", lambda w: (embedding_lookup(w, ids) * 0.5).sum(), _n(4, 3))
@@ -90,7 +91,7 @@ def primitive_cases():
     )
 
     pool_in = _spread_columns(LENGTHS, 4)
-    weights = _n(len(LENGTHS), 4)
+    weights = Tensor(_n(len(LENGTHS), 4))
 
     def pool(a):
         values, _ = max_pool_time(a, LENGTHS)
@@ -99,7 +100,7 @@ def primitive_cases():
     case("max_pool_time", pool, pool_in)
 
     unpool_idx = np.array([[0, 3, 1], [4, 0, 0], [6, 2, 5], [8, 0, 3]])
-    unpool_w = _n(n_rows, 3)
+    unpool_w = Tensor(_n(n_rows, 3))
 
     def unpool(v):
         return (max_unpool_time(v, unpool_idx, LENGTHS) * unpool_w).sum()
@@ -108,7 +109,7 @@ def primitive_cases():
 
     case(
         "stack_rows",
-        lambda a, b, c: (stack_rows([a, b, c]) * np.arange(1.0, 13.0).reshape(2, 3, 2)).sum(),
+        lambda a, b, c: (stack_rows([a, b, c]) * Tensor(np.arange(1.0, 13.0).reshape(2, 3, 2))).sum(),
         _n(2, 2), _n(2, 2), _n(2, 2),
     )
     case("info_nce", lambda a, b: info_nce(a, b, 0.5), _n(4, 5), _n(4, 5))
@@ -117,7 +118,7 @@ def primitive_cases():
     recon_lengths = np.array([4, 4])
     recon_w = _rng.uniform(0.1, 1.0, size=8)
     recon_mask = np.array([True] * 4 + [True, True, True, False])
-    scale = np.array([1.0, -2.0])
+    scale = Tensor(np.array([1.0, -2.0]))
     target = _n(8, 3)
     case(
         "reconstruction_loss",

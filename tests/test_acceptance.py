@@ -16,7 +16,7 @@ from gradcatalog import primitive_cases
 from oracles import grad_check, oracle_spearman, token_weight
 from sarcse.autodiff import Tensor, conv1d_valid, transposed_conv1d
 from sarcse.cli import main
-from sarcse.corpus import Vocab, make_batch
+from sarcse.corpus import PAD_ID, SentenceBatch, Vocab, make_batch
 from sarcse.embeddings import init_table
 from sarcse.evaluation import alignment, spearman, uniformity
 from sarcse.losses import info_nce, reconstruction_loss, token_weights
@@ -82,8 +82,8 @@ def _objective_point():
         rng = np.random.default_rng(seed)
         table = init_table(vocab, embed_dim, 0.6, rng, dtype=np.float64)
         params = init_params(embed_dim, enc_channels, mix_channels, rng, dtype=np.float64)
-        packing, views = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
-        gap = _feature_map_gap(views.inputs.data, packing.lengths, params)
+        packing, x, _, _ = forward_pair(batch, table, params, cfg.dropout, np.random.default_rng(dropout_seed))
+        gap = _feature_map_gap(x.data, packing.lengths, params)
         if gap > 1e-3:
             arrays = [table.data] + [params[name].data for name in names]
             return loss_of, arrays
@@ -136,11 +136,11 @@ def test_criterion_03_token_weight_table():
 def test_criterion_04_info_nce_cases():
     rng = np.random.default_rng(2)
     single = info_nce(Tensor(rng.normal(size=(1, 7))), Tensor(rng.normal(size=(1, 7))), 0.05)
-    assert single.item() == 0.0
+    assert float(single.data) == 0.0
 
     row = rng.normal(size=4)
     pair = np.stack([row, row])
-    loss = info_nce(Tensor(pair), Tensor(pair.copy()), 0.05).item()
+    loss = float(info_nce(Tensor(pair), Tensor(pair.copy()), 0.05).data)
     assert abs(loss - math.log(2.0)) <= 1e-10
 
     for _ in range(1000):
@@ -148,10 +148,10 @@ def test_criterion_04_info_nce_cases():
         dim = int(rng.integers(2, 10))
         z = rng.normal(size=(bsz, dim))
         za = rng.normal(size=(bsz, dim))
-        base = info_nce(Tensor(z), Tensor(za), 0.05).item()
+        base = float(info_nce(Tensor(z), Tensor(za), 0.05).data)
         assert base >= -1e-12
         c = float(rng.uniform(0.1, 100.0))
-        scaled = info_nce(Tensor(c * z), Tensor(c * za), 0.05).item()
+        scaled = float(info_nce(Tensor(c * z), Tensor(c * za), 0.05).data)
         assert abs(scaled - base) <= 1e-9
 
 
@@ -232,15 +232,17 @@ def test_criterion_08_padding_invariance():
         n = int(rng.integers(5, 14))
         words = " ".join(f"w{rng.integers(0, 40)}" for _ in range(n))
         plain = make_batch([words], vocab)
-        padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 9)))
+        extra = ((0, 0), (0, int(rng.integers(1, 9))))
+        padded = SentenceBatch(np.pad(plain.ids, extra, constant_values=PAD_ID), plain.lengths)
         outputs = []
         for batch in (plain, padded):
-            packing, views = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+            packing, x, z, recons = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
             rows, positions = packing.index
             at = (rows % 1, positions)      # both views are the batch's one sentence
             w = token_weights(batch.ids[at], freq, 0.1, 50.0)
-            loss = reconstruction_loss(views.inputs, views.recons, w, batch.mask[at], packing.lengths)
-            outputs.append((views.embeddings.data.tobytes(), loss.data.tobytes()))
+            real = positions < batch.lengths[at[0]]      # not a PAD position
+            loss = reconstruction_loss(x, recons, w, real, packing.lengths)
+            outputs.append((z.data.tobytes(), loss.data.tobytes()))
         assert outputs[0][0] == outputs[1][0], "embedding changed under extra padding"
         assert outputs[0][1] == outputs[1][1], "reconstruction loss changed under extra padding"
 

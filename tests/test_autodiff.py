@@ -41,15 +41,25 @@ class TestElementwise:
         with pytest.raises(ShapeError, match=rf"^{name}: operand shapes \(2, 3\) and"):
             op(t(np.ones((2, 3)), grad=True), other)
 
-    @pytest.mark.parametrize("scalar", [np.float32(2), 2.0, 2, np.array(2.0, dtype=np.float32)])
+    @pytest.mark.parametrize("scalar", [np.float32(2), 2.0, 2, np.int64(2)])
     def test_scalar_operands_keep_the_scalar_path(self, scalar):
         x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
-        y = x * scalar + scalar
+        y = x * scalar
         assert y.dtype == np.float32
-        np.testing.assert_array_equal(y.data, [4.0, -4.0])
+        np.testing.assert_array_equal(y.data, [2.0, -6.0])
         grads = backward(y.sum())
         assert grads.wrt(x).dtype == np.float32
         np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0])
+
+    @pytest.mark.parametrize("other", [2.0, np.float32(2), np.ones(3), np.ones(3, dtype=np.float32), np.array(2.0)])
+    def test_add_takes_only_a_tensor(self, other):
+        with pytest.raises(ShapeError, match=r"^add: operand shapes \(3,\) and"):
+            Tensor(np.ones(3, dtype=np.float32), requires_grad=True) + other
+
+    @pytest.mark.parametrize("other", [np.ones(3), np.ones(3, dtype=np.float32), np.array(2.0), [1.0, 2.0, 3.0]])
+    def test_multiply_takes_no_array(self, other):
+        with pytest.raises(ShapeError, match=r"^multiply: operand shapes \(3,\) and"):
+            Tensor(np.ones(3, dtype=np.float32), requires_grad=True) * other
 
     @pytest.mark.parametrize("op,name", [(lambda a, b: a + b, "add"), (lambda a, b: a * b, "multiply")])
     def test_operand_requiring_grad_of_another_dtype_is_refused(self, op, name):
@@ -59,15 +69,20 @@ class TestElementwise:
         with pytest.raises(TypeError, match=rf"^{name}: operand dtypes float64 and float32 differ"):
             op(t(np.ones(3)), x)
 
-    @pytest.mark.parametrize("other", [t(np.full(2, 2.0)), np.full(2, 2.0), np.float64(2.0), np.array(2.0)])
+    @pytest.mark.parametrize("other", [np.int8(2), np.float16(2), np.float64(2.0), np.int64(2)])
     def test_constants_take_the_tensor_dtype(self, other):
+        """A scalar factor is cast to the tensor's dtype, whatever its own."""
         x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
-        y = x * other + other
-        assert y.dtype == np.float32
-        np.testing.assert_array_equal(y.data, [4.0, -4.0])
-        grads = backward(y.sum())
-        assert grads.wrt(x).dtype == np.float32
-        np.testing.assert_array_equal(grads.wrt(x), [2.0, 2.0])
+        y = x * other
+        assert y.dtype == np.float32 and backward(y.sum()).wrt(x).dtype == np.float32
+        np.testing.assert_array_equal(y.data, [2.0, -6.0])
+
+    @pytest.mark.parametrize("op,name", [(lambda a, b: a + b, "add"), (lambda a, b: a * b, "multiply")])
+    def test_constant_of_another_dtype_is_refused(self, op, name):
+        """A float64 constant meets the graph's dtype rule: no silent cast."""
+        x = Tensor(np.array([1.0, -3.0], dtype=np.float32), requires_grad=True)
+        with pytest.raises(TypeError, match=rf"^{name}: operand dtypes float32 and float64 differ"):
+            op(x, t(np.full(2, 2.0)))
 
 
 def _f32(*shape):
@@ -458,7 +473,7 @@ class TestGradCheck:
 
         def f(a):
             values, _ = max_pool_time(a, [4])
-            return (values * np.array([[1.0, 2.0]])).sum()
+            return (values * Tensor(np.array([[1.0, 2.0]]))).sum()
 
         assert grad_check(f, [x]) <= 1e-4
 

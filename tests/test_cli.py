@@ -403,11 +403,13 @@ def test_refused_run_creates_no_output_directory(data, tmp_path, command, broken
     assert not out.exists()
 
 
-@pytest.mark.parametrize("defect", ["one_pair_dev", "constant_dev", "missing_vectors", "narrow_vectors"])
+@pytest.mark.parametrize("defect", ["one_pair_dev", "constant_dev", "missing_vectors", "narrow_vectors",
+                                    "nan_vectors", "inf_vectors"])
 @pytest.mark.parametrize("command", ["train", "ablate", "sweep-theta"])
 def test_refused_dev_set_or_vectors_create_no_output_directory(data, tmp_path, command, defect):
     """A dev set on which Spearman is undefined, and a `pretrained_path` file
-    that does not load at `embed_dim`, are refused before --out exists."""
+    that does not load at `embed_dim` or holds a non-finite value, are
+    refused before --out exists."""
     dev, vectors = Path(data["dev"]), tmp_path / "vectors.txt"
     settings = list(FAST)
     if defect.endswith("_dev"):
@@ -421,6 +423,9 @@ def test_refused_dev_set_or_vectors_create_no_output_directory(data, tmp_path, c
     else:
         if defect == "narrow_vectors":
             vectors.write_text("dog 1.0 2.0\n", encoding="utf-8")     # embed_dim is 8
+        elif defect != "missing_vectors":
+            bad = "nan" if defect == "nan_vectors" else "-inf"
+            vectors.write_text("dog " + " ".join(["1.0"] * 7 + [bad]) + "\n", encoding="utf-8")
         settings += ["--set", f"pretrained_path={vectors}"]
     out = tmp_path / "out"
     test = [] if command == "train" else [data["test"]]

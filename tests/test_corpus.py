@@ -173,20 +173,21 @@ class TestBatching:
     def test_minimum_length_five(self, vocab):
         batch = make_batch(["a b c"], vocab)
         assert batch.ids.shape[1] == 5
-        assert batch.mask[0].tolist() == [True, True, True, False, False]
+        assert batch.lengths.tolist() == [3] and batch.ids[0, 3:].tolist() == [PAD_ID, PAD_ID]
 
     def test_all_oov_sentence(self, vocab):
         batch = make_batch(["zz yy xx ww vv"], vocab)
         assert (batch.ids[0] == UNK_ID).all()
-        assert batch.mask[0].all()
+        assert batch.lengths.tolist() == [5]
 
     def test_empty_sentence_rejected(self, vocab):
         with pytest.raises(ValueError, match="empty"):
             make_batch(["a", "   "], vocab)
 
     def test_mask_matches_pad(self, vocab):
+        """The real-token mask the objective derives from the lengths marks exactly the non-PAD ids."""
         batch = make_batch(["a b", "a b c d e f"], vocab)
-        np.testing.assert_array_equal(batch.mask, batch.ids != PAD_ID)
+        np.testing.assert_array_equal(np.arange(batch.ids.shape[1]) < batch.lengths[:, None], batch.ids != PAD_ID)
 
     @settings(max_examples=100, deadline=None)
     @given(

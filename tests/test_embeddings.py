@@ -84,6 +84,14 @@ def test_pretrained_non_number_names_line(vocab, tmp_path):
         pretrained_vectors(vec_file, vocab, 3)
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999"])
+def test_pretrained_non_finite_value_names_line(vocab, tmp_path, bad):
+    vec_file = tmp_path / "vecs.txt"
+    vec_file.write_text(f"man 1.0 2.0 3.0\nunknown 1.0 {bad} 3.0\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(vec_file))}:2: pretrained vector holds a non-finite value"):
+        pretrained_vectors(vec_file, vocab, 3)
+
+
 def test_pretrained_token_without_values_names_line(vocab, tmp_path):
     vec_file = tmp_path / "vecs.txt"
     vec_file.write_text("man 1.0 2.0 3.0\nwoman\n", encoding="utf-8")

@@ -1,11 +1,13 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sarcse import evaluation
 from sarcse.corpus import ScoredPair, Vocab
 from sarcse.embeddings import init_table
 from sarcse.evaluation import (
@@ -339,9 +341,10 @@ class TestBatchIndependence:
     def test_rows_and_token_mse_equal_sentence_alone(self, tiny_model, sentences, batch_size):
         vocab, table, params = tiny_model
         freq = np.linspace(0.0, 0.1, len(vocab))
-        embs = encode_tokens(sentences, vocab, table, params, batch_size=batch_size)
+        with mock.patch.object(evaluation, "ENCODE_CHUNK", batch_size):     # distinct sentences per packed pass
+            embs = encode_tokens(sentences, vocab, table, params)
         for toks, row in zip(sentences, embs):
-            alone = encode_tokens([toks], vocab, table, params, batch_size=1)[0]
+            alone = encode_tokens([toks], vocab, table, params)[0]
             assert row.tobytes() == alone.tobytes()
 
         pairs = [ScoredPair(1.0, a, b) for a, b in zip(sentences, sentences[::-1])]

@@ -132,11 +132,11 @@ class TestInfoNce:
     def test_single_sentence_batch_is_exactly_zero(self):
         z = Tensor(np.array([[0.3, -2.0, 1.1]]))
         za = Tensor(np.array([[5.0, 0.7, -0.2]]))
-        assert info_nce(z, za, tau=0.05).item() == 0.0
+        assert float(info_nce(z, za, tau=0.05).data) == 0.0
 
     def test_two_equal_rows_give_log_two(self):
         v = np.array([[1.0, 2.0, -0.5], [1.0, 2.0, -0.5]])
-        loss = info_nce(Tensor(v), Tensor(v.copy()), tau=0.05).item()
+        loss = float(info_nce(Tensor(v), Tensor(v.copy()), tau=0.05).data)
         assert loss == pytest.approx(math.log(2.0), abs=1e-10)
 
     def test_nonnegative_and_bounded(self):
@@ -147,7 +147,7 @@ class TestInfoNce:
             k = int(rng.integers(2, 12))
             z = rng.normal(size=(b, k))
             za = rng.normal(size=(b, k))
-            loss = info_nce(Tensor(z), Tensor(za), tau).item()
+            loss = float(info_nce(Tensor(z), Tensor(za), tau).data)
             zn = z / np.linalg.norm(z, axis=1, keepdims=True)
             zan = za / np.linalg.norm(za, axis=1, keepdims=True)
             sims = zn @ zan.T
@@ -158,9 +158,9 @@ class TestInfoNce:
         rng = np.random.default_rng(6)
         z = rng.normal(size=(5, 8))
         za = rng.normal(size=(5, 8))
-        base = info_nce(Tensor(z), Tensor(za), 0.05).item()
+        base = float(info_nce(Tensor(z), Tensor(za), 0.05).data)
         for c in (1e-3, 7.0, 2500.0):
-            scaled = info_nce(Tensor(c * z), Tensor(c * za), 0.05).item()
+            scaled = float(info_nce(Tensor(c * z), Tensor(c * za), 0.05).data)
             assert scaled == pytest.approx(base, abs=1e-10)
 
     def test_zero_norm_names_sentence_index(self):
@@ -181,8 +181,8 @@ class TestInfoNce:
         with np.errstate(over="ignore"):
             assert np.isinf(np.exp(logits)).any()
         expected = np.mean(np.logaddexp.reduce(logits, axis=1) - np.diag(logits))
-        assert np.isfinite(loss.item())
-        assert loss.item() == pytest.approx(expected, rel=1e-9)
+        assert np.isfinite(float(loss.data))
+        assert float(loss.data) == pytest.approx(expected, rel=1e-9)
         grads = backward(loss)
         assert np.isfinite(grads.wrt(z)).all() and np.isfinite(grads.wrt(za)).all()
 
@@ -190,23 +190,23 @@ class TestInfoNce:
         # positives aligned with their own row beat a shuffled pairing
         rng = np.random.default_rng(7)
         z = rng.normal(size=(6, 10))
-        aligned = info_nce(Tensor(z), Tensor(z + 0.01 * rng.normal(size=z.shape)), 0.05).item()
-        shuffled = info_nce(Tensor(z), Tensor(np.roll(z, 1, axis=0)), 0.05).item()
+        aligned = float(info_nce(Tensor(z), Tensor(z + 0.01 * rng.normal(size=z.shape)), 0.05).data)
+        shuffled = float(info_nce(Tensor(z), Tensor(np.roll(z, 1, axis=0)), 0.05).data)
         assert aligned < shuffled
 
 
 class TestTotalLoss:
     def test_hand_weighted_sum(self):
         out = total_loss(Tensor(0.5), Tensor(2.0), Tensor(4.0), 1.0, 2.5e-4, 2.5e-4)
-        assert out.item() == pytest.approx(0.5015, abs=1e-12)
+        assert float(out.data) == pytest.approx(0.5015, abs=1e-12)
 
     def test_zero_mixing_weights_leave_contrastive_only(self):
         out = total_loss(Tensor(0.75), Tensor(123.0), Tensor(55.0), 1.0, 0.0, 0.0)
-        assert out.item() == pytest.approx(0.75, abs=1e-15)
+        assert float(out.data) == pytest.approx(0.75, abs=1e-15)
 
     def test_all_zero(self):
         cfg = TrainConfig()
-        assert total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), cfg.alpha, cfg.beta, cfg.gamma).item() == 0.0
+        assert float(total_loss(Tensor(0.0), Tensor(0.0), Tensor(0.0), cfg.alpha, cfg.beta, cfg.gamma).data) == 0.0
 
 
 class TestLossConfigValidation:

@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from oracles import grad_check, oracle_decode, oracle_encode
 from sarcse.autodiff import ShapeError, Tensor
-from sarcse.corpus import Vocab, make_batch, make_batch_tokens
+from sarcse.corpus import PAD_ID, SentenceBatch, Vocab, make_batch, make_batch_tokens
 from sarcse.embeddings import embed, init_table
 from sarcse.losses import reconstruction_loss
 from sarcse.model import (
     KERNEL_SIZES,
-    EncodeState,
     decode,
     encode,
     forward_pair,
@@ -69,9 +68,10 @@ class TestEncode:
     def test_pool_indices_in_range(self):
         params = random_params(4, 6, 2)
         n = 9
-        _, state = encode(*random_sentence(n, 4), params)
-        for ks in KERNEL_SIZES:
-            assert state.pool_indices[ks].max() <= n - ks
+        _, argmaxes = encode(*random_sentence(n, 4), params)
+        assert len(argmaxes) == len(KERNEL_SIZES)
+        for ks, indices in zip(KERNEL_SIZES, argmaxes):
+            assert indices.shape == (1, 6) and 0 <= indices.min() and indices.max() <= n - ks
 
     def test_deterministic(self):
         params = random_params(4, 6, 2)
@@ -85,33 +85,33 @@ class TestDecode:
     def test_output_shape(self):
         params = random_params(5, 8, 3)
         for n in (5, 6, 11):
-            z, state = encode(*random_sentence(n, 5, seed=n), params)
-            recon = decode(z, state, params)
+            z, argmaxes = encode(*random_sentence(n, 5, seed=n), params)
+            recon = decode(z, [n], argmaxes, params)
             assert recon.shape == (n, 5)
 
     def test_zero_embedding_zero_biases_gives_zeros(self):
         params = random_params(4, 6, 2, zero_bias=True)
-        _, state = encode(*random_sentence(7, 4), params)
+        _, argmaxes = encode(*random_sentence(7, 4), params)
         zero_z = Tensor(np.zeros((1, 2 * (6 - 1))))
-        recon = decode(zero_z, state, params)
+        recon = decode(zero_z, [7], argmaxes, params)
         np.testing.assert_array_equal(recon.data, 0.0)
 
     def test_linearity_in_embedding(self):
         params = random_params(4, 7, 2, zero_bias=True)
-        z, state = encode(*random_sentence(8, 4), params)
+        z, argmaxes = encode(*random_sentence(8, 4), params)
         rng = np.random.default_rng(3)
         z1 = Tensor(rng.normal(size=z.shape))
         z2 = Tensor(rng.normal(size=z.shape))
         a, b = 0.7, -2.3
-        mixed = decode(Tensor(a * z1.data + b * z2.data), state, params).data
-        separate = a * decode(z1, state, params).data + b * decode(z2, state, params).data
+        mixed = decode(Tensor(a * z1.data + b * z2.data), [8], argmaxes, params).data
+        separate = a * decode(z1, [8], argmaxes, params).data + b * decode(z2, [8], argmaxes, params).data
         np.testing.assert_allclose(mixed, separate, atol=1e-10)
 
     def test_wrong_embedding_length(self):
         params = random_params(4, 6, 2)
-        state = EncodeState(lengths=np.array([6]), pool_indices={ks: np.zeros((1, 6), dtype=int) for ks in KERNEL_SIZES})
+        argmaxes = [np.zeros((1, 6), dtype=int) for _ in KERNEL_SIZES]
         with pytest.raises(ShapeError, match="embedding length"):
-            decode(Tensor(np.zeros((1, 3))), state, params)
+            decode(Tensor(np.zeros((1, 3))), [6], argmaxes, params)
 
 
 def _pool_gaps(x_data, params):
@@ -140,8 +140,8 @@ class TestAutoencoderGradients:
 
         def objective(x, *param_tensors):
             params = dict(zip(names, param_tensors))
-            z, state = encode(x, [n], params)
-            recon = decode(z, state, params)
+            z, argmaxes = encode(x, [n], params)
+            recon = decode(z, [n], argmaxes, params)
             return reconstruction_loss(x, recon, np.ones(n), np.ones(n, bool), [n]).sum()
 
         err = grad_check(objective, [x_data] + arrays)
@@ -159,48 +159,48 @@ class TestForwardPair:
 
     def test_no_dropout_views_identical(self, setup):
         _, table, params, batch = setup
-        packing, views = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        packing, _, z, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
         first = packing.order < 3
-        np.testing.assert_array_equal(views.embeddings.data[first], views.embeddings.data[~first])
+        np.testing.assert_array_equal(z.data[first], z.data[~first])
 
     def test_fixed_rng_reproducible(self, setup):
         _, table, params, batch = setup
-        _, a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        _, b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
-        np.testing.assert_array_equal(a.embeddings.data, b.embeddings.data)
-        np.testing.assert_array_equal(a.recons.data, b.recons.data)
+        a = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        b = forward_pair(batch, table, params, 0.2, np.random.default_rng(5))
+        for out_a, out_b in zip(a[1:], b[1:]):      # inputs, embeddings, reconstructions
+            np.testing.assert_array_equal(out_a.data, out_b.data)
 
     def test_one_embedding_per_sentence_per_view(self, setup):
         _, table, params, batch = setup
-        packing, views = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
-        assert views.embeddings.shape == (2 * 3, 2 * (6 - 1))
-        assert views.recons.shape == (packing.lengths.sum(), 4)
+        packing, _, z, recons = forward_pair(batch, table, params, 0.1, np.random.default_rng(1))
+        assert z.shape == (2 * 3, 2 * (6 - 1))
+        assert recons.shape == (packing.lengths.sum(), 4)
         assert sorted(packing.order.tolist()) == list(range(6))
 
     def test_short_sentence_uses_effective_length_five(self, setup):
         _, table, params, batch = setup
-        packing, views = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
+        packing, x, _, _ = forward_pair(batch, table, params, 0.0, np.random.default_rng(0))
         assert packing.order.tolist() == [1, 4, 0, 3, 2, 5]
         assert packing.lengths.tolist() == [5, 5, 6, 6, 7, 7]
-        assert views.inputs.shape == (36, 4)
+        assert x.shape == (36, 4)
         for start in (3, 8):
-            np.testing.assert_array_equal(views.inputs.data[start:start + 2], 0.0)
+            np.testing.assert_array_equal(x.data[start:start + 2], 0.0)
         rows, positions = packing.index
-        assert batch.mask[rows % 3, positions][:10].tolist() == [True, True, True, False, False] * 2
+        assert (positions < batch.lengths[rows % 3])[:10].tolist() == [True, True, True, False, False] * 2
 
     def test_views_are_the_per_view_passes(self, setup):
         """Each half of the pair is the pass over the batch alone under one
         of two successive draws of the same generator, bit for bit."""
         _, table, params, batch = setup
-        packing, views = forward_pair(batch, table, params, 0.3, np.random.default_rng(8))
+        packing, _, pair_z, pair_recons = forward_pair(batch, table, params, 0.3, np.random.default_rng(8))
         rng = np.random.default_rng(8)
         alone = pack(batch)
         for half in (packing.order < 3, packing.order >= 3):
             x = embed(batch, table, 0.3, rng)[alone.index]
-            z, state = encode(x, alone.lengths, params)
-            assert views.embeddings.data[half].tobytes() == z.data.tobytes()
-            recons = views.recons.data[np.repeat(half, packing.lengths)]
-            assert recons.tobytes() == decode(z, state, params).data.tobytes()
+            z, argmaxes = encode(x, alone.lengths, params)
+            assert pair_z.data[half].tobytes() == z.data.tobytes()
+            recons = pair_recons.data[np.repeat(half, packing.lengths)]
+            assert recons.tobytes() == decode(z, alone.lengths, argmaxes, params).data.tobytes()
 
 
 class TestPadInvariance:
@@ -213,10 +213,11 @@ class TestPadInvariance:
             n = int(rng.integers(5, 12))
             words = " ".join(f"w{rng.integers(0, 30)}" for _ in range(n))
             short = make_batch([words], vocab)
-            padded = make_batch([words], vocab, min_len=n + int(rng.integers(1, 7)))
-            _, views_short = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
-            _, views_padded = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
-            assert views_short.embeddings.data.tobytes() == views_padded.embeddings.data.tobytes()
+            extra = ((0, 0), (0, int(rng.integers(1, 7))))
+            padded = SentenceBatch(np.pad(short.ids, extra, constant_values=PAD_ID), short.lengths)
+            _, _, z_short, _ = forward_pair(short, table, params, 0.0, np.random.default_rng(0))
+            _, _, z_padded, _ = forward_pair(padded, table, params, 0.0, np.random.default_rng(0))
+            assert z_short.data.tobytes() == z_padded.data.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -227,16 +228,16 @@ def test_batched_autoencoder_matches_per_sentence_oracle(lengths, seed):
     params = random_params(embed_dim, enc_channels, mix_channels, seed=seed)
     lengths = np.sort(lengths)
     x = rng.normal(size=(lengths.sum(), embed_dim))
-    z, state = encode(Tensor(x), lengths, params)
-    recon = decode(z, state, params).data
+    z, argmaxes = encode(Tensor(x), lengths, params)
+    recon = decode(z, lengths, argmaxes, params).data
     starts = np.cumsum(lengths) - lengths
     # The oracle sums in another order, so an entry that cancels to near zero
     # can differ by more than rtol; atol covers that float64 rounding.
     for i, (start, n) in enumerate(zip(starts, lengths)):
         oz, oidx = oracle_encode(x[start:start + n], params, KERNEL_SIZES)
         np.testing.assert_allclose(z.data[i], oz, rtol=1e-12, atol=1e-15)
-        for ks in KERNEL_SIZES:
-            np.testing.assert_array_equal(state.pool_indices[ks][i], oidx[ks])
+        for ks, indices in zip(KERNEL_SIZES, argmaxes):
+            np.testing.assert_array_equal(indices[i], oidx[ks])
         expected = oracle_decode(oz, oidx, n, params, KERNEL_SIZES)
         np.testing.assert_allclose(recon[start:start + n], expected, rtol=1e-12, atol=1e-15)
 

@@ -54,25 +54,31 @@ def reference_adamw(p, g_seq, lr, b1, b2, eps, wd):
 
 
 class TestAdamW:
-    def _step(self, p, g, **kwargs):
+    """The coefficients are class constants; a test that needs other values
+    sets them on the class through monkeypatch."""
+
+    def _step(self, p, g, lr):
         tensor = Tensor(np.array([p], dtype=np.float64), requires_grad=True)
-        opt = AdamW([("p", tensor)], **kwargs)
+        opt = AdamW([("p", tensor)], lr=lr)
         grads = GradientMap({tensor.node_id: np.array([g], dtype=np.float64)})
         opt.step(grads)
         return float(tensor.data[0])
 
-    def test_zero_gradient_zero_decay_leaves_parameters(self):
-        assert self._step(1.5, 0.0, lr=0.1, weight_decay=0.0) == 1.5
+    def test_zero_gradient_zero_decay_leaves_parameters(self, monkeypatch):
+        monkeypatch.setattr(AdamW, "WEIGHT_DECAY", 0.0)
+        assert self._step(1.5, 0.0, lr=0.1) == 1.5
 
-    def test_hand_first_step(self):
-        out = self._step(1.0, 1.0, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
+    def test_hand_first_step(self, monkeypatch):
+        monkeypatch.setattr(AdamW, "WEIGHT_DECAY", 0.0)
+        out = self._step(1.0, 1.0, lr=0.1)
         assert out == pytest.approx(0.9, abs=1e-7)
 
-    def test_decoupled_decay_shrinks_multiplicatively(self):
-        out = self._step(2.0, 0.0, lr=0.1, weight_decay=0.05)
+    def test_decoupled_decay_shrinks_multiplicatively(self, monkeypatch):
+        monkeypatch.setattr(AdamW, "WEIGHT_DECAY", 0.05)
+        out = self._step(2.0, 0.0, lr=0.1)
         assert out == pytest.approx(2.0 * (1 - 0.1 * 0.05), abs=1e-15)
 
-    def test_matches_scalar_reference_over_many_steps(self):
+    def test_matches_scalar_reference_over_many_steps(self, monkeypatch):
         rng = np.random.default_rng(0)
         for _ in range(20):
             lr, wd = rng.uniform(1e-4, 0.2), rng.uniform(0, 0.1)
@@ -80,7 +86,9 @@ class TestAdamW:
             g_seq = list(rng.normal(size=8))
             p0 = float(rng.normal())
             tensor = Tensor(np.array([p0], dtype=np.float64), requires_grad=True)
-            opt = AdamW([("p", tensor)], lr=lr, beta1=b1, beta2=b2, eps=1e-8, weight_decay=wd)
+            for name, value in (("BETA1", b1), ("BETA2", b2), ("WEIGHT_DECAY", wd)):
+                monkeypatch.setattr(AdamW, name, value)
+            opt = AdamW([("p", tensor)], lr=lr)
             for g in g_seq:
                 grads = GradientMap({tensor.node_id: np.array([g], dtype=np.float64)})
                 opt.step(grads)
@@ -230,9 +238,9 @@ class TestTrainLoop:
         real_encode = evaluation.encode
 
         def watched_encode(*args):
-            z, state = real_encode(*args)
+            z, argmaxes = real_encode(*args)
             seen.append(z.requires_grad)
-            return z, state
+            return z, argmaxes
 
         monkeypatch.setattr(evaluation, "encode", watched_encode)
         train(small_config(max_steps=4, eval_every=2), sentences, dev, vocab, freq)
@@ -387,16 +395,18 @@ def test_objective_row_equals_per_view_passes(toy_data_dir, enc_channels, beta):
 
     rng, table, params = init_model(cfg, vocab)
     packing = pack(batch)
-    w, mask = token_weights(batch.ids, freq, cfg.theta, cfg.lam)[packing.index], batch.mask[packing.index]
+    rows, positions = packing.index
+    w, mask = token_weights(batch.ids, freq, cfg.theta, cfg.lam)[packing.index], positions < batch.lengths[rows]
     zs, recons = [], []
     for _ in range(2):
         x = embed(batch, table, cfg.dropout, rng)[packing.index]
-        z, state = encode(x, packing.lengths, params)
+        z, argmaxes = encode(x, packing.lengths, params)
         zs.append(z)
         if beta > 0.0:
-            recons.append(reconstruction_loss(x, decode(z, state, params), w, mask, packing.lengths).mean())
+            recon = decode(z, packing.lengths, argmaxes, params)
+            recons.append(reconstruction_loss(x, recon, w, mask, packing.lengths).mean())
     l_info = info_nce(*zs, cfg.tau)
-    l_recon, l_recon_aug = recons or [Tensor(np.zeros(()))] * 2
+    l_recon, l_recon_aug = recons or [Tensor(np.zeros((), dtype=l_info.dtype))] * 2
     total = total_loss(l_info, l_recon, l_recon_aug, cfg.alpha, cfg.beta, cfg.gamma)
     expected = [float(t.data).hex() for t in (l_info, l_recon, l_recon_aug, total)]
     assert [v.hex() for v in (row.infonce, row.recon, row.recon_aug, row.total)] == expected
@@ -520,13 +530,14 @@ def test_train_without_mallopt(toy_setup, monkeypatch, libc):
 
 def _resealed(src, dst, edit):
     """Write checkpoint `src` to `dst` with `edit(header, directory)` applied
-    to its two JSON blocks, then re-seal the checksum."""
+    to its two JSON blocks, then re-seal the checksum. A block that `edit`
+    returns as bytes is written as it is."""
     blob = src.read_bytes()
     (header_len,) = struct.unpack_from("<I", blob, 6)
     (dir_len,) = struct.unpack_from("<I", blob, 10 + header_len)
     payload_at = 14 + header_len + dir_len
-    header, directory = edit(json.loads(blob[10:10 + header_len]), json.loads(blob[14 + header_len:payload_at]))
-    header, directory = json.dumps(header).encode(), json.dumps(directory).encode()
+    edited = edit(json.loads(blob[10:10 + header_len]), json.loads(blob[14 + header_len:payload_at]))
+    header, directory = (b if isinstance(b, bytes) else json.dumps(b).encode() for b in edited)
     body = (blob[:6] + struct.pack("<I", len(header)) + header
             + struct.pack("<I", len(directory)) + directory + blob[payload_at:-8])
     dst.write_bytes(body + hashlib.blake2b(body, digest_size=8).digest())
@@ -534,6 +545,11 @@ def _resealed(src, dst, edit):
 
 def _edit_entry(name, **changes):
     return lambda h, d: (h, [{**e, **changes} if e["name"] == name else e for e in d])
+
+
+def _first_byte(block, byte):
+    """The JSON text of `block` with its first byte replaced by `byte`."""
+    return byte + json.dumps(block).encode()[1:]
 
 
 class TestCheckpointIO:
@@ -600,16 +616,22 @@ class TestCheckpointIO:
         (_edit_entry("corpus.freq", dtype="<i8"), "corpus.freq is int64"),
         (lambda h, d: ({**h, "vocab": [5, *h["vocab"][1:]]}, d), "vocab is not a list of distinct strings"),
         (lambda h, d: ({**h, "vocab": [h["vocab"][1], *h["vocab"][1:]]}, d), "vocab is not a list of distinct strings"),
+        (lambda h, d: (_first_byte(h, b"#"), d), "header is not UTF-8 JSON: Expecting value"),
+        (lambda h, d: (_first_byte(h, b"\xff"), d), "header is not UTF-8 JSON: 'utf-8' codec"),
+        (lambda h, d: (h, _first_byte(d, b"#")), "directory is not UTF-8 JSON: Expecting value"),
+        (lambda h, d: (h, _first_byte(d, b"\xff")), "directory is not UTF-8 JSON: 'utf-8' codec"),
     ], ids=["no-vocab", "no-config", "header-list", "directory-object", "entry-list",
             "unknown-dtype", "object-dtype", "negative-offset", "negative-dimension",
-            "short-freq", "freq-2d", "integer-freq", "integer-token", "duplicate-token"])
+            "short-freq", "freq-2d", "integer-freq", "integer-token", "duplicate-token",
+            "header-not-json", "header-not-utf8", "directory-not-json", "directory-not-utf8"])
     def test_malformed_header_or_directory(self, toy_data_dir, tmp_path, edit, match):
         src, path = toy_data_dir / "toy_untrained.ckpt", tmp_path / "bad.ckpt"
         _resealed(src, path, lambda h, d: (h, d))
         assert path.read_bytes() == src.read_bytes()     # the edit is the only change
         _resealed(src, path, edit)
-        with pytest.raises(CheckpointError, match=match):
+        with pytest.raises(CheckpointError, match=match) as refused:
             load_checkpoint(path)
+        assert str(refused.value).startswith(f"{path}: ")
         sentences = tmp_path / "s.txt"
         sentences.write_text("the dog eats .\n", encoding="utf-8")
         assert main(["embed", str(path), str(sentences), "--out", str(tmp_path / "e.tsv")]) == EXIT_IO
