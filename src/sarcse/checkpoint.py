@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -33,8 +34,7 @@ MAGIC = b"SARC"
 VERSION = 1
 
 _FREQ_KEY = "corpus.freq"
-_MOMENT_M = "opt.m."
-_MOMENT_V = "opt.v."
+_MODEL_SIZES = ("embed_dim", "enc_channels", "mix_channels")
 
 
 class CheckpointError(Exception):
@@ -45,8 +45,8 @@ class CheckpointError(Exception):
 class Checkpoint:
     """A model with its vocabulary and corpus token frequencies.
 
-    Training saves no optimizer state, so `opt_m` and `opt_v` stay empty
-    unless a caller fills them; the format still stores and restores them.
+    The format holds no optimizer state: `opt_m` and `opt_v` are always
+    empty, and `save_checkpoint` refuses filled ones.
     """
 
     config: dict
@@ -60,6 +60,8 @@ class Checkpoint:
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
+    if ckpt.opt_m or ckpt.opt_v:
+        raise ValueError(f"{path}: the checkpoint format holds no optimizer moments")
     header = {
         "config": ckpt.config,
         "vocab": ckpt.vocab.tokens,
@@ -69,8 +71,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     }
     entries: list[tuple[str, np.ndarray]] = [(_FREQ_KEY, ckpt.freq)]
     entries += sorted(ckpt.tensors.items())
-    entries += sorted((_MOMENT_M + k, v) for k, v in ckpt.opt_m.items())
-    entries += sorted((_MOMENT_V + k, v) for k, v in ckpt.opt_v.items())
 
     directory = []
     payload = bytearray()
@@ -120,6 +120,8 @@ def _spec(entry, path) -> tuple[str, np.dtype, tuple[int, ...], int]:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """The checkpoint at `path`, with a model that `unpack_model` can wrap;
+    anything else is a CheckpointError that starts with the path."""
     view = memoryview(Path(path).read_bytes())
     if len(view) < len(MAGIC) + 2 + 8:
         raise CheckpointError(f"{path}: file too short to be a checkpoint")
@@ -161,9 +163,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     payload = body[pos:]
 
     tensors: dict[str, np.ndarray] = {}
-    opt_m: dict[str, np.ndarray] = {}
-    opt_v: dict[str, np.ndarray] = {}
-    freq_arr: Optional[np.ndarray] = None
     for entry in directory:
         name, dtype, shape, start = _spec(entry, path)
         nbytes = dtype.itemsize * math.prod(shape)
@@ -171,30 +170,33 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             raise CheckpointError(f"{path}: tensor {name} extends past end of payload")
         # The one copy of each tensor: callers get writable arrays that alias
         # neither the file's bytes nor each other.
-        arr = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape).copy()
-        if name == _FREQ_KEY:
-            freq_arr = arr
-        elif name.startswith(_MOMENT_M):
-            opt_m[name[len(_MOMENT_M):]] = arr
-        elif name.startswith(_MOMENT_V):
-            opt_v[name[len(_MOMENT_V):]] = arr
-        else:
-            tensors[name] = arr
-    if freq_arr is None:
-        raise CheckpointError(f"{path}: missing {_FREQ_KEY} tensor")
+        tensors[name] = np.frombuffer(payload[start:start + nbytes], dtype=dtype).reshape(shape).copy()
+
+    config = header["config"]
+    for key in _MODEL_SIZES:
+        if not (type(config.get(key)) is int and config[key] > 0):
+            raise CheckpointError(f"{path}: config {key} is {config.get(key)!r}, expected a positive integer")
+    for key in ("theta", "lam"):    # a bool is neither type; nan, inf and an int no float holds fail the bound
+        if not (type(config.get(key)) in (int, float) and abs(config[key]) <= sys.float_info.max):
+            raise CheckpointError(f"{path}: config {key} is {config.get(key)!r}, expected a finite number")
     vocab = Vocab(tokens, corpus_sha256=header.get("corpus_sha256"))
-    if freq_arr.dtype.kind != "f" or freq_arr.shape != (len(vocab),):
-        raise CheckpointError(
-            f"{path}: {_FREQ_KEY} is {freq_arr.dtype} of shape {freq_arr.shape}, "
-            f"expected floats of shape ({len(vocab)},), one per vocab id"
-        )
+    sizes = [config[key] for key in _MODEL_SIZES]
+    # One frequency per vocab id, and the model at the config's sizes. Other
+    # entries, such as older files' optimizer moments, are kept unread.
+    expected = {_FREQ_KEY: (len(vocab),), "embedding.weights": (len(vocab), sizes[0]), **param_shapes(*sizes)}
+    for name, shape in expected.items():
+        if name not in tensors:
+            raise CheckpointError(f"{path}: missing {name} tensor")
+        arr = tensors[name]
+        if arr.dtype.kind != "f" or arr.shape != shape:
+            raise CheckpointError(
+                f"{path}: {name} is {arr.dtype} of shape {arr.shape}, expected floats of shape {shape}"
+            )
     return Checkpoint(
-        config=header["config"],
+        config=config,
         vocab=vocab,
-        freq=freq_arr,
+        freq=tensors.pop(_FREQ_KEY),
         tensors=tensors,
-        opt_m=opt_m,
-        opt_v=opt_v,
         step=header.get("step", 0),
         best_dev=header.get("best_dev"),
     )
@@ -208,22 +210,8 @@ def pack_model(table: Tensor, params: dict[str, Tensor]) -> dict[str, np.ndarray
 
 
 def unpack_model(ckpt: Checkpoint) -> tuple[Tensor, dict[str, Tensor]]:
-    """Wrap the stored embedding table and conv parameters, each of the shape
-    the header config and vocabulary imply, as Tensors. They share memory
+    """Wrap the embedding table and conv parameters of a checkpoint that
+    `load_checkpoint` returned or `train` built as Tensors. They share memory
     with `ckpt.tensors`, which `load_checkpoint` fills with private copies."""
-    try:
-        embed_dim, enc, mix = (int(ckpt.config[k]) for k in ("embed_dim", "enc_channels", "mix_channels"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint config has no valid model size: {exc!r}") from exc
-    shapes = {"embedding.weights": (len(ckpt.vocab), embed_dim), **param_shapes(embed_dim, enc, mix)}
-    tensors = {}
-    for name, shape in shapes.items():
-        if name not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint missing tensor {name}")
-        arr = ckpt.tensors[name]
-        if arr.shape != shape:
-            raise CheckpointError(
-                f"checkpoint tensor {name} has shape {arr.shape}, but the header implies {shape}"
-            )
-        tensors[name] = Tensor(arr)
-    return tensors.pop("embedding.weights"), tensors
+    names = param_shapes(*(ckpt.config[key] for key in _MODEL_SIZES))
+    return Tensor(ckpt.tensors["embedding.weights"]), {name: Tensor(ckpt.tensors[name]) for name in names}

@@ -68,15 +68,14 @@ def _parse_value(key: str, raw: str):
 def read_config_file(path: str | Path) -> dict[str, str]:
     """`key = value` lines with `#` comments."""
     raw: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = line.split("=", 1)
-            raw[key.strip()] = value.strip()
+    for lineno, line in corpus_io.text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
+        raw[key.strip()] = value.strip()
     return raw
 
 
@@ -321,19 +320,9 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _sal_settings(config: dict) -> tuple[float, float]:
-    """The checkpoint config's `theta` and `lam`; each must be a finite number."""
-    for key in ("theta", "lam"):
-        value = config.get(key)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-            raise ckpt_io.CheckpointError(f"checkpoint config has no finite number {key!r}: {value!r}")
-    return float(config["theta"]), float(config["lam"])
-
-
 def cmd_eval(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
-    sal = _sal_settings(ckpt.config) if args.token_report else None
     pairs = corpus_io.load_sts_pairs(args.pairs)
     out_dir = _prepare_out(ckpt.config, args.out, input_checksums([args.checkpoint, args.pairs]))
     token_mse = {} if args.token_report else None     # filled by the one encode pass
@@ -342,7 +331,8 @@ def cmd_eval(args) -> int:
     write_density_csv(report, out_dir / "density.csv")
     write_summary(report, out_dir / "summary.txt")
     if args.token_report:
-        rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse, *sal)
+        theta, lam = float(ckpt.config["theta"]), float(ckpt.config["lam"])
+        rows = token_report(pairs, ckpt.vocab, ckpt.freq, token_mse, theta, lam)
         text = "".join(f"{pi},{side},{pos},{tok},{mse!r},{w!r}\n" for pi, side, pos, tok, mse, w in rows)
         (out_dir / "token_report.csv").write_text("pair,side,position,token,recon_mse,weight\n" + text, encoding="utf-8")
     rho = "undefined" if report.spearman_rho is None else f"{report.spearman_rho:.4f}"
@@ -353,10 +343,9 @@ def cmd_eval(args) -> int:
 def cmd_embed(args) -> int:
     ckpt = ckpt_io.load_checkpoint(args.checkpoint)
     table, params = ckpt_io.unpack_model(ckpt)
-    with open(args.sentences, "r", encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
-    tokens_of: dict[str, list[str]] = {}    # each distinct line, tokenized once
-    for lineno, line in enumerate(lines, start=1):
+    lines, tokens_of = [], {}    # each distinct line, tokenized once
+    for lineno, line in corpus_io.text_lines(args.sentences):
+        lines.append(line)
         if line not in tokens_of:
             tokens_of[line] = corpus_io.tokenize(line)
         if not tokens_of[line]:
@@ -382,14 +371,13 @@ def _run_grid(args, column: str, grid: dict[str, dict], subdir_prefix: str, tabl
     into `<out>/<subdir_prefix><label>`, and tabulate each label under
     `column` with its best dev and that checkpoint's test Spearman."""
     cfg = resolve_config(args.config, args.set)
-    for overrides in grid.values():
-        _train_config({**cfg, **overrides})
+    configs = {label: _train_config({**cfg, **overrides}) for label, overrides in grid.items()}
     inputs, paths = _load_train_inputs(cfg, args.corpus, args.dev)
     test_pairs = corpus_io.load_sts_pairs(args.test)
     out_dir = _prepare_out(cfg, args.out, input_checksums([*paths, args.test]))
     rows = []
-    for label, overrides in grid.items():
-        result = train(_train_config({**cfg, **overrides}), *inputs)
+    for label, train_cfg in configs.items():
+        result = train(train_cfg, *inputs)
         sub = out_dir / f"{subdir_prefix}{label}"
         sub.mkdir(exist_ok=True)
         _write_train_outputs(result, sub)

@@ -8,7 +8,7 @@ import string
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -51,6 +51,18 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """(line number, line without its newline) of a UTF-8 text file, read one
+    line at a time. A leading byte-order mark is dropped; bytes that are not
+    UTF-8 are a ValueError naming the file."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                yield lineno, line.rstrip("\n")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+
+
 @dataclass
 class Vocab:
     """Token/id mapping with PAD=0 and UNK=1 reserved."""
@@ -79,8 +91,7 @@ class Vocab:
 
 def load_corpus(path: str | Path) -> list[str]:
     """Read a one-sentence-per-line corpus, skipping blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for _, line in text_lines(path) if line.strip()]
 
 
 def build_vocab(corpus_path: str | Path) -> Vocab:
@@ -132,24 +143,22 @@ def load_sts_pairs(path: str | Path) -> list[ScoredPair]:
     """Read tab-separated `score\\ta\\tb` similarity pairs. A sentence that
     tokenizes to nothing is an error naming its `path:line`."""
     pairs: list[ScoredPair] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
-            try:
-                score = float(fields[0])
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad score {fields[0]!r}") from exc
-            if not 0.0 <= score <= 5.0:
-                raise ValueError(f"{path}:{lineno}: score {score} outside [0, 5]")
-            a, b = tokenize(fields[1]), tokenize(fields[2])
-            if not a or not b:
-                raise ValueError(f"{path}:{lineno}: sentence {1 if not a else 2} is empty after tokenization")
-            pairs.append(ScoredPair(score, a, b))
+    for lineno, line in text_lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}")
+        try:
+            score = float(fields[0])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad score {fields[0]!r}") from exc
+        if not 0.0 <= score <= 5.0:
+            raise ValueError(f"{path}:{lineno}: score {score} outside [0, 5]")
+        a, b = tokenize(fields[1]), tokenize(fields[2])
+        if not a or not b:
+            raise ValueError(f"{path}:{lineno}: sentence {1 if not a else 2} is empty after tokenization")
+        pairs.append(ScoredPair(score, a, b))
     return pairs
 
 
@@ -204,22 +213,21 @@ def pretrained_vectors(path: str | Path, vocab: Vocab, dim: int) -> dict[int, np
     `vocab`, by id. The file is read one line at a time; every row must have
     width `dim` and finite values, and rows for other tokens are dropped."""
     vectors = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) < 2:
-                raise ValueError(f"{path}:{lineno}: expected a token and at least one value")
-            try:
-                vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            if vector.shape[0] != dim:
-                raise ValueError(f"{path}:{lineno}: pretrained width {vector.shape[0]} does not match dim {dim}")
-            if not np.isfinite(vector).all():
-                raise ValueError(f"{path}:{lineno}: pretrained vector holds a non-finite value")
-            idx = vocab.id_of(parts[0])
-            if idx != UNK_ID:
-                vectors[idx] = vector
+    for lineno, line in text_lines(path):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"{path}:{lineno}: expected a token and at least one value")
+        try:
+            vector = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        if vector.shape[0] != dim:
+            raise ValueError(f"{path}:{lineno}: pretrained width {vector.shape[0]} does not match dim {dim}")
+        if not np.isfinite(vector).all():
+            raise ValueError(f"{path}:{lineno}: pretrained vector holds a non-finite value")
+        idx = vocab.id_of(parts[0])
+        if idx != UNK_ID:
+            vectors[idx] = vector
     return vectors

@@ -21,31 +21,28 @@ POSITIVE_GOLD = 4.0     # a pair with this gold score or more is a positive for 
 ENCODE_CHUNK = 64       # distinct sentences per packed pass of `encode_tokens`
 
 
-class UndefinedCorrelationError(ValueError):
-    """Spearman correlation is undefined for constant inputs."""
-
-
 def fractional_ranks(values: Sequence[float]) -> np.ndarray:
     """Average ranks (1-based), ties sharing their mean rank."""
     _, group, counts = np.unique(np.asarray(values, dtype=np.float64), return_inverse=True, return_counts=True)
     return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
-def spearman(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation of fractional ranks."""
+def spearman(x: Sequence[float], y: Sequence[float]) -> Optional[float]:
+    """Pearson correlation of fractional ranks; None, as undefined, for fewer
+    than 2 observations or a constant input."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError(f"spearman: expected equal-length vectors, got {x.shape} and {y.shape}")
     if len(x) < 2:
-        raise ValueError("spearman: need at least 2 observations")
+        return None
     rx = fractional_ranks(x)
     ry = fractional_ranks(y)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     denom = math.sqrt(float((dx * dx).sum()) * float((dy * dy).sum()))
     if denom == 0.0:
-        raise UndefinedCorrelationError("spearman: undefined for constant input")
+        return None
     return float((dx * dy).sum()) / denom
 
 
@@ -233,16 +230,12 @@ def evaluate_pairs(
 
     predicted = [cosine(emb_a[i], emb_b[i]) for i in range(len(pairs))]
     gold = [p.gold_score for p in pairs]
-    try:
-        rho = spearman(gold, predicted)
-    except (UndefinedCorrelationError, ValueError):
-        rho = None
 
     positives = [(emb_a[i], emb_b[i]) for i in range(len(pairs)) if gold[i] >= POSITIVE_GOLD]
     align = alignment(positives) if positives else None
     uniform = uniformity(embs) if len(embs) >= 2 else None
     return EvalReport(
-        spearman_rho=rho,
+        spearman_rho=spearman(gold, predicted),
         alignment=align,
         uniformity=uniform,
         group_histograms=similarity_density(gold, predicted),

@@ -314,10 +314,11 @@ class TestEval:
         save_checkpoint(ckpt, path)
         out = tmp_path / "eval"
         assert main(["eval", str(path), data["test"], "--out", str(out), "--token-report"]) == EXIT_IO
-        assert f"checkpoint config has no finite number '{key}'" in capsys.readouterr().err
-        for name in ("metrics.csv", "density.csv", "summary.txt", "token_report.csv"):
-            assert not (out / name).exists()
-        assert main(["eval", str(path), data["test"], "--out", str(tmp_path / "plain")]) == EXIT_OK
+        assert capsys.readouterr().err == f"sarcse: {path}: config {key} is {value!r}, expected a finite number\n"
+        assert not out.exists()
+        # the checkpoint is refused as a whole, so plain eval refuses it too
+        assert main(["eval", str(path), data["test"], "--out", str(out)]) == EXIT_IO
+        assert not out.exists()
 
     def test_config_is_the_checkpoint_config(self, data, trained, tmp_path):
         out, expected = tmp_path / "eval", tmp_path / "expected"
@@ -817,3 +818,97 @@ class TestExitCodes:
         assert code == EXIT_OK
         text = (tmp_path / "ref" / "config.txt").read_text()
         assert "batch_size = 64" in text and "lam = 50.0" in text
+
+
+def _edit_checkpoint(ckpt, defect) -> str:
+    """Apply one named defect to a loaded checkpoint; returns the tensor or
+    config key that the refusal names."""
+    tensor_edits = {
+        "wrong-shape": ("enc.k3.kernels", lambda arr: arr[:, :2]),
+        "missing-tensor": ("dec.k4.bias", None),
+        "integer-tensor": ("mix.kernels", lambda arr: arr.astype(np.int32)),
+    }
+    config_edits = {
+        "string-size": ("embed_dim", "32"),
+        "float-size": ("enc_channels", 64.0),
+        "bool-size": ("mix_channels", True),
+        "theta-missing": ("theta", None),
+        "theta-nan": ("theta", float("nan")),
+        "lam-inf": ("lam", float("inf")),
+        "lam-bool": ("lam", False),
+        "theta-huge-int": ("theta", 10 ** 400),
+    }
+    if defect in tensor_edits:
+        name, edit = tensor_edits[defect]
+        arr = ckpt.tensors.pop(name)
+        if edit is not None:
+            ckpt.tensors[name] = edit(arr)
+        return name
+    key, value = config_edits[defect]
+    ckpt.config.pop(key)
+    if value is not None:
+        ckpt.config[key] = value
+    return f"config {key}"
+
+
+CHECKPOINT_DEFECTS = ["wrong-shape", "missing-tensor", "integer-tensor", "string-size", "float-size",
+                      "bool-size", "theta-missing", "theta-nan", "lam-inf", "lam-bool", "theta-huge-int"]
+
+
+@pytest.mark.parametrize("defect", CHECKPOINT_DEFECTS)
+def test_every_checkpoint_command_refuses_a_malformed_model(toy_data_dir, tmp_path, capsys, defect):
+    """`load_checkpoint` is the one check: eval, eval --token-report and embed
+    each exit 3 on the same file, name it first, and write nothing."""
+    ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
+    named = _edit_checkpoint(ckpt, defect)
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)
+    sentences = tmp_path / "s.txt"
+    sentences.write_text("the dog eats .\n", encoding="utf-8")
+    out = tmp_path / "out"
+    pairs = str(toy_data_dir / "toy_sts_test.tsv")
+    for argv in (["eval", str(path), pairs], ["eval", str(path), pairs, "--token-report"],
+                 ["embed", str(path), str(sentences)]):
+        assert main([*argv, "--out", str(out)]) == EXIT_IO, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"sarcse: {path}: ") and named in err, argv
+        assert not out.exists()
+
+
+TEXT_INPUTS = ["corpus", "pairs", "config", "sentences", "vectors"]
+
+
+@pytest.mark.parametrize("role", TEXT_INPUTS)
+def test_undecodable_text_input_names_the_file(data, trained, tmp_path, capsys, role):
+    bad = tmp_path / f"{role}.in"
+    bad.write_bytes(b"the dog eats \xff .\n")
+    out = tmp_path / "out"
+    ckpt = str(trained / "best.ckpt")
+    argv = {
+        "corpus": ["build-vocab", str(bad)],
+        "pairs": ["eval", ckpt, str(bad)],
+        "config": ["train", data["corpus"], data["dev"], "--config", str(bad)],
+        "sentences": ["embed", ckpt, str(bad)],
+        "vectors": ["train", data["corpus"], data["dev"], *FAST, "--set", f"pretrained_path={bad}"],
+    }[role]
+    assert main([*argv, "--out", str(out)]) == EXIT_IO
+    assert capsys.readouterr().err == f"sarcse: {bad}: not UTF-8 text (invalid start byte)\n"
+    assert not out.exists()
+
+
+def test_byte_order_mark_is_not_text(data, tmp_path):
+    """A config file and a corpus that start with a UTF-8 BOM read as their
+    copies without it."""
+    config = "max_steps = 3\nseed = 4\n"
+    plain, marked = tmp_path / "plain.cfg", tmp_path / "marked.cfg"
+    plain.write_text(config, encoding="utf-8")
+    marked.write_bytes(b"\xef\xbb\xbf" + config.encode("utf-8"))
+    assert resolve_config(str(marked), []) == resolve_config(str(plain), [])
+    text = Path(data["corpus"]).read_bytes()
+    marked_corpus = tmp_path / "corpus.txt"
+    marked_corpus.write_bytes(b"\xef\xbb\xbf" + text)
+    for corpus_path, out in ((data["corpus"], "plain"), (marked_corpus, "marked")):
+        assert main(["build-vocab", str(corpus_path), "--out", str(tmp_path / out)]) == EXIT_OK
+    for name in ("vocab.txt", "freq.tsv"):
+        assert (tmp_path / "marked" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    assert corpus.load_corpus(marked_corpus) == corpus.load_corpus(data["corpus"])

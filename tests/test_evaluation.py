@@ -14,7 +14,6 @@ from sarcse.evaluation import (
     GROUP_LABELS,
     UNIFORMITY_BLOCK,
     EvalReport,
-    UndefinedCorrelationError,
     alignment,
     cosine,
     encode_tokens,
@@ -74,9 +73,13 @@ class TestSpearman:
         warped_y = y ** 3 + 10.0 * y
         assert spearman(warped_x, warped_y) == pytest.approx(base, abs=1e-12)
 
-    def test_constant_input_rejected(self):
-        with pytest.raises(UndefinedCorrelationError):
-            spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
+    def test_undefined_is_none_and_a_shape_mismatch_an_error(self):
+        assert spearman([1.0, 1.0, 1.0], [1.0, 2.0, 3.0]) is None
+        assert spearman([1.0, 2.0, 3.0], [4.0, 4.0, 4.0]) is None
+        assert spearman([1.0], [2.0]) is None
+        assert spearman([], []) is None
+        with pytest.raises(ValueError, match="equal-length"):
+            spearman([1.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_fractional_ranks(self):
         np.testing.assert_array_equal(fractional_ranks([1, 2, 2, 3]), [1.0, 2.5, 2.5, 4.0])

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import hashlib
 import json
 import os
@@ -640,7 +641,7 @@ class TestCheckpointIO:
         ("directory-cut-short", "truncated at byte"),
         ("tensor-past-payload", "tensor dec.k3.bias extends past end of payload"),
         ("no-freq", "missing corpus.freq tensor"),
-        ("no-model-tensor", "checkpoint missing tensor dec.k3.bias"),
+        ("no-model-tensor", "missing dec.k3.bias tensor"),
     ])
     def test_eval_refuses_checksum_valid_defects(self, toy_data_dir, tmp_path, capsys, defect, match):
         """Each file passes the checksum, so the inner check is the one that refuses it."""
@@ -658,14 +659,17 @@ class TestCheckpointIO:
         out = tmp_path / "eval"
         code = main(["eval", str(path), str(toy_data_dir / "toy_sts_test.tsv"), "--out", str(out)])
         assert code == EXIT_IO
-        assert re.search(match, capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert err.startswith(f"sarcse: {path}: ") and re.search(match, err)
         assert not out.exists()
 
-    def test_config_without_model_size(self, toy_data_dir):
+    def test_config_without_model_size(self, toy_data_dir, tmp_path):
         ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
         ckpt.config = {k: v for k, v in ckpt.config.items() if k != "enc_channels"}
-        with pytest.raises(CheckpointError, match="enc_channels"):
-            unpack_model(ckpt)
+        path = tmp_path / "sizeless.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: config enc_channels is None"):
+            load_checkpoint(path)
 
     def test_truncation(self, toy_setup, tmp_path):
         path = tmp_path / "model.ckpt"
@@ -685,9 +689,6 @@ class TestCheckpointIO:
         sentences, dev, vocab, freq = toy_setup
         result = train(small_config(max_steps=2, eval_every=2), sentences, dev, vocab, freq)
         first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
-        # training saves no moments, but the format stores them: give it some
-        result.last.opt_m = {k: v * 0.5 for k, v in result.last.tensors.items()}
-        result.last.opt_v = {k: v * v for k, v in result.last.tensors.items()}
         save_checkpoint(result.last, first)
         ckpt = load_checkpoint(first)
         table, params = unpack_model(ckpt)
@@ -696,10 +697,10 @@ class TestCheckpointIO:
         assert all(t.data is ckpt.tensors[name] for name, t in params.items())
 
         def arrays(c):
-            return [c.freq, *c.tensors.values(), *c.opt_m.values(), *c.opt_v.values()]
+            return [c.freq, *c.tensors.values()]
 
         loaded, again = arrays(ckpt), arrays(load_checkpoint(first))
-        assert len(loaded) == 1 + 3 * len(ckpt.tensors)      # freq, each tensor and its two moments
+        assert len(loaded) == 1 + len(ckpt.tensors)
         for i, arr in enumerate(loaded):
             assert arr.flags.c_contiguous and arr.flags.writeable
             assert not any(np.shares_memory(arr, other) for other in loaded[i + 1:] + again)
@@ -744,15 +745,50 @@ class TestCheckpointIO:
         ckpt.config = {**ckpt.config, key: value}
         path = tmp_path / "altered.ckpt"
         save_checkpoint(ckpt, path)     # a well-formed file with a re-sealed checksum
-        with pytest.raises(CheckpointError, match=f"tensor {tensor} has shape"):
-            unpack_model(load_checkpoint(path))
+        with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: {tensor} is float32 of shape"):
+            load_checkpoint(path)
 
     def test_vocabulary_size_must_match_table(self, toy_setup, tmp_path):
         sentences, dev, vocab, freq = toy_setup
         ckpt = train(small_config(max_steps=1, eval_every=1), sentences, dev, vocab, freq).last
         ckpt.vocab = Vocab(ckpt.vocab.tokens[:-1])
-        with pytest.raises(CheckpointError, match="embedding.weights"):
-            unpack_model(ckpt)
+        ckpt.freq = ckpt.freq[:-1]
+        path = tmp_path / "short-vocab.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointError, match="embedding.weights is float32 of shape"):
+            load_checkpoint(path)
+
+    def test_save_refuses_optimizer_moments(self, toy_data_dir, tmp_path):
+        ckpt = load_checkpoint(toy_data_dir / "toy_untrained.ckpt")
+        for attr in ("opt_m", "opt_v"):
+            moments = {name: np.zeros_like(arr) for name, arr in ckpt.tensors.items()}
+            held = dataclasses.replace(ckpt, **{attr: moments})
+            with pytest.raises(ValueError, match="holds no optimizer moments"):
+                save_checkpoint(held, tmp_path / "held.ckpt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_moment_entries_of_older_files_are_ignored(self, toy_data_dir, tmp_path):
+        """A file with `opt.m.*` and `opt.v.*` directory entries, the names
+        older versions gave optimizer moments (here over the model's own
+        bytes), loads them as tensors that no reader looks up, and embeds the
+        same bytes as the file without them."""
+        src, path = toy_data_dir / "toy_untrained.ckpt", tmp_path / "moments.ckpt"
+
+        def add_moments(h, d):
+            named = [{**e, "name": f"opt.{which}.{e['name']}"} for which in "mv" for e in d if e["name"] != "corpus.freq"]
+            return h, d + named
+
+        _resealed(src, path, add_moments)
+        ckpt = load_checkpoint(path)
+        assert ckpt.opt_m == {} and ckpt.opt_v == {}
+        assert {name for name in ckpt.tensors if name.startswith("opt.")} == {
+            f"opt.{which}.{name}" for which in "mv" for name in load_checkpoint(src).tensors
+        }
+        sentences = tmp_path / "s.txt"
+        sentences.write_text("the dog eats .\na cat sleeps .\nthe dog eats .\n", encoding="utf-8")
+        for ckpt_path, out in ((src, "plain.tsv"), (path, "moments.tsv")):
+            assert main(["embed", str(ckpt_path), str(sentences), "--out", str(tmp_path / out)]) == 0
+        assert (tmp_path / "moments.tsv").read_bytes() == (tmp_path / "plain.tsv").read_bytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -761,24 +797,18 @@ class TestCheckpointIO:
     enc_channels=st.integers(2, 9),
     mix_channels=st.integers(1, 4),
     n_tokens=st.integers(0, 12),
-    with_moments=st.booleans(),
     best_dev=st.one_of(st.none(), st.floats(-1.0, 1.0)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_checkpoint_round_trip_any_config(
-    embed_dim, enc_channels, mix_channels, n_tokens, with_moments, best_dev, seed
-):
+def test_checkpoint_round_trip_any_config(embed_dim, enc_channels, mix_channels, n_tokens, best_dev, seed):
     rng = np.random.default_rng(seed)
     vocab = Vocab([f"t{i}" for i in range(n_tokens)], corpus_sha256="ab" * 32)
     cfg = TrainConfig(embed_dim=embed_dim, enc_channels=enc_channels, mix_channels=mix_channels, seed=seed)
     table = init_table(vocab, embed_dim, 0.1, rng)
     params = init_params(embed_dim, enc_channels, mix_channels, rng)
-    tensors = pack_model(table, params)
-    moments = {k: rng.normal(size=v.shape).astype(v.dtype) for k, v in tensors.items()} if with_moments else {}
     ckpt = Checkpoint(
         config=cfg.to_flat(), vocab=vocab, freq=rng.dirichlet(np.ones(len(vocab))),
-        tensors=tensors, opt_m=moments, opt_v={k: v * v for k, v in moments.items()},
-        step=int(rng.integers(0, 1000)), best_dev=best_dev,
+        tensors=pack_model(table, params), step=int(rng.integers(0, 1000)), best_dev=best_dev,
     )
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "model.ckpt"
@@ -790,10 +820,7 @@ def test_checkpoint_round_trip_any_config(
 
     assert header(loaded) == header(ckpt)
     assert loaded.freq.tobytes() == ckpt.freq.tobytes()
-    for attr in ("opt_m", "opt_v"):
-        got, want = getattr(loaded, attr), getattr(ckpt, attr)
-        assert got.keys() == want.keys()
-        assert all(got[k].dtype == want[k].dtype and got[k].tobytes() == want[k].tobytes() for k in want)
+    assert loaded.opt_m == {} and loaded.opt_v == {}
     table_back, params_back = unpack_model(loaded)
     assert params_back.keys() == params.keys()
     pairs = [(table, table_back)] + [(params[name], params_back[name]) for name in params]
